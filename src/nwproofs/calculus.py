@@ -13,9 +13,17 @@ Sequents are opaque here: anything hashable with equality works.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Container, Mapping
 
-from .coalgebra import Coalgebra, StateId, UnknownState, reachable, restrict
+from .coalgebra import (
+    Coalgebra,
+    StateId,
+    UnknownState,
+    bisim_minimize,
+    reachable,
+    restrict,
+    validated_destructor,
+)
 from .trees import EPSILON, STAR, TreeNW, Truncation, Word, format_word
 
 Matcher = Callable[[tuple, Any], bool]
@@ -86,28 +94,55 @@ def _node_label(tree: TreeNW, w: Word) -> tuple[Any, str]:
     return label
 
 
-class ProofGraph:
-    """A rooted coalgebra whose fragments are (sequent, rule)-labelled."""
+def _check_labels(frag: TreeNW) -> None:
+    for w in frag.proper_nodes:
+        _node_label(frag, w)
 
-    __slots__ = ("graph", "root")
+
+class ProofGraph:
+    """A rooted coalgebra whose fragments are (sequent, rule)-labelled.
+
+    A *view* (:meth:`at`, :meth:`Arena.view`) shares the coalgebra of
+    the graph or store it is taken from, so it is neither copied nor
+    validated again, and it reports only the states reachable from its
+    root, as a pruned copy would.  ``store`` is the :class:`Arena` a view
+    lives in, if any.
+    """
+
+    __slots__ = ("graph", "root", "store", "_states")
 
     def __init__(self, graph: Coalgebra, root: StateId):
-        if root not in graph.states:
+        if root not in graph:
             raise UnknownState(f"root {root!r} is not a state")
-        for state in graph.states:
-            frag = graph.fragment(state)
-            for w in frag.proper_nodes:
-                _node_label(frag, w)
+        states = graph.states
+        for state in states:
+            _check_labels(graph.fragment(state))
         self.graph = graph
         self.root = root
+        self.store: Arena | None = None
+        self._states: frozenset[StateId] | None = states
 
     @staticmethod
     def make(destructors: Mapping[StateId, tuple[TreeNW, Mapping[Word, StateId]]], root: StateId) -> "ProofGraph":
         return ProofGraph(Coalgebra(destructors), root)
 
+    @staticmethod
+    def _view(graph: Coalgebra, root: StateId, store: "Arena | None") -> "ProofGraph":
+        if root not in graph:
+            raise UnknownState(f"root {root!r} is not a state")
+        pg = object.__new__(ProofGraph)
+        pg.graph, pg.root, pg.store, pg._states = graph, root, store, None
+        return pg
+
+    def at(self, state: StateId) -> "ProofGraph":
+        """The proof rooted at ``state``, as a view of this graph."""
+        return ProofGraph._view(self.graph, state, self.store)
+
     @property
     def states(self) -> frozenset[StateId]:
-        return self.graph.states
+        if self._states is None:
+            self._states = frozenset(reachable(self.graph, self.root))
+        return self._states
 
     def fragment(self, state: StateId) -> TreeNW:
         return self.graph.fragment(state)
@@ -129,7 +164,11 @@ class ProofGraph:
         return (
             isinstance(other, ProofGraph)
             and self.root == other.root
-            and self.graph == other.graph
+            and self.states == other.states
+            and all(
+                self.fragment(s) == other.fragment(s) and self.links(s) == other.links(s)
+                for s in self.states
+            )
         )
 
     def __repr__(self) -> str:
@@ -208,29 +247,42 @@ def _leaf_sequents_for(pg: ProofGraph, state: StateId) -> dict[Word, Any]:
     return {w: pg.state_sequent(t) for w, t in pg.links(state).items()}
 
 
-def _reachable_in_order(pg: ProofGraph) -> list[StateId]:
-    order: list[StateId] = []
+def _reachable_in_order(pg: ProofGraph, skip: Container[StateId] = ()) -> list[StateId]:
+    """States reachable from the root, breadth first in leaf order; states
+    in ``skip`` are neither listed nor entered."""
+    if pg.root in skip:
+        return []
+    order = [pg.root]
     seen = {pg.root}
-    queue = [pg.root]
-    while queue:
-        s = queue.pop(0)
-        order.append(s)
+    for s in order:
         links = pg.links(s)
         for w in sorted(links):
-            if links[w] not in seen:
-                seen.add(links[w])
-                queue.append(links[w])
+            t = links[w]
+            if t not in seen and t not in skip:
+                seen.add(t)
+                order.append(t)
     return order
 
 
 def check_proof_graph(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:
     """Check every state reachable from the root; passing certifies the
-    whole unfolded proof because fragments repeat state by state."""
+    whole unfolded proof because fragments repeat state by state.
+
+    On a view of an :class:`Arena` the store remembers, per calculus
+    object, the states whose proofs passed, and the walk neither checks
+    nor enters them again.  A certified state reaches only certified
+    states, so a failing check still reports the same findings, in the
+    same order, as a walk over everything.
+    """
+    certified = pg.store.certified(calc) if pg.store is not None else set()
+    order = _reachable_in_order(pg, certified)
     report = CheckReport()
-    for state in _reachable_in_order(pg):
+    for state in order:
         report.extend(
             check_proof_fragment(calc, pg.fragment(state), _leaf_sequents_for(pg, state), state)
         )
+    if report.ok:
+        certified.update(order)
     return report
 
 
@@ -363,22 +415,59 @@ def subtree_at(node: PNode, at: Word) -> PNode | PLink:
 
 
 class Arena:
-    """A growing state store shared by one rewriting computation.
+    """The append-only, hash-consed state store of one rewriting computation.
+
+    Every state carries the id of its bisimulation class, so two states
+    have the same id exactly when their rooted proofs are bisimilar.  A
+    state made by :meth:`add` links only to states already stored, so
+    it cannot change bisimilarity among them: its class is found by
+    looking up its signature, the fragment plus its successors' class
+    ids in leaf order, in a table (hash-consing after Filliâtre and
+    Conchon, "Type-safe modular hash-consing", 2006).  A graph brought
+    in by :meth:`include` may be cyclic; its new states are classified
+    once, by refining them jointly with one state of every known class.
 
     Merging graphs renames a state only when the same id arrives with
     different content; the rename is closed under reverse reachability
     so shared ids always denote identical subgraphs.
+
+    The store also remembers, per calculus object, the states whose
+    proofs passed :func:`check_proof_graph`.
     """
 
     def __init__(self) -> None:
         self._states: dict[StateId, tuple[TreeNW, dict[Word, StateId]]] = {}
         self._counter = 0
+        self.graph = Coalgebra.view(self._states)
+        self._class: dict[StateId, int] = {}
+        self._reps: list[StateId] = []  # one state of each class, by class id
+        self._table: dict[tuple, int] = {}  # signature -> class id
+        self._certified: dict[int, tuple[LocalProgressCalculus, set[StateId]]] = {}
+
+    def view(self, state: StateId) -> ProofGraph:
+        return ProofGraph._view(self.graph, state, self)
+
+    def class_of(self, state: StateId) -> int:
+        return self._class[state]
+
+    def certified(self, calc: LocalProgressCalculus) -> set[StateId]:
+        """States whose proofs passed the check of this calculus object."""
+        # keyed by identity, and holding ``calc`` so that its id stays unique
+        return self._certified.setdefault(id(calc), (calc, set()))[1]
 
     def include(self, pg: ProofGraph) -> StateId:
-        rename = self._merge(pg.graph.destructors())
+        """Copy in the part of ``pg`` reachable from its root; returns the
+        root's id in this store."""
+        if pg.store is self:
+            return pg.root
+        part = {s: (pg.fragment(s), pg.links(s)) for s in _reachable_in_order(pg)}
+        rename, new = self._merge(part)
+        self._classify(new)
         return rename.get(pg.root, pg.root)
 
-    def _merge(self, extra: Mapping[StateId, tuple[TreeNW, Mapping[Word, StateId]]]) -> dict[StateId, StateId]:
+    def _merge(
+        self, extra: Mapping[StateId, tuple[TreeNW, Mapping[Word, StateId]]]
+    ) -> tuple[dict[StateId, StateId], list[StateId]]:
         conflicted = {
             s
             for s, (frag, links) in extra.items()
@@ -399,13 +488,44 @@ class Arena:
             while name in extra or name in rename.values():
                 name = self.fresh()
             rename[s] = name
+        new: list[StateId] = []
         for s, (frag, links) in extra.items():
             new_id = rename.get(s, s)
             new_links = {w: rename.get(t, t) for w, t in links.items()}
             if new_id in self._states:
                 assert self._states[new_id] == (frag, new_links)
+            else:
+                new.append(new_id)
             self._states[new_id] = (frag, new_links)
-        return rename
+        return rename, new
+
+    def _classify(self, new: list[StateId]) -> None:
+        """Class ids for states just merged in, from one refinement of them
+        jointly with a representative of every known class."""
+        if not new:
+            return
+        fresh = set(new)
+        known = len(self._reps)
+
+        def rep(t: StateId) -> StateId:
+            return t if t in fresh else self._reps[self._class[t]]
+
+        joint = {}
+        for s in self._reps + new:
+            frag, links = self._states[s]
+            joint[s] = (frag, {w: rep(t) for w, t in links.items()})
+        _, block = bisim_minimize(Coalgebra.view(joint))
+        class_of_block = {block[r]: c for c, r in enumerate(self._reps)}
+        for s in new:
+            c = class_of_block.setdefault(block[s], len(self._reps))
+            if c == len(self._reps):
+                self._reps.append(s)
+            self._class[s] = c
+        for c in range(known, len(self._reps)):
+            self._table[self._signature(*self._states[self._reps[c]])] = c
+
+    def _signature(self, fragment: TreeNW, links: Mapping[Word, StateId]) -> tuple:
+        return fragment, tuple(self._class[links[w]] for w in sorted(fragment.nw_leaves))
 
     def fresh(self) -> StateId:
         while True:
@@ -415,8 +535,16 @@ class Arena:
                 return name
 
     def add(self, fragment: TreeNW, links: Mapping[Word, StateId]) -> StateId:
+        """Store a new state whose links lead to stored states."""
         sid = self.fresh()
-        self._states[sid] = (fragment, dict(links))
+        fragment, links = validated_destructor(sid, fragment, links, self._states)
+        _check_labels(fragment)
+        signature = self._signature(fragment, links)
+        c = self._table.setdefault(signature, len(self._reps))
+        if c == len(self._reps):
+            self._reps.append(sid)
+        self._states[sid] = (fragment, links)
+        self._class[sid] = c
         return sid
 
     def intern(self, node: PNode) -> StateId:
@@ -431,9 +559,7 @@ class Arena:
         return self._states[state][0]
 
     def proof(self, node: PNode) -> ProofGraph:
-        root = self.intern(node)
-        graph = Coalgebra(self._states)
-        return ProofGraph(restrict(graph, reachable(graph, root)), root)
+        return self.view(self.intern(node))
 
 
 def subproof(pg: ProofGraph, node: Word) -> ProofGraph:
@@ -447,7 +573,7 @@ def subproof(pg: ProofGraph, node: Word) -> ProofGraph:
         raise UnknownNode(f"node {format_word(node)} not in root fragment")
     links = pg.links(pg.root)
     if node in frag.nw_leaves:
-        return ProofGraph(pg.graph, links[node]).pruned()
+        return pg.at(links[node])
     arena = Arena()
     arena.include(pg)
     nested = subtree_at(to_nested(frag, links), node)

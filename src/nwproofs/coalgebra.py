@@ -9,7 +9,7 @@ ever exists through :func:`unfold`, which is depth- and size-budgeted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Container, Iterable, Mapping
 
 from .fftree import FFTree
 from .trees import (
@@ -59,20 +59,25 @@ class Coalgebra:
     __slots__ = ("_dest",)
 
     def __init__(self, destructors: Mapping[StateId, Destructor]):
-        dest: dict[StateId, tuple[TreeNW, dict[Word, StateId]]] = {}
-        for state, (frag, links) in destructors.items():
-            links = dict(links)
-            if set(links) != set(frag.nw_leaves):
-                raise CoalgebraError(
-                    f"links of state {state!r} do not cover its star leaves exactly"
-                )
-            for w, target in links.items():
-                if target not in destructors:
-                    raise UnknownState(
-                        f"state {state!r} links {format_word(w)} to unknown state {target!r}"
-                    )
-            dest[state] = (frag, links)
-        self._dest = dest
+        self._dest = {
+            state: validated_destructor(state, frag, links, destructors)
+            for state, (frag, links) in destructors.items()
+        }
+
+    @classmethod
+    def view(cls, table: dict[StateId, tuple[TreeNW, dict[Word, StateId]]]) -> "Coalgebra":
+        """A coalgebra over a live table, shared rather than copied.
+
+        The owner of ``table`` validates each destructor as it adds it
+        and never changes or removes one, so the view stays a valid
+        coalgebra while the table grows.
+        """
+        coalg = object.__new__(cls)
+        coalg._dest = table
+        return coalg
+
+    def __contains__(self, state: object) -> bool:
+        return state in self._dest
 
     @property
     def states(self) -> frozenset[StateId]:
@@ -101,6 +106,22 @@ class Coalgebra:
 
     def __repr__(self) -> str:
         return f"Coalgebra({sorted(self._dest)})"
+
+
+def validated_destructor(
+    state: StateId, frag: TreeNW, links: Mapping[Word, StateId], known: Container[StateId]
+) -> tuple[TreeNW, dict[Word, StateId]]:
+    """A state's destructor with its links copied, once they are known to
+    cover its star leaves exactly and to lead only to ``known`` states."""
+    links = dict(links)
+    if set(links) != set(frag.nw_leaves):
+        raise CoalgebraError(f"links of state {state!r} do not cover its star leaves exactly")
+    for w, target in links.items():
+        if target not in known:
+            raise UnknownState(
+                f"state {state!r} links {format_word(w)} to unknown state {target!r}"
+            )
+    return frag, links
 
 
 def is_root_path(coalg: Coalgebra, state: StateId, path: RootPath) -> bool:
@@ -204,8 +225,8 @@ def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]
     block: dict[StateId, int] = {}
     by_frag: dict[Any, int] = {}
     for s in states:
-        key = coalg._dest[s][0].key
-        block[s] = by_frag.setdefault(key, len(by_frag))
+        # a fragment hashes once, where its key tuple would hash every label
+        block[s] = by_frag.setdefault(coalg._dest[s][0], len(by_frag))
     while True:
         sigs: dict[tuple, int] = {}
         new_block: dict[StateId, int] = {}

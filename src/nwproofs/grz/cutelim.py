@@ -317,12 +317,13 @@ def cuts_up(pg: ProofGraph, on_step: StepHook | None = None) -> ProofGraph:
 
     Among the cuts with no cut above them the one at the least node word
     is reduced first; the cut count of the root fragment drops by at
-    least one per round, so this terminates.
+    least one per round, so this terminates.  A view of an
+    :class:`Arena` is rewritten in that store, anything else in a fresh
+    one; the result is a view.
     """
     _require_proof(pg)
-    arena = Arena()
-    root = arena.include(pg)
-    nested = arena.materialize(root)
+    arena = pg.store if pg.store is not None else Arena()
+    nested = arena.materialize(arena.include(pg))
     while True:
         cuts = _cut_positions(nested)
         if not cuts:
@@ -354,10 +355,7 @@ def cut_elimination_step():
         clean = cuts_up(pg)
         fragment = clean.fragment(clean.root)
         links = clean.links(clean.root)
-        parts = {
-            w: ProofGraph(clean.graph, links[w]).pruned() for w in fragment.nw_leaves
-        }
-        return fragment, parts
+        return fragment, {w: clean.at(links[w]) for w in fragment.nw_leaves}
 
     return TranslationStep(GRZ_CUT, GRZ, apply, name="cut-elim")
 
@@ -370,11 +368,11 @@ def cut_elim(
 ) -> ProofGraph | Unfolding:
     """Translate a proof with cuts into a cut-free one.
 
-    With memoization on, equal residual proofs are detected through
-    their canonical minimized form and become back links, so regular
-    inputs usually close into a finite cut-free graph; otherwise the
-    result is a budgeted unfolding whose complete fragments are all
-    cut free and checker valid.
+    With memoization on, bisimilar residual proofs are detected through
+    their class ids in the translation's state store and become back
+    links, so regular inputs usually close into a finite cut-free graph;
+    otherwise the result is a budgeted unfolding whose complete
+    fragments are all cut free and checker valid.
     """
     from ..translate import extend
 

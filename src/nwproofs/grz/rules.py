@@ -149,7 +149,7 @@ def local_height(pg: ProofGraph) -> int:
 
 
 def imp_left_principal(premises: tuple, concl: Sequent) -> Imp | None:
-    for f in sorted_formulas(concl.ante):
+    for f in mformulas(concl.ante):
         if isinstance(f, Imp):
             rest = concl.drop_left(f)
             if premises[0] == rest.with_right(f.left) and premises[1] == rest.with_left(f.right):
@@ -158,7 +158,7 @@ def imp_left_principal(premises: tuple, concl: Sequent) -> Imp | None:
 
 
 def imp_right_principal(premises: tuple, concl: Sequent) -> Imp | None:
-    for f in sorted_formulas(concl.succ):
+    for f in mformulas(concl.succ):
         if isinstance(f, Imp):
             if premises[0] == concl.drop_right(f).with_left(f.left).with_right(f.right):
                 return f
@@ -169,37 +169,4 @@ def refl_principal(premises: tuple, concl: Sequent) -> Box | None:
     f = _single(mdiff(premises[0].ante, concl.ante))
     if f is not None and concl.left_count(Box(f)) > 0:
         return Box(f)
-    return None
-
-
-def box_parts(premises: tuple, concl: Sequent) -> tuple[Formula, Mset, Sequent] | None:
-    """Principal body, boxed context, and weakening part of a box instance."""
-    p1 = premises[1]
-    f = _single(p1.succ)
-    if f is None:
-        return None
-    weakening = concl.drop_right(Box(f)).diff(Sequent(p1.ante, ()))
-    return f, p1.ante, weakening
-
-
-def cut_formula(premises: tuple, concl: Sequent) -> Formula | None:
-    f = _single(mdiff(premises[0].succ, concl.succ))
-    return f
-
-
-def sorted_formulas(m: Mset) -> list[Formula]:
-    return mformulas(m)
-
-
-def principal_formula(premises: tuple, concl: Sequent, rule: str):
-    """The displayed formula of an instance, None for initial sequents."""
-    if rule == IMP_LEFT:
-        return imp_left_principal(premises, concl)
-    if rule == IMP_RIGHT:
-        return imp_right_principal(premises, concl)
-    if rule == REFL:
-        return refl_principal(premises, concl)
-    if rule == BOX:
-        parts = box_parts(premises, concl)
-        return Box(parts[0]) if parts else None
     return None

@@ -3,15 +3,24 @@
 A step consumes a proof of the source calculus and emits one output
 fragment plus the residual source proofs hanging at its glue points.
 Extending it corecursively yields the full translation: with
-memoization, residuals are keyed by their canonical minimized form so
-repeats become back links and regular inputs close into a finite
-graph; otherwise (or when the key space blows past the state budget)
-the output is a depth-budgeted unfolding with truncation marks.
+memoization, repeated residuals become back links and regular inputs
+close into a finite graph; otherwise (or when the key space blows past
+the state budget) the output is a depth-budgeted unfolding with
+truncation marks.
+
+One extension keeps every proof it handles in one hash-consed
+:class:`~nwproofs.calculus.Arena`, and residuals are views of it.  The
+input is copied in and minimized once; each state added later gets its
+bisimulation class by a table lookup, which stays exact because a new
+state links only to older ones.  A residual's memo key is its root's
+class id, so residuals are keyed up to bisimilarity without rebuilding
+a canonical form per residual.
 
 Both conditions a step must satisfy are checked while extending: every
 residual must pass the source checker, and every emitted fragment,
 paired with the root sequents of its translated residuals, must pass
-the target fragment check.
+the target fragment check.  The store remembers which states passed, so
+each state's fragment is checked against the source once.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Mapping
 
 from .calculus import (
+    Arena,
     CheckReport,
     LocalProgressCalculus,
     ProofGraph,
@@ -31,7 +41,6 @@ from .coalgebra import (
     Coalgebra,
     UnfoldBudget,
     Unfolding,
-    canonical_form,
 )
 from .fftree import FFTree
 from .trees import EPSILON, TreeNW, Truncation, Word, format_word
@@ -83,9 +92,7 @@ def identity_step(calc: LocalProgressCalculus) -> TranslationStep:
     def apply(pg: ProofGraph) -> StepOutput:
         fragment = pg.fragment(pg.root)
         links = pg.links(pg.root)
-        return fragment, {
-            w: ProofGraph(pg.graph, links[w]).pruned() for w in fragment.nw_leaves
-        }
+        return fragment, {w: pg.at(links[w]) for w in fragment.nw_leaves}
 
     return TranslationStep(calc, calc, apply, name="identity")
 
@@ -100,7 +107,8 @@ class _Emitted:
 class _Engine:
     """Shared worker for plain and staged extension.
 
-    Values are (proof, stage) pairs; plain extension uses stage 0 only.
+    Values are (proof, stage) pairs, the proof a view of ``store``; plain
+    extension uses stage 0 only.
     """
 
     def __init__(self, staged: StagedStep | None, step: TranslationStep):
@@ -108,25 +116,29 @@ class _Engine:
         self.step = step
         self.source = step.source
         self.target = step.target
+        self.store = Arena()
 
     def apply(self, value: tuple[ProofGraph, int]) -> tuple[TreeNW, dict[Word, tuple[ProofGraph, int]], bool]:
         pg, stage = value
-        if self.staged is None:
-            fragment, parts = self.step.apply(pg)
-            return fragment, {w: (p, 0) for w, p in parts.items()}, False
-        if stage == 0:
+        step, nxt, fires = self.step, 0, False
+        if self.staged is not None and stage == 0:
             fires = self.staged.switch(pg)
             if fires and self.staged.compat is not None and not self.staged.compat(pg):
                 raise CompatibilityViolation(1, f"compatibility predicate rejected {pg!r}")
-            fragment, parts = self.staged.first.apply(pg)
             nxt = 1 if fires else 0
-            return fragment, {w: (p, nxt) for w, p in parts.items()}, fires
-        fragment, parts = self.staged.second.apply(pg)
-        return fragment, {w: (p, 1) for w, p in parts.items()}, False
+        elif self.staged is not None:
+            step, nxt = self.staged.second, 1
+        fragment, parts = step.apply(pg)
+        return fragment, {w: (self.own(p), nxt) for w, p in parts.items()}, fires
+
+    def own(self, pg: ProofGraph) -> ProofGraph:
+        """``pg`` as a view of the store; a residual from another graph is
+        copied in once, and never one from the built-in steps."""
+        return pg if pg.store is self.store else self.store.view(self.store.include(pg))
 
     def key(self, value: tuple[ProofGraph, int]) -> Hashable:
         pg, stage = value
-        return canonical_form(pg.graph, pg.root), stage
+        return self.store.class_of(pg.root), stage
 
     def check_value(self, value: tuple[ProofGraph, int], where: str) -> None:
         report = check_proof_graph(self.source, value[0])
@@ -162,8 +174,7 @@ def extend(
     set of residual keys within ``max_states``; otherwise a truncated
     :class:`Unfolding` of the translated proof, bounded by ``budget``.
     """
-    _require_source_proof(step, pg)
-    return _run(_Engine(None, step), (pg, 0), budget, memo, max_states)
+    return _run(_Engine(None, step), pg, budget, memo, max_states)
 
 
 def extend_staged(
@@ -174,8 +185,7 @@ def extend_staged(
     max_states: int = 512,
 ) -> ProofGraph | Unfolding:
     """Extend a staged step, tracking the stage alongside each residual."""
-    _require_source_proof(staged.first, pg)
-    return _run(_Engine(staged, staged.first), (pg, 0), budget, memo, max_states)
+    return _run(_Engine(staged, staged.first), pg, budget, memo, max_states)
 
 
 def _require_source_proof(step: TranslationStep, pg: ProofGraph) -> None:
@@ -184,7 +194,10 @@ def _require_source_proof(step: TranslationStep, pg: ProofGraph) -> None:
         raise ValueError(f"input is not a {step.source.name} proof:\n{report}")
 
 
-def _run(engine, root_value, budget, memo, max_states):
+def _run(engine, pg, budget, memo, max_states):
+    root = engine.own(pg)
+    _require_source_proof(engine.step, root)
+    root_value = (root, 0)
     if memo:
         closed = _close(engine, root_value, max_states)
         if closed is not None:
@@ -198,7 +211,6 @@ def _close(engine, root_value, max_states) -> ProofGraph | None:
     memo: dict[Hashable, str] = {engine.key(root_value): "s0"}
     queue: list[tuple[tuple, str]] = [(root_value, "s0")]
     emitted: dict[str, _Emitted] = {}
-    values: dict[str, tuple] = {"s0": root_value}
     while queue:
         value, sid = queue.pop(0)
         fragment, parts, switched = engine.apply(value)
@@ -213,7 +225,6 @@ def _close(engine, root_value, max_states) -> ProofGraph | None:
                     return None
                 name = f"s{len(memo)}"
                 memo[key] = name
-                values[name] = succ
                 engine.check_value(succ, f"state {sid} leaf {format_word(w)}")
                 queue.append((succ, name))
             out.links[w] = memo[key]

@@ -1,0 +1,191 @@
+"""The hash-consed state store behind ``extend``: class ids, the check
+cache, and how much work one translation does per state."""
+
+from __future__ import annotations
+
+import random
+import sys
+from collections import Counter
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_tree_nw
+from grzlib import P, Q, atomic_cut_graph, box_step_graph, seq
+from nwproofs import calculus, coalgebra
+from nwproofs.calculus import (
+    Arena,
+    LocalProgressCalculus,
+    ProofGraph,
+    check_proof_graph,
+)
+from nwproofs.coalgebra import Coalgebra, UnfoldBudget, canonical_form
+from nwproofs.grz import GRZ, GRZ_CUT, cut_elim
+from nwproofs.grz.formulas import Atom, Box, Imp, Sequent
+from nwproofs.search import SearchBudget, _plant_cut, search
+from nwproofs.translate import StepContractViolation, TranslationStep, extend, identity_step
+from nwproofs.trees import EPSILON, STAR, TreeNW
+
+# Few labels and small fragments, so that many states are bisimilar.
+LABELS = [("a", "r"), ("b", "r")]
+
+
+def _random_states(rng, names, targets, count):
+    dest = {}
+    for name in names[:count]:
+        frag = random_tree_nw(rng, max_nodes=3, star_prob=0.5, labels=LABELS)
+        dest[name] = (frag, {w: rng.choice(targets) for w in frag.nw_leaves})
+    return dest
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_store_classes_agree_with_canonical_form(rng):
+    # a random cyclic coalgebra, copied in state by state
+    names = [f"s{i}" for i in range(rng.randint(1, 6))]
+    base = Coalgebra(_random_states(rng, names, names, len(names)))
+    arena = Arena()
+    for s in names:
+        arena.include(ProofGraph(base, s))
+    # batches of states on top, linking back into everything stored so far
+    for _ in range(rng.randint(1, 3)):
+        stored = sorted(arena.graph.states)
+        for _ in range(rng.randint(1, 4)):
+            frag = random_tree_nw(rng, max_nodes=3, star_prob=0.5, labels=LABELS)
+            arena.add(frag, {w: rng.choice(stored) for w in frag.nw_leaves})
+    # one foreign import: a renamed copy of the base, plus cyclic states
+    # whose names collide with stored ones
+    copy = {f"c{s}": (base.fragment(s), {w: f"c{t}" for w, t in base.links(s).items()}) for s in names}
+    extra = [f"s{i}" for i in range(rng.randint(1, 4))]
+    copy.update(_random_states(rng, extra, extra + sorted(copy), len(extra)))
+    foreign = Coalgebra(copy)
+    root = rng.choice(sorted(foreign.states))
+    arena.include(ProofGraph(foreign, root))
+
+    g = arena.graph
+    key = {s: canonical_form(g, s) for s in g.states}
+    for a, b in combinations(sorted(g.states), 2):
+        assert (arena.class_of(a) == arena.class_of(b)) == (key[a] == key[b])
+
+
+# -- the check cache -------------------------------------------------------
+
+
+def test_certification_does_not_leak_between_calculi():
+    arena = Arena()
+    view = arena.view(arena.include(atomic_cut_graph()))
+    assert check_proof_graph(GRZ_CUT, view).ok
+    assert view.root in arena.certified(GRZ_CUT)
+    assert not check_proof_graph(GRZ, view).ok
+    # the cache is keyed by the calculus object, not by its name
+    impostor = LocalProgressCalculus(GRZ_CUT.name, GRZ.rules, GRZ.progress)
+    assert not check_proof_graph(impostor, view).ok
+    assert view.root not in arena.certified(GRZ)
+
+
+def _star_tree(sequent, rule: str, leaves: int) -> TreeNW:
+    return TreeNW({EPSILON: (sequent, rule), **{(i,): STAR for i in range(leaves)}})
+
+
+def test_failing_report_matches_the_uncached_checker():
+    arena = Arena()
+    good = arena.view(arena.include(box_step_graph()))
+    assert check_proof_graph(GRZ, good).ok
+    s0, s1 = good.root, good.links(good.root)[(1,)]
+    j1 = arena.add(_star_tree(seq([P], []), "box", 2), {(0,): s1, (1,): s0})
+    j2 = arena.add(_star_tree(seq([Q], []), "impr", 2), {(0,): j1, (1,): s1})
+    top = arena.add(_star_tree(seq([], [P]), "refl", 3), {(0,): j2, (1,): s0, (2,): j1})
+    view = arena.view(top)
+    cached = check_proof_graph(GRZ, view)
+    uncached = check_proof_graph(GRZ, view.pruned())
+    assert len(cached.findings) == 3
+    assert cached.findings == uncached.findings
+    assert str(cached) == str(uncached)
+    assert not {top, j1, j2} & arena.certified(GRZ)
+
+
+def _box_chain(n: int) -> Sequent:
+    f = Imp(Atom(0), Atom(0))
+    for _ in range(n):
+        f = Box(f)
+    return Sequent.of([], [f])
+
+
+def _nested(n: int) -> ProofGraph:
+    pg = search(GRZ, _box_chain(n), SearchBudget(n + 3, n + 3))
+    assert pg is not None
+    return pg
+
+
+def test_bad_later_residual_is_caught_after_shared_states_are_certified():
+    base = identity_step(GRZ)
+    calls: list[ProofGraph] = []
+    junk: list[ProofGraph] = []
+
+    def apply(pg):
+        fragment, parts = base.apply(pg)
+        calls.append(pg)
+        if len(calls) > 1 and parts and not junk:
+            # pg's own fragment relabelled, over its certified successors
+            labels = {w: (lab[0], "bot") if w == EPSILON else lab for w, lab in fragment.labels().items()}
+            junk.append(pg.store.view(pg.store.add(TreeNW(labels), pg.links(pg.root))))
+            parts[min(parts)] = junk[0]
+        return fragment, parts
+
+    step = TranslationStep(GRZ, GRZ, apply, name="late-junk")
+    with pytest.raises(StepContractViolation) as err:
+        extend(step, _nested(3), UnfoldBudget(4))
+    assert err.value.condition == 2
+    (bad,) = junk
+    shared = set(bad.links(bad.root).values())
+    assert shared and shared <= bad.store.certified(GRZ)
+    assert err.value.report.findings == check_proof_graph(GRZ, bad.pruned()).findings
+
+
+# -- linearity guard ---------------------------------------------------------
+
+
+def _count_calls(monkeypatch, counts: Counter, fn, name: str) -> None:
+    """Count calls of ``fn`` through every module binding of it."""
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname == "nwproofs" or modname.startswith("nwproofs."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_extend_works_once_per_state(n, monkeypatch):
+    """Counts, not times: a fragment check per input, stored or output
+    state, no canonical form, and one minimization per translation."""
+    pg = _nested(n)
+    cut = _plant_cut(random.Random(n), pg)
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, counts, calculus.check_proof_fragment, "check")
+    _count_calls(monkeypatch, counts, coalgebra.canonical_form, "canonical")
+    _count_calls(monkeypatch, counts, coalgebra.bisim_minimize, "minimize")
+    add = Arena.add
+
+    def counted_add(self, fragment, links):
+        counts["add"] += 1
+        return add(self, fragment, links)
+
+    monkeypatch.setattr(Arena, "add", counted_add)
+    runs = [
+        (pg, lambda: extend(identity_step(GRZ), pg, UnfoldBudget(4), max_states=10_000)),
+        (cut, lambda: cut_elim(cut)),
+    ]
+    for source, run in runs:
+        counts.clear()
+        out = run()
+        assert isinstance(out, ProofGraph)
+        assert counts["check"] <= len(source.states) + counts["add"] + len(out.states)
+        assert counts["canonical"] == 0
+        assert counts["minimize"] <= 1
