@@ -5,7 +5,10 @@ picking out the premise indices where a branch may cross a fragment
 boundary.  Proofs at rest are finite coalgebras whose fragment labels
 are (sequent, rule) pairs; checking each state's fragment once, with
 leaf sequents read off the linked states, certifies the whole
-non-wellfounded proof.
+non-wellfounded proof.  There is one checker, :func:`check_proof_graph`,
+walking states in the coalgebra's one root-first order
+(:func:`~nwproofs.coalgebra.root_first_order`); :func:`check_pre_proof`
+keeps the rule findings of its report.
 
 Sequents are opaque here: anything hashable with equality works.
 """
@@ -13,7 +16,7 @@ Sequents are opaque here: anything hashable with equality works.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Container, Mapping
+from typing import Any, Callable, Mapping
 
 from .coalgebra import (
     Coalgebra,
@@ -22,6 +25,7 @@ from .coalgebra import (
     bisim_minimize,
     reachable,
     restrict,
+    root_first_order,
     validated_destructor,
 )
 from .trees import EPSILON, STAR, TreeNW, Truncation, Word, format_word
@@ -123,10 +127,6 @@ class ProofGraph:
         self._states: frozenset[StateId] | None = states
 
     @staticmethod
-    def make(destructors: Mapping[StateId, tuple[TreeNW, Mapping[Word, StateId]]], root: StateId) -> "ProofGraph":
-        return ProofGraph(Coalgebra(destructors), root)
-
-    @staticmethod
     def _view(graph: Coalgebra, root: StateId, store: "Arena | None") -> "ProofGraph":
         if root not in graph:
             raise UnknownState(f"root {root!r} is not a state")
@@ -141,7 +141,7 @@ class ProofGraph:
     @property
     def states(self) -> frozenset[StateId]:
         if self._states is None:
-            self._states = frozenset(reachable(self.graph, self.root))
+            self._states = frozenset(root_first_order(self.graph, self.root))
         return self._states
 
     def fragment(self, state: StateId) -> TreeNW:
@@ -227,41 +227,8 @@ def check_proof_fragment(
     return report
 
 
-def check_pre_proof_fragment(
-    calc: LocalProgressCalculus,
-    tree: TreeNW,
-    leaf_sequents: Mapping[Word, Any],
-    state: StateId | None = None,
-) -> CheckReport:
-    report = CheckReport()
-    for w in sorted(tree.proper_nodes):
-        if isinstance(tree.label(w), Truncation):
-            continue
-        premises, sequent, rule = _instance_at(calc, tree, w, leaf_sequents)
-        if not calc.is_instance(rule, premises, sequent):
-            report.findings.append(Finding(state, w, "rule", f"not an instance of {rule}"))
-    return report
-
-
 def _leaf_sequents_for(pg: ProofGraph, state: StateId) -> dict[Word, Any]:
     return {w: pg.state_sequent(t) for w, t in pg.links(state).items()}
-
-
-def _reachable_in_order(pg: ProofGraph, skip: Container[StateId] = ()) -> list[StateId]:
-    """States reachable from the root, breadth first in leaf order; states
-    in ``skip`` are neither listed nor entered."""
-    if pg.root in skip:
-        return []
-    order = [pg.root]
-    seen = {pg.root}
-    for s in order:
-        links = pg.links(s)
-        for w in sorted(links):
-            t = links[w]
-            if t not in seen and t not in skip:
-                seen.add(t)
-                order.append(t)
-    return order
 
 
 def check_proof_graph(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:
@@ -275,7 +242,7 @@ def check_proof_graph(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckRepor
     same order, as a walk over everything.
     """
     certified = pg.store.certified(calc) if pg.store is not None else set()
-    order = _reachable_in_order(pg, certified)
+    order = root_first_order(pg.graph, pg.root, certified)
     report = CheckReport()
     for state in order:
         report.extend(
@@ -287,12 +254,10 @@ def check_proof_graph(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckRepor
 
 
 def check_pre_proof(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:
-    report = CheckReport()
-    for state in _reachable_in_order(pg):
-        report.extend(
-            check_pre_proof_fragment(calc, pg.fragment(state), _leaf_sequents_for(pg, state), state)
-        )
-    return report
+    """The rule findings of :func:`check_proof_graph`: is every proper
+    node a rule instance, wherever its glue points sit?"""
+    report = check_proof_graph(calc, pg)
+    return CheckReport([f for f in report.findings if f.condition == "rule"])
 
 
 def progressing(calc: LocalProgressCalculus, pg: ProofGraph, state: StateId, node: Word) -> bool:
@@ -317,7 +282,7 @@ def compute_fragmentation(
     Truncation leaves contribute their recorded sequents to the parent
     instance but carry no rule of their own.
     """
-    tree = _as_tree(labels)
+    tree = labels if isinstance(labels, TreeNW) else TreeNW(labels)
     parent_root: dict[Word, Word] = {EPSILON: EPSILON}
     for w in sorted(tree.nodes, key=len):
         label = tree.label(w)
@@ -330,12 +295,6 @@ def compute_fragmentation(
         for i, child in enumerate(tree.children(w)):
             parent_root[child] = child if i in prog else parent_root[w]
     return parent_root
-
-
-def _as_tree(labels: Mapping[Word, Any]) -> TreeNW:
-    if isinstance(labels, TreeNW):
-        return labels
-    return TreeNW(dict(labels))
 
 
 # -- nested fragment views ------------------------------------------------
@@ -460,7 +419,7 @@ class Arena:
         root's id in this store."""
         if pg.store is self:
             return pg.root
-        part = {s: (pg.fragment(s), pg.links(s)) for s in _reachable_in_order(pg)}
+        part = {s: (pg.fragment(s), pg.links(s)) for s in root_first_order(pg.graph, pg.root)}
         rename, new = self._merge(part)
         self._classify(new)
         return rename.get(pg.root, pg.root)

@@ -12,14 +12,13 @@ import sys
 from pathlib import Path
 
 from .calculus import CalculusError, check_proof_graph
-from .coalgebra import BudgetExceeded, CoalgebraError, UnfoldBudget, Unfolding, unfold
-from .fftree import FFTreeError
+from .coalgebra import BudgetError, BudgetExceeded, CoalgebraError, UnfoldBudget, Unfolding, unfold
 from .graphfile import GraphFileError, parse_proof_file, print_proof_file, to_dot
-from .grz import GRZ, GRZ_CUT, cut_elim
+from .grz import GRZ, GRZ_CUT, cut_elim, cut_elimination_step
 from .grz.rules import CALCULI
 from .search import SearchBudget, search
-from .syntax import ParseError, parse_sequent, print_sequent
-from .translate import StepContractViolation, extend, identity_step
+from .syntax import ParseError, parse_formula, parse_sequent, print_sequent
+from .translate import NotASourceProof, StepContractViolation, extend, identity_step
 from .trees import TreeError, Truncation, format_word
 
 
@@ -111,8 +110,6 @@ def _cmd_translate(args) -> int:
         if name != GRZ_CUT.name:
             print(f"the cut-elim step expects a {GRZ_CUT.name} file", file=sys.stderr)
             return 2
-        from .grz import cut_elimination_step
-
         step = cut_elimination_step()
         target_name = GRZ.name
     else:
@@ -146,8 +143,6 @@ def _cmd_search(args) -> int:
     calc = CALCULI[args.calculus]
     cut_pool = None
     if args.cut_formulas:
-        from .syntax import parse_formula
-
         cut_pool = frozenset(
             parse_formula(part) for part in args.cut_formulas.split(";") if part.strip()
         )
@@ -223,10 +218,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphFileError, ParseError, TreeError, FFTreeError, CalculusError, CoalgebraError) as err:
+    except (GraphFileError, ParseError, TreeError, CalculusError, CoalgebraError, BudgetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, StepContractViolation) as err:
+    except (BudgetExceeded, StepContractViolation, NotASourceProof) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

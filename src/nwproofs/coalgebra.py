@@ -4,6 +4,11 @@ A coalgebra stores at each state a finite tree with star leaves and a
 total map from those leaves back to states.  Regular infinite trees are
 exactly what these machines generate; the infinite object itself only
 ever exists through :func:`unfold`, which is depth- and size-budgeted.
+
+States are walked in one order everywhere, :func:`root_first_order`:
+breadth first from a root, each state's successors in the order of
+their leaf words.  Reachability, canonical keys, the graph checker, the
+state store and the printed file format all read it.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+class BudgetError(ValueError):
+    """A budget bound is out of range."""
+
+
 @dataclass(frozen=True)
 class UnfoldBudget:
     """Bounds for unfolding: layers of fragments, and total tree nodes."""
@@ -50,7 +59,7 @@ class UnfoldBudget:
 
     def __post_init__(self) -> None:
         if self.max_depth < 1 or self.max_nodes < 1:
-            raise ValueError("budget bounds must be at least 1")
+            raise BudgetError("budget bounds must be at least 1")
 
 
 class Coalgebra:
@@ -126,12 +135,10 @@ def validated_destructor(
 
 def is_root_path(coalg: Coalgebra, state: StateId, path: RootPath) -> bool:
     """Does the sequence of leaf words trace through the machine?"""
-    coalg._check(state)
-    for w in path:
-        frag, links = coalg._dest[state]
-        if w not in frag.nw_leaves:
-            return False
-        state = links[w]
+    try:
+        subelement(coalg, state, path)
+    except NotARootPath:
+        return False
     return True
 
 
@@ -195,18 +202,29 @@ def unfold(coalg: Coalgebra, state: StateId, budget: UnfoldBudget) -> Unfolding:
     return Unfolding(FFTree(labels, root_of, allow_truncation=True), truncations)
 
 
-def reachable(coalg: Coalgebra, state: StateId) -> set[StateId]:
+def root_first_order(
+    coalg: Coalgebra, state: StateId, skip: Container[StateId] = ()
+) -> list[StateId]:
+    """States reachable from ``state``, breadth first and each state's
+    successors in leaf-word order; states in ``skip`` are neither listed
+    nor entered."""
     coalg._check(state)
+    if state in skip:
+        return []
+    order = [state]
     seen = {state}
-    stack = [state]
-    while stack:
-        s = stack.pop()
-        for w in sorted(coalg._dest[s][1]):
-            t = coalg._dest[s][1][w]
-            if t not in seen:
+    for s in order:
+        links = coalg._dest[s][1]
+        for w in sorted(links):
+            t = links[w]
+            if t not in seen and t not in skip:
                 seen.add(t)
-                stack.append(t)
-    return seen
+                order.append(t)
+    return order
+
+
+def reachable(coalg: Coalgebra, state: StateId) -> set[StateId]:
+    return set(root_first_order(coalg, state))
 
 
 def restrict(coalg: Coalgebra, states: Iterable[StateId]) -> Coalgebra:
@@ -258,19 +276,9 @@ def canonical_form(coalg: Coalgebra, state: StateId) -> tuple:
     for corecursion and as an isomorphism test.
     """
     small, renaming = bisim_minimize(restrict(coalg, reachable(coalg, state)))
-    order: dict[StateId, int] = {}
-    queue = [renaming[state]]
-    while queue:
-        s = queue.pop(0)
-        if s in order:
-            continue
-        order[s] = len(order)
-        frag, links = small._dest[s]
-        for w in sorted(links):
-            if links[w] not in order:
-                queue.append(links[w])
-    table = sorted(order, key=order.get)
+    order = root_first_order(small, renaming[state])
+    index = {s: i for i, s in enumerate(order)}
     return tuple(
-        (small._dest[s][0].key, tuple((w, order[small._dest[s][1][w]]) for w in sorted(small._dest[s][1])))
-        for s in table
+        (small._dest[s][0].key, tuple((w, index[t]) for w, t in sorted(small._dest[s][1].items())))
+        for s in order
     )

@@ -5,6 +5,11 @@ infinite) tree; block roots mark where one piece ends and the next one
 starts.  The pair (piece at the root, subtree per glue point) is a
 destructor, and ``construct`` is its inverse, so these trees are the
 concrete carrier that unfoldings of finite coalgebras land in.
+
+A tree is built in one place, :meth:`FFTree._build`, which indexes the
+members of every block; the constructor validates its input first, and
+``subtree`` and ``construct`` call the builder directly because their
+input is valid by construction.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from .trees import (
     EPSILON,
     STAR,
     Label,
+    TreeError,
     TreeNW,
     Truncation,
     Word,
@@ -22,13 +28,12 @@ from .trees import (
     format_word,
     prefix_le,
     strip_prefix,
+    tree_arity,
 )
 
 
-class FFTreeError(ValueError):
-    def __init__(self, message: str, node: Word | None = None):
-        super().__init__(message if node is None else f"{message} (at node {format_word(node)})")
-        self.node = node
+class FFTreeError(TreeError):
+    pass
 
 
 class NotAPartition(FFTreeError):
@@ -55,40 +60,15 @@ class TruncationNotAllowed(FFTreeError):
     pass
 
 
-def _check_tree_shape(labels: dict[Word, Label], allow_truncation: bool) -> dict[Word, int]:
-    """Prefix closure, child contiguity, and label policy; returns arities."""
-    if EPSILON not in labels:
-        raise FFTreeError("tree has no root", EPSILON)
-    arity: dict[Word, int] = {w: 0 for w in labels}
-    for w in labels:
-        if w and w[:-1] not in labels:
-            raise FFTreeError("parent node missing", w)
-    for w in labels:
-        if w:
-            arity[w[:-1]] += 1
-    for w, k in arity.items():
-        for i in range(k):
-            if w + (i,) not in labels:
-                raise FFTreeError(f"child {i} missing among {k}", w)
-    for w, lab in labels.items():
-        if lab is STAR:
-            raise FFTreeError("star labels are reserved for fragment leaves", w)
-        if isinstance(lab, Truncation):
-            if not allow_truncation:
-                raise TruncationNotAllowed("truncation marker in a plain tree", w)
-            if arity[w]:
-                raise TruncationNotAllowed("truncation marker on an inner node", w)
-    return arity
-
-
 class FFTree:
     """An immutable labelled tree with a fragmentation partition.
 
-    The partition is stored as a node-to-block-root map so membership
-    and block-root queries are O(1).
+    The partition is stored as a node-to-block-root map, so membership
+    and block-root queries are O(1), and as the member list of each
+    block, so a block or a subtree is read without scanning the tree.
     """
 
-    __slots__ = ("_labels", "_arity", "_root_of", "_succ", "_key", "_hash")
+    __slots__ = ("_labels", "_root_of", "_blocks", "_succ")
 
     def __init__(
         self,
@@ -97,7 +77,15 @@ class FFTree:
         allow_truncation: bool = False,
     ):
         labels = dict(labels)
-        arity = _check_tree_shape(labels, allow_truncation)
+        arity = tree_arity(labels)
+        for w, lab in labels.items():
+            if lab is STAR:
+                raise FFTreeError("star labels are reserved for fragment leaves", w)
+            if isinstance(lab, Truncation):
+                if not allow_truncation:
+                    raise TruncationNotAllowed("truncation marker in a plain tree", w)
+                if arity[w]:
+                    raise TruncationNotAllowed("truncation marker on an inner node", w)
 
         if isinstance(partition, Mapping):
             grouped: dict[Any, list[Word]] = {}
@@ -122,53 +110,31 @@ class FFTree:
                 if not prefix_le(root, v):
                     raise NoRoot(f"block {sorted(map(format_word, members))} has no minimum")
             for v in members:
-                # convexity: everything between the root and v is in the block
-                u = v
-                while u != root:
-                    u = u[:-1]
-                    if u not in member_set:
-                        raise NotConvex("node missing from its block", u)
-            for v in members:
+                # convexity: by induction on length, each member's parent
+                # is in the block, up to the root
+                if v != root and v[:-1] not in member_set:
+                    raise NotConvex("node missing from its block", v[:-1])
                 root_of[v] = root
         missing = set(labels) - set(root_of)
         if missing:
             raise NotAPartition("partition does not cover every node", min(missing, key=len))
+        self._build(labels, root_of)
 
+    def _build(self, labels: dict[Word, Label], root_of: dict[Word, Word]) -> "FFTree":
+        """Take a valid tree and partition; index each block's members and
+        the block roots right above each block."""
         self._labels = labels
-        self._arity = arity
         self._root_of = root_of
-        succ: dict[Word, list[Word]] = {r: [] for r in set(root_of.values())}
-        for r in succ:
+        blocks: dict[Word, list[Word]] = {}
+        for v, r in root_of.items():
+            blocks.setdefault(r, []).append(v)
+        self._blocks = blocks
+        succ: dict[Word, list[Word]] = {r: [] for r in blocks}
+        for r in blocks:
             if r != EPSILON:
                 succ[root_of[r[:-1]]].append(r)
         self._succ = {r: tuple(sorted(kids)) for r, kids in succ.items()}
-        self._key = (
-            tuple(sorted(labels.items(), key=lambda kv: kv[0])),
-            tuple(sorted(root_of.items())),
-        )
-        self._hash = hash(self._key)
-
-    @classmethod
-    def _trusted(cls, labels: dict[Word, Label], root_of: dict[Word, Word]) -> "FFTree":
-        out = object.__new__(cls)
-        out._labels = labels
-        arity = {w: 0 for w in labels}
-        for w in labels:
-            if w:
-                arity[w[:-1]] += 1
-        out._arity = arity
-        out._root_of = root_of
-        succ: dict[Word, list[Word]] = {r: [] for r in set(root_of.values())}
-        for r in succ:
-            if r != EPSILON:
-                succ[root_of[r[:-1]]].append(r)
-        out._succ = {r: tuple(sorted(kids)) for r, kids in succ.items()}
-        out._key = (
-            tuple(sorted(labels.items(), key=lambda kv: kv[0])),
-            tuple(sorted(root_of.items())),
-        )
-        out._hash = hash(out._key)
-        return out
+        return self
 
     # -- basic views ---------------------------------------------------
 
@@ -186,15 +152,15 @@ class FFTree:
         return dict(self._labels)
 
     def arity(self, w: Word) -> int:
-        if w not in self._arity:
+        if w not in self._labels:
             raise UnknownNode("no such node", w)
-        return self._arity[w]
+        k = 0
+        while w + (k,) in self._labels:
+            k += 1
+        return k
 
     def partition(self) -> frozenset[frozenset[Word]]:
-        blocks: dict[Word, set[Word]] = {}
-        for node, root in self._root_of.items():
-            blocks.setdefault(root, set()).add(node)
-        return frozenset(frozenset(b) for b in blocks.values())
+        return frozenset(frozenset(b) for b in self._blocks.values())
 
     def root_map(self) -> dict[Word, Word]:
         return dict(self._root_of)
@@ -214,11 +180,6 @@ class FFTree:
         if w not in self._root_of or v not in self._root_of:
             raise UnknownNode("no such node", w if w not in self._root_of else v)
         return v in self._succ and v != EPSILON and self._root_of[v[:-1]] == w
-
-    def succ_roots(self, w: Word) -> tuple[Word, ...]:
-        if w not in self._succ:
-            raise NotARoot("not a block root", w)
-        return self._succ[w]
 
     def fheight(self, w: Word) -> int:
         """Number of block roots strictly below ``w``."""
@@ -246,12 +207,10 @@ class FFTree:
         """The finite piece rooted at ``w``: its block plus star leaves."""
         if w not in self._succ:
             raise NotARoot("not a block root", w)
-        out: dict[Word, Label] = {}
-        for v, root in self._root_of.items():
-            if root == w:
-                out[strip_prefix(w, v)] = self._labels[v]
+        n = len(w)
+        out = {v[n:]: self._labels[v] for v in self._blocks[w]}
         for v in self._succ[w]:
-            out[strip_prefix(w, v)] = STAR
+            out[v[n:]] = STAR
         return TreeNW(out)
 
     def subtree(self, w: Word) -> "FFTree":
@@ -259,11 +218,15 @@ class FFTree:
         if w not in self._succ:
             raise NotARoot("not a block root", w)
         n = len(w)
-        labels = {v[n:]: lab for v, lab in self._labels.items() if prefix_le(w, v)}
-        root_of = {
-            v[n:]: r[n:] for v, r in self._root_of.items() if prefix_le(w, v)
-        }
-        return FFTree._trusted(labels, root_of)
+        labels: dict[Word, Label] = {}
+        root_of: dict[Word, Word] = {}
+        roots = [w]
+        for r in roots:
+            for v in self._blocks[r]:
+                labels[v[n:]] = self._labels[v]
+                root_of[v[n:]] = r[n:]
+            roots.extend(self._succ[r])
+        return object.__new__(FFTree)._build(labels, root_of)
 
     def destruct(self) -> tuple[TreeNW, dict[Word, "FFTree"]]:
         """Split into the root piece and the subtree glued at each star."""
@@ -271,10 +234,14 @@ class FFTree:
         return frag, {w: self.subtree(w) for w in self._succ[EPSILON]}
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FFTree) and self._key == other._key
+        return (
+            isinstance(other, FFTree)
+            and self._labels == other._labels
+            and self._root_of == other._root_of
+        )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((frozenset(self._labels.items()), frozenset(self._root_of.items())))
 
     def __repr__(self) -> str:
         return f"FFTree({len(self._labels)} nodes, {len(self._succ)} blocks)"
@@ -309,7 +276,7 @@ def construct(fragment: TreeNW, parts: Mapping[Word, FFTree]) -> FFTree:
             labels[w + v] = lab
         for v, r in sub._root_of.items():
             root_of[w + v] = w + r
-    return FFTree._trusted(labels, root_of)
+    return object.__new__(FFTree)._build(labels, root_of)
 
 
 # -- destructor-driven navigation, written exactly as the recursive

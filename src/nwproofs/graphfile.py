@@ -3,18 +3,23 @@
 A file names its calculus and root state and lists one block per state;
 inside a block the fragment is written as an indented tree of
 ``sequent : rule`` lines, with ``link NAME`` leaves for glue points.
-Printing orders states by first use in a root-first traversal and
-formulas canonically, so printed files are diff-stable and re-printing
-a parsed file reproduces it byte for byte.
+Parsing writes each line straight into its state's word-indexed label
+and link tables.  Printing orders states by the coalgebra's root-first
+walk (:func:`~nwproofs.coalgebra.root_first_order`), then any
+unreachable states by name, and formulas canonically, so printed files
+are diff-stable and re-printing a parsed file reproduces it byte for
+byte.
 """
 
 from __future__ import annotations
 
-from .calculus import PLink, PNode, ProofGraph, flatten, to_nested
-from .coalgebra import Coalgebra
+from typing import Any
+
+from .calculus import PLink, PNode, ProofGraph, to_nested
+from .coalgebra import Coalgebra, root_first_order
 from .grz.rules import CALCULI
 from .syntax import ParseError, parse_sequent, print_sequent
-from .trees import EPSILON, format_word
+from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
 INDENT = "  "
 
@@ -29,30 +34,14 @@ def print_proof_file(pg: ProofGraph, calculus_name: str) -> str:
     if calculus_name not in CALCULI:
         raise GraphFileError(f"unknown calculus {calculus_name!r}")
     lines = [f"calculus {calculus_name}", f"root {pg.root}", ""]
-    for state in _first_use_order(pg):
+    order = root_first_order(pg.graph, pg.root)
+    # unreachable states still serialize, after the reachable ones
+    for state in order + sorted(pg.states.difference(order)):
         lines.append(f"state {state}")
         nested = to_nested(pg.fragment(state), pg.links(state))
         _print_node(nested, 1, lines)
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
-
-
-def _first_use_order(pg: ProofGraph) -> list[str]:
-    order: list[str] = []
-    seen = set()
-    queue = [pg.root]
-    while queue:
-        s = queue.pop(0)
-        if s in seen:
-            continue
-        seen.add(s)
-        order.append(s)
-        links = pg.links(s)
-        for w in sorted(links):
-            queue.append(links[w])
-    # unreachable states still serialize, after the reachable ones
-    order.extend(sorted(pg.states - seen))
-    return order
 
 
 def _print_node(node: PNode | PLink, depth: int, lines: list[str]) -> None:
@@ -68,22 +57,26 @@ def _print_node(node: PNode | PLink, depth: int, lines: list[str]) -> None:
 def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
     calculus_name: str | None = None
     root: str | None = None
-    states: dict[str, PNode] = {}
+    dest: dict[str, tuple[TreeNW, dict[Word, str]]] = {}
     current: str | None = None
-    top_node = None
-    stack: list[tuple[int, object]] = []
+    labels: dict[Word, Any] = {}
+    links: dict[Word, str] = {}
+    kids: dict[Word, int] = {}  # children read so far, per node
+    path: list[Word] = []  # the words of the open nodes, one per depth
 
     def close_state(line_no: int) -> None:
-        nonlocal current, top_node
+        nonlocal current
         if current is None:
             return
-        if top_node is None:
+        if not labels:
             raise GraphFileError(f"state {current} has no fragment", line_no)
-        if not isinstance(top_node, _MutableNode):
+        if EPSILON in links:
             raise GraphFileError(f"state {current} is just a link", line_no)
-        states[current] = _freeze(top_node)
-        stack.clear()
-        top_node = None
+        dest[current] = (TreeNW(labels), dict(links))
+        labels.clear()
+        links.clear()
+        kids.clear()
+        path.clear()
         current = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -103,29 +96,33 @@ def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
             elif parts[0] == "state" and len(parts) == 2:
                 close_state(line_no)
                 current = parts[1]
-                if current in states:
+                if current in dest:
                     raise GraphFileError(f"duplicate state {current}", line_no)
             else:
                 raise GraphFileError(f"unrecognized line {body!r}", line_no)
             continue
         if current is None:
             raise GraphFileError("fragment line outside a state block", line_no)
-        node = _parse_node_line(body, line_no)
-        while stack and stack[-1][0] >= depth:
-            stack.pop()
+        label = _parse_node_line(body, line_no)
+        del path[depth - 1 :]
         if depth == 1:
-            if top_node is not None:
+            if labels:
                 raise GraphFileError("a state block may hold only one tree", line_no)
-            top_node = node
-            stack.append((depth, node))
+            word = EPSILON
         else:
-            if not stack or stack[-1][0] != depth - 1:
+            if len(path) != depth - 1:
                 raise GraphFileError("child without a parent at the right depth", line_no)
-            parent = stack[-1][1]
-            if not isinstance(parent, _MutableNode):
+            parent = path[-1]
+            if parent in links:
                 raise GraphFileError("links cannot have children", line_no)
-            parent.children = parent.children + (node,)
-            stack.append((depth, node))
+            word = parent + (kids.get(parent, 0),)
+            kids[parent] = word[-1] + 1
+        if isinstance(label, PLink):
+            labels[word] = STAR
+            links[word] = label.target
+        else:
+            labels[word] = label
+        path.append(word)
     close_state(len(text.splitlines()))
 
     if calculus_name is None:
@@ -134,30 +131,17 @@ def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
         raise GraphFileError(f"unknown calculus {calculus_name!r}")
     if root is None:
         raise GraphFileError("missing root header")
-    if root not in states:
+    if root not in dest:
         raise GraphFileError(f"root {root} has no state block")
-    dest = {}
-    for name, nested in states.items():
-        frag, links = flatten(nested)
-        for target in links.values():
-            if target not in states:
+    for name, (_, state_links) in dest.items():
+        for target in state_links.values():
+            if target not in dest:
                 raise GraphFileError(f"state {name} links to unknown state {target}")
-        dest[name] = (frag, links)
     return calculus_name, ProofGraph(Coalgebra(dest), root)
 
 
-class _MutableNode:
-    """Parse-time node; frozen into PNode once its children are known."""
-
-    __slots__ = ("sequent", "rule", "children")
-
-    def __init__(self, sequent, rule):
-        self.sequent = sequent
-        self.rule = rule
-        self.children = ()
-
-
-def _parse_node_line(body: str, line_no: int):
+def _parse_node_line(body: str, line_no: int) -> PLink | tuple[Any, str]:
+    """A link leaf, or the (sequent, rule) label of a proper node."""
     if body.startswith("link "):
         target = body[len("link ") :].strip()
         if not target or " " in target:
@@ -173,14 +157,7 @@ def _parse_node_line(body: str, line_no: int):
         sequent = parse_sequent(seq_text)
     except ParseError as err:
         raise GraphFileError(f"bad sequent: {err}", line_no) from None
-    node = _MutableNode(sequent, rule)
-    return node
-
-
-def _freeze(node) -> PNode:
-    if isinstance(node, PLink):
-        return node
-    return PNode(node.sequent, node.rule, tuple(_freeze(c) for c in node.children))
+    return sequent, rule
 
 
 def canonicalize(text: str) -> str:
@@ -192,7 +169,8 @@ def to_dot(pg: ProofGraph) -> str:
     """Graphviz rendering: one cluster per state, link edges dashed."""
     lines = ["digraph proof {", '  node [shape=box, fontname="monospace"];']
     links: list[tuple[str, str]] = []
-    for state in _first_use_order(pg):
+    order = root_first_order(pg.graph, pg.root)
+    for state in order + sorted(pg.states.difference(order)):
         frag = pg.fragment(state)
         state_links = pg.links(state)
         lines.append(f'  subgraph "cluster_{state}" {{')

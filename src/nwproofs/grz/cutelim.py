@@ -95,13 +95,16 @@ def _derive_cut_formula(pa: Sequent, pb: Sequent) -> Formula:
     return phi
 
 
-def _imp_principal_of(node: PNode, rule: str) -> Imp | None:
-    kids = [c.sequent for c in node.children if isinstance(c, PNode)]
-    if rule == IMP_LEFT and len(kids) == 2:
-        return imp_left_principal((kids[0], kids[1]), node.sequent)
-    if rule == IMP_RIGHT and len(kids) == 1:
-        return imp_right_principal((kids[0],), node.sequent)
-    return None
+_PRINCIPAL = {IMP_LEFT: imp_left_principal, IMP_RIGHT: imp_right_principal, REFL: refl_principal}
+
+
+def _principal(node: PNode) -> Formula:
+    """The formula a logical rule node introduces: on the right for
+    ``impr`` and ``box``, on the left for ``impl`` and ``refl``."""
+    if node.rule == BOX:
+        return Box(box_principal_body(node))
+    kids = tuple(c.sequent for c in node.children if isinstance(c, PNode))
+    return _PRINCIPAL[node.rule](kids, node.sequent)
 
 
 def _reduce(
@@ -143,15 +146,8 @@ def _reduce(
 
     assert pa.rule != CUT and pb.rule != CUT, "root fragments must be cut free"
 
-    pa_principal = (
-        (pa.rule == IMP_RIGHT and _imp_principal_of(pa, IMP_RIGHT) == phi)
-        or (pa.rule == BOX and Box(box_principal_body(pa)) == phi)
-    )
-    pb_kids = [c.sequent for c in pb.children if isinstance(c, PNode)]
-    pb_principal = (
-        (pb.rule == IMP_LEFT and _imp_principal_of(pb, IMP_LEFT) == phi)
-        or (pb.rule == REFL and refl_principal((pb_kids[0],), pb.sequent) == phi)
-    )
+    pa_principal = pa.rule in (IMP_RIGHT, BOX) and _principal(pa) == phi
+    pb_principal = pb.rule in (IMP_LEFT, REFL) and _principal(pb) == phi
 
     if pa_principal and pb_principal:
         return _principal_cut(arena, pa, pb, phi, measure, on_step)
@@ -185,18 +181,18 @@ def _permute_left(arena, pa, pb, phi, measure, on_step) -> PNode:
     """The cut formula is context in ``pa``: push the cut into its premises."""
     ctx = pa.sequent.drop_right(phi)
     if pa.rule == IMP_LEFT:
-        imp = _imp_principal_of(pa, IMP_LEFT)
+        imp = _principal(pa)
         a0, a1 = pa.children
         left = _reduce(arena, a0, linv_tree(pb, imp), phi, measure, on_step)
         right = _reduce(arena, a1, rinv_tree(pb, imp), phi, measure, on_step)
         return PNode(ctx, IMP_LEFT, (left, right))
     if pa.rule == IMP_RIGHT:
-        imp = _imp_principal_of(pa, IMP_RIGHT)
+        imp = _principal(pa)
         (a0,) = pa.children
         inner = _reduce(arena, a0, inv_imp_right_tree(pb, imp), phi, measure, on_step)
         return PNode(ctx, IMP_RIGHT, (inner,))
     if pa.rule == REFL:
-        boxed = refl_principal((pa.children[0].sequent,), pa.sequent)
+        boxed = _principal(pa)
         (a0,) = pa.children
         inner = _reduce(
             arena, a0, weaken_tree(pb, Sequent.of([boxed.body], [])), phi, measure, on_step
@@ -216,18 +212,18 @@ def _permute_right(arena, pa, pb, phi, measure, on_step) -> PNode:
     """The cut formula is context in ``pb``; ``pa`` is principal on it."""
     ctx = pa.sequent.drop_right(phi)
     if pb.rule == IMP_LEFT:
-        imp = _imp_principal_of(pb, IMP_LEFT)
+        imp = _principal(pb)
         b0, b1 = pb.children
         left = _reduce(arena, linv_tree(pa, imp), b0, phi, measure, on_step)
         right = _reduce(arena, rinv_tree(pa, imp), b1, phi, measure, on_step)
         return PNode(ctx, IMP_LEFT, (left, right))
     if pb.rule == IMP_RIGHT:
-        imp = _imp_principal_of(pb, IMP_RIGHT)
+        imp = _principal(pb)
         (b0,) = pb.children
         inner = _reduce(arena, inv_imp_right_tree(pa, imp), b0, phi, measure, on_step)
         return PNode(ctx, IMP_RIGHT, (inner,))
     if pb.rule == REFL:
-        boxed = refl_principal((pb.children[0].sequent,), pb.sequent)
+        boxed = _principal(pb)
         (b0,) = pb.children
         inner = _reduce(
             arena, weaken_tree(pa, Sequent.of([boxed.body], [])), b0, phi, measure, on_step

@@ -198,9 +198,6 @@ class Sequent:
     def diff(self, other: "Sequent") -> "Sequent":
         return Sequent(mdiff(self.ante, other.ante), mdiff(self.succ, other.succ))
 
-    def inter(self, other: "Sequent") -> "Sequent":
-        return Sequent(minter(self.ante, other.ante), minter(self.succ, other.succ))
-
     def contains(self, other: "Sequent") -> bool:
         return msubset(other.ante, self.ante) and msubset(other.succ, self.succ)
 

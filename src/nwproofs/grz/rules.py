@@ -56,41 +56,15 @@ def match_bot(premises: tuple, concl: Sequent) -> bool:
 
 
 def match_imp_left(premises: tuple, concl: Sequent) -> bool:
-    if len(premises) != 2:
-        return False
-    p0, p1 = premises
-    for f in mformulas(concl.ante):
-        if isinstance(f, Imp):
-            rest = concl.drop_left(f)
-            if p0 == rest.with_right(f.left) and p1 == rest.with_left(f.right):
-                return True
-    return False
+    return len(premises) == 2 and imp_left_principal(premises, concl) is not None
 
 
 def match_imp_right(premises: tuple, concl: Sequent) -> bool:
-    if len(premises) != 1:
-        return False
-    (p,) = premises
-    for f in mformulas(concl.succ):
-        if isinstance(f, Imp):
-            if p == concl.drop_right(f).with_left(f.left).with_right(f.right):
-                return True
-    return False
+    return len(premises) == 1 and imp_right_principal(premises, concl) is not None
 
 
 def match_refl(premises: tuple, concl: Sequent) -> bool:
-    if len(premises) != 1:
-        return False
-    (p,) = premises
-    if p.succ != concl.succ:
-        return False
-    extra = mdiff(p.ante, concl.ante)
-    f = _single(extra)
-    return (
-        f is not None
-        and p == concl.with_left(f)
-        and concl.left_count(Box(f)) > 0
-    )
+    return len(premises) == 1 and refl_principal(premises, concl) is not None
 
 
 def match_box(premises: tuple, concl: Sequent) -> bool:
@@ -144,8 +118,9 @@ def local_height(pg: ProofGraph) -> int:
     return pg.fragment(pg.root).height
 
 
-# -- instance decomposition, used by the admissible moves and the cut
-#    pushing machinery --------------------------------------------------
+# -- instance decomposition: each rule instance read through its principal
+#    formula, for the matchers above, the admissible moves and the cut
+#    pushing machinery ---------------------------------------------------
 
 
 def imp_left_principal(premises: tuple, concl: Sequent) -> Imp | None:
@@ -166,7 +141,10 @@ def imp_right_principal(premises: tuple, concl: Sequent) -> Imp | None:
 
 
 def refl_principal(premises: tuple, concl: Sequent) -> Box | None:
-    f = _single(mdiff(premises[0].ante, concl.ante))
-    if f is not None and concl.left_count(Box(f)) > 0:
+    (p,) = premises
+    if p.succ != concl.succ:
+        return None
+    f = _single(mdiff(p.ante, concl.ante))
+    if f is not None and p == concl.with_left(f) and concl.left_count(Box(f)) > 0:
         return Box(f)
     return None

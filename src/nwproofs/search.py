@@ -15,10 +15,21 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .calculus import PLink, PNode, ProofGraph, check_proof_graph, replace_subtree, subtree_at, to_nested
-from .coalgebra import Coalgebra
+from .calculus import (
+    LocalProgressCalculus,
+    PLink,
+    PNode,
+    ProofGraph,
+    check_proof_graph,
+    flatten,
+    replace_subtree,
+    subtree_at,
+    to_nested,
+)
+from .coalgebra import BudgetError, Coalgebra, reachable, restrict
 from .grz.formulas import (
     Atom,
+    Bot,
     Box,
     Formula,
     Imp,
@@ -40,7 +51,6 @@ from .grz.rules import (
     is_bot_axiom,
 )
 from .grz.admissible import weaken_tree
-from .calculus import LocalProgressCalculus
 
 
 @dataclass(frozen=True)
@@ -53,7 +63,7 @@ class SearchBudget:
 
     def __post_init__(self) -> None:
         if self.max_fragment_height < 1 or self.max_states < 1:
-            raise ValueError("budget bounds must be at least 1")
+            raise BudgetError("budget bounds must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -102,8 +112,6 @@ class _Search:
         if tables is None:
             return None
         dest = {}
-        from .calculus import flatten
-
         for sequent, sid in tables.ids.items():
             nested = tables.frags[sid]
             assert nested is not None
@@ -256,8 +264,6 @@ def _random_formula(rng: random.Random, size: int, atoms: int) -> Formula:
     if size <= 1:
         roll = rng.random()
         if roll < 0.15:
-            from .grz.formulas import Bot
-
             return Bot()
         return Atom(rng.randrange(atoms))
     if rng.random() < 0.45:
@@ -310,13 +316,9 @@ def _plant_cut(rng: random.Random, pg: ProofGraph) -> ProofGraph:
     right = weaken_tree(target, Sequent.of([pp], []))
     planted = replace_subtree(nested, at, PNode(goal, CUT, (left, right)))
     assert isinstance(planted, PNode)
-    from .calculus import flatten
-
     dest = pg.graph.destructors()
     dest[state] = flatten(planted)
     graph = Coalgebra(dest)
-    from .coalgebra import reachable, restrict
-
     return ProofGraph(restrict(graph, reachable(graph, pg.root)), pg.root)
 
 

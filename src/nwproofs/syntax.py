@@ -2,6 +2,9 @@
 
 Grammar: atoms ``p0 p1 ...``, the constant ``false``, right-associative
 ``->``, prefix ``box`` binding tighter than the arrow, and parentheses.
+Formulas nest at most :data:`MAX_DEPTH` levels deep, each ``box``,
+opening parenthesis and right operand of ``->`` counting one level;
+deeper input is a :class:`ParseError`, not a recursion failure.
 Printing emits minimal parentheses and lists multiset members in the
 canonical structural order, so printing is a canonical form.
 """
@@ -18,6 +21,8 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
+
+MAX_DEPTH = 256
 
 _TOKEN = re.compile(r"\s*(p\d+|false|box|->|\(|\)|,|\|-)")
 
@@ -56,26 +61,28 @@ class _Parser:
         self.at += 1
         return tok
 
-    def formula(self) -> Formula:
-        left = self.unary()
+    def formula(self, depth: int = 0) -> Formula:
+        left = self.unary(depth)
         if self.peek() == "->":
             self.take()
-            return Imp(left, self.formula())
+            return Imp(left, self.formula(depth + 1))
         return left
 
-    def unary(self) -> Formula:
+    def unary(self, depth: int) -> Formula:
         tok = self.peek()
         if tok is None:
             raise ParseError("expected a formula", self.pos())
+        if depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", self.pos())
         if tok == "box":
             self.take()
-            return Box(self.unary())
+            return Box(self.unary(depth + 1))
         if tok == "false":
             self.take()
             return Bot()
         if tok == "(":
             self.take()
-            inner = self.formula()
+            inner = self.formula(depth + 1)
             self.take(")")
             return inner
         if tok.startswith("p"):

@@ -86,6 +86,10 @@ class CompatibilityViolation(StepContractViolation):
     """The mixed fragment at a stage switch is not a target fragment."""
 
 
+class NotASourceProof(ValueError):
+    """The input of an extension fails the source calculus's check."""
+
+
 def identity_step(calc: LocalProgressCalculus) -> TranslationStep:
     """The destructor as a step: emit the root fragment, keep the rest."""
 
@@ -191,7 +195,7 @@ def extend_staged(
 def _require_source_proof(step: TranslationStep, pg: ProofGraph) -> None:
     report = check_proof_graph(step.source, pg)
     if not report.ok:
-        raise ValueError(f"input is not a {step.source.name} proof:\n{report}")
+        raise NotASourceProof(f"input is not a {step.source.name} proof:\n{report}")
 
 
 def _run(engine, pg, budget, memo, max_states):
@@ -245,7 +249,6 @@ def _unfold(engine, root_value, budget) -> Unfolding:
     labels: dict[Word, Any] = {}
     root_of: dict[Word, Word] = {}
     truncations: dict[Word, str] = {}
-    fragments: dict[Word, tuple[TreeNW, dict[Word, Word], bool]] = {}
     frontier: list[tuple[Word, tuple]] = [(EPSILON, root_value)]
     counter = 0
     applied: dict[Word, tuple[TreeNW, dict[Word, tuple], bool]] = {}

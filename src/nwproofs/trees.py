@@ -23,10 +23,6 @@ def prefix_le(w: Word, v: Word) -> bool:
     return len(w) <= len(v) and v[: len(w)] == w
 
 
-def prefix_lt(w: Word, v: Word) -> bool:
-    return len(w) < len(v) and v[: len(w)] == w
-
-
 def disjoint(w: Word, v: Word) -> bool:
     """True iff neither word is a prefix of the other."""
     return not prefix_le(w, v) and not prefix_le(v, w)
@@ -105,6 +101,28 @@ class StarNotLeaf(TreeError):
     pass
 
 
+def tree_arity(labels: Mapping[Word, Label]) -> dict[Word, int]:
+    """The number of children of every node, once the words of ``labels``
+    are known to form a tree: the root is present, every letter is a
+    natural, every parent is present and children are numbered without
+    gaps from 0."""
+    if EPSILON not in labels:
+        raise NotPrefixClosed("tree has no root", EPSILON)
+    arity: dict[Word, int] = {w: 0 for w in labels}
+    for w in labels:
+        if any(i < 0 for i in w):
+            raise TreeError("negative letter in node word", w)
+        if w:
+            if w[:-1] not in labels:
+                raise NotPrefixClosed("parent node missing", w)
+            arity[w[:-1]] += 1
+    for w, k in arity.items():
+        for i in range(k):
+            if w + (i,) not in labels:
+                raise GappedChildren(f"child {i} missing among {k}", w)
+    return arity
+
+
 class TreeNW:
     """A finite tree with labels and possibly star-marked leaves.
 
@@ -117,21 +135,7 @@ class TreeNW:
 
     def __init__(self, labels: Mapping[Word, Label]):
         labels = dict(labels)
-        if EPSILON not in labels:
-            raise NotPrefixClosed("tree has no root", EPSILON)
-        for w in labels:
-            if any(i < 0 for i in w):
-                raise TreeError("negative letter in node word", w)
-            if w and w[:-1] not in labels:
-                raise NotPrefixClosed("parent node missing", w)
-        arity: dict[Word, int] = {w: 0 for w in labels}
-        for w in labels:
-            if w:
-                arity[w[:-1]] += 1
-        for w, k in arity.items():
-            for i in range(k):
-                if w + (i,) not in labels:
-                    raise GappedChildren(f"child {i} missing among {k}", w)
+        arity = tree_arity(labels)
         if labels[EPSILON] is STAR:
             raise ViolatedRootLabel("root may not be a star", EPSILON)
         for w, lab in labels.items():
@@ -175,9 +179,6 @@ class TreeNW:
     def children(self, w: Word) -> list[Word]:
         return [w + (i,) for i in range(self._arity[w])]
 
-    def is_leaf(self, w: Word) -> bool:
-        return self._arity[w] == 0
-
     @property
     def leaves(self) -> frozenset[Word]:
         return frozenset(w for w, k in self._arity.items() if k == 0)
@@ -219,25 +220,3 @@ def nw_leaves(tree: TreeNW) -> frozenset[Word]:
 def proper_nodes(tree: TreeNW) -> frozenset[Word]:
     """Nodes of the tree that are not star leaves."""
     return tree.proper_nodes
-
-
-def single_node(label: Label) -> TreeNW:
-    return TreeNW({EPSILON: label})
-
-
-def tree_from_nested(spec: tuple) -> TreeNW:
-    """Build a tree from ``(label, [child, ...])`` nests; handy in tests."""
-
-    labels: dict[Word, Label] = {}
-
-    def walk(node: tuple | Label, at: Word) -> None:
-        if isinstance(node, tuple) and len(node) == 2 and isinstance(node[1], (list, tuple)):
-            label, kids = node
-            labels[at] = label
-            for i, kid in enumerate(kids):
-                walk(kid, at + (i,))
-        else:
-            labels[at] = node
-
-    walk(spec, EPSILON)
-    return TreeNW(labels)

@@ -83,6 +83,19 @@ def test_check_pre_proof_ignores_progress():
     assert any(f.condition == "progress" and f.node == (0,) for f in report.findings)
 
 
+def test_check_pre_proof_keeps_the_rule_findings_in_order():
+    pg = graph(
+        "s0",
+        s0=node(seq([Box(P)], [Box(P)]), "box", link("s1"), link("s2")),
+        s1=node(seq([Box(P)], [P]), "ax"),
+        s2=node(seq([Box(P)], [P]), "refl", node(seq([Q, Box(P)], [P]), "ax")),
+    )
+    full = check_proof_graph(GRZ, pg).findings
+    assert {f.condition for f in full} == {"rule", "progress"}
+    assert check_pre_proof(GRZ, pg).findings == [f for f in full if f.condition == "rule"]
+    assert [f.state for f in check_pre_proof(GRZ, pg).findings] == ["s1", "s2", "s2"]
+
+
 def test_progressing_examples():
     pg = box_step_graph()
     assert progressing(GRZ, pg, "s0", (1,))

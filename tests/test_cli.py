@@ -170,3 +170,57 @@ def test_search_seed_still_valid(tmp_path):
     )
     assert code == 0
     assert main(["check", str(out_path)]) == 0
+
+
+def test_budgets_out_of_range_exit_two(capsys):
+    for argv in (
+        ["search", "p0 |- p0", "--height", "0"],
+        ["search", "p0 |- p0", "--states", "0"],
+        ["unfold", str(CORPUS / "self_loop.proof"), "--depth", "0"],
+        ["cutelim", str(CORPUS / "atomic_cut.proof"), "--max-nodes", "0"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == "error: budget bounds must be at least 1\n", argv
+
+
+# parses, but the axiom has a premise, so it is no grz+cut proof
+NOT_A_PROOF = """calculus grz+cut
+root s0
+
+state s0
+  p0 |- p0 : ax
+    link s0
+"""
+
+
+def test_cutelim_on_invalid_proof_exits_one(tmp_path, capsys):
+    path = write(tmp_path, "bad.proof", NOT_A_PROOF)
+    assert main(["cutelim", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not a grz+cut proof:\n")
+    assert "state s0 node . rule: not an instance of ax" in err
+
+
+def test_translate_on_invalid_proof_exits_one(tmp_path, capsys):
+    path = write(tmp_path, "bad.proof", NOT_A_PROOF)
+    assert main(["translate", path, "--step", "identity"]) == 1
+    assert "not an instance of ax" in capsys.readouterr().err
+
+
+def test_search_on_too_deeply_nested_goal_exits_two(capsys):
+    assert main(["search", "box " * 600 + "p0 |- p0"]) == 2
+    assert "nested deeper than 256" in capsys.readouterr().err
+
+
+def test_check_deep_fragment_reports_findings(tmp_path, capsys):
+    # one chain of 1,199 nodes: deeper than the interpreter's recursion limit
+    depth = 1199
+    lines = ["calculus grz", "root s0", "", "state s0"]
+    lines += ["  " * (d + 1) + "p0 |- p0 : ax" for d in range(depth)]
+    path = write(tmp_path, "deep.proof", "\n".join(lines) + "\n")
+    assert main(["check", path]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # every node but the leaf has a premise, so it is no axiom
+    assert len(out) == depth - 1
+    assert all(line.endswith("rule: not an instance of ax") for line in out)

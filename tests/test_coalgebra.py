@@ -15,6 +15,7 @@ from nwproofs.coalgebra import (
     is_root_path,
     reachable,
     restrict,
+    root_first_order,
     subelement,
     unfold,
 )
@@ -224,3 +225,24 @@ def test_reachable_restrict():
     assert reachable(CHAIN, "d") == {"d"}
     small = restrict(CHAIN, {"d"})
     assert small.states == {"d"}
+
+
+def test_root_first_order_is_breadth_first_in_leaf_order():
+    two = TreeNW({EPSILON: "a", (0,): STAR, (1,): STAR})
+    leaf = TreeNW({EPSILON: "b"})
+    coalg = Coalgebra(
+        {
+            "r": (two, {(0,): "y", (1,): "x"}),
+            "y": (two, {(0,): "z", (1,): "r"}),
+            "x": (LOOP_FRAG, {(0,): "w"}),
+            "z": (leaf, {}),
+            "w": (leaf, {}),
+            "u": (leaf, {}),
+        }
+    )
+    assert root_first_order(coalg, "r") == ["r", "y", "x", "z", "w"]
+    assert root_first_order(coalg, "r", skip={"x"}) == ["r", "y", "z"]
+    assert root_first_order(coalg, "r", skip={"r"}) == []
+    assert reachable(coalg, "r") == {"r", "x", "y", "z", "w"}
+    with pytest.raises(UnknownState):
+        root_first_order(coalg, "missing")

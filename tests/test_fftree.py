@@ -17,7 +17,7 @@ from nwproofs.fftree import (
     ff_subelement,
     validate_fftree,
 )
-from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation, word_of
+from nwproofs.trees import EPSILON, STAR, GappedChildren, TreeError, TreeNW, Truncation, word_of
 
 # three stacked single-node blocks: . -> 0 -> 0.0
 PI2 = FFTree(
@@ -59,6 +59,23 @@ def test_validate_no_root():
 def test_validate_must_cover():
     with pytest.raises(NotAPartition):
         validate_fftree({EPSILON: "a", (0,): "b"}, [[EPSILON]])
+
+
+def test_tree_shape_is_checked_as_for_fragments():
+    with pytest.raises(TreeError, match="negative letter"):
+        validate_fftree({EPSILON: "a", (-1,): "b"}, [[EPSILON], [(-1,)]])
+    with pytest.raises(GappedChildren):
+        validate_fftree({EPSILON: "a", (1,): "b"}, [[EPSILON, (1,)]])
+    with pytest.raises(TreeError):
+        validate_fftree({(0,): "b"}, [[(0,)]])
+
+
+def test_arity_equality_and_hash():
+    assert [PI2.arity(w) for w in (EPSILON, (0,), (0, 0))] == [1, 1, 0]
+    same = FFTree({(0, 0): "c", (0,): "b", EPSILON: "a"}, {EPSILON: 0, (0,): 1, (0, 0): 2})
+    assert same == PI2 and hash(same) == hash(PI2)
+    merged = FFTree({EPSILON: "a", (0,): "b", (0, 0): "c"}, [[EPSILON, (0,)], [(0, 0)]])
+    assert merged != PI2
 
 
 def test_truncation_needs_flag():

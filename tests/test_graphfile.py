@@ -80,3 +80,47 @@ def test_dot_rendering_mentions_clusters_and_dashed_links():
 def test_state_blocks_ordered_by_first_use():
     text = print_proof_file(self_loop_graph(), "grz")
     assert text.index("state s2") < text.index("state s1")
+
+
+def test_parse_error_messages_and_lines():
+    head = "calculus grz\nroot s0\n"
+    cases = [
+        ("state s0\nstate s1\n  p0 |- p0 : ax\n", "line 4: state s0 has no fragment"),
+        ("state s0\n  link s0\n", "line 4: state s0 is just a link"),
+        ("state s0\n  p0 |- p0 : ax\n  p0 |- p0 : ax\n", "line 5: a state block may hold only one tree"),
+        ("state s0\n  p0 |- p0 : impr\n      p0 |- p0 : ax\n", "line 5: child without a parent at the right depth"),
+        ("state s0\n  p0 |- p0 : box\n    link s0\n      p0 |- p0 : ax\n", "line 6: links cannot have children"),
+        ("  p0 |- p0 : ax\n", "line 3: fragment line outside a state block"),
+        ("state s0\n  p0 |- p0 : ax\nstate s0\n  p0 |- p0 : ax\n", "line 5: duplicate state s0"),
+        ("state s0\n  p0 |- p0 : impr\n    link s1\n", "state s0 links to unknown state s1"),
+    ]
+    for body, message in cases:
+        with pytest.raises(GraphFileError) as err:
+            parse_proof_file(head + body)
+        assert str(err.value) == message
+
+
+def test_parse_builds_word_tables_in_line_order():
+    text = (
+        "calculus grz\nroot s0\n\nstate s0\n"
+        "  p0 |- p0 : impl\n    p0 |- p0 : ax\n      link s0\n    link s0\n    p0 |- p0 : ax\n"
+    )
+    _, pg = parse_proof_file(text)
+    frag = pg.fragment("s0")
+    assert sorted(frag.nodes) == [(), (0,), (0, 0), (1,), (2,)]
+    assert frag.nw_leaves == {(0, 0), (1,)}
+    assert pg.links("s0") == {(0, 0): "s0", (1,): "s0"}
+
+
+def test_unreachable_states_print_last_in_name_order():
+    text = (
+        "calculus grz\nroot s1\n\n"
+        "state s9\n  p0 |- p0 : ax\n\nstate s0\n  p0 |- p0 : ax\n\nstate s1\n  p0 |- p0 : ax\n"
+    )
+    name, pg = parse_proof_file(text)
+    printed = print_proof_file(pg, name)
+    assert [line for line in printed.splitlines() if line.startswith("state")] == [
+        "state s1",
+        "state s0",
+        "state s9",
+    ]

@@ -11,6 +11,7 @@ from nwproofs.grz.rules import (
     match_imp_left,
     match_imp_right,
     match_refl,
+    refl_principal,
 )
 
 
@@ -49,6 +50,13 @@ def test_refl_schema():
     assert match_refl((seq([P, Box(P)], [P]),), concl)
     assert not match_refl((seq([Q, Box(P)], [P]),), concl)
     assert not match_refl((seq([P], [P]),), seq([P], [P]))  # no box on the left
+
+
+def test_refl_principal_reads_only_full_instances():
+    concl = seq([Box(P)], [P])
+    assert refl_principal((seq([P, Box(P)], [P]),), concl) == Box(P)
+    assert refl_principal((seq([P, Box(P)], [Q]),), concl) is None  # succedent changed
+    assert refl_principal((seq([P], [P]),), concl) is None  # box dropped
 
 
 def test_box_schema_with_weakening_part():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from nwproofs.grz import Atom, Bot, Box, Imp, Sequent
 from nwproofs.syntax import (
+    MAX_DEPTH,
     ParseError,
     parse_formula,
     parse_sequent,
@@ -77,3 +78,19 @@ def test_print_minimal_parens():
     assert print_formula(Box(Imp(Atom(0), Atom(1)))) == "box (p0 -> p1)"
     assert print_formula(Imp(Imp(Atom(0), Atom(1)), Atom(2))) == "(p0 -> p1) -> p2"
     assert print_formula(Box(Box(Atom(0)))) == "box box p0"
+
+
+def test_nesting_is_bounded():
+    deepest = parse_formula("box " * MAX_DEPTH + "p0")
+    assert parse_formula(print_formula(deepest)) == deepest
+    assert parse_formula("(" * MAX_DEPTH + "p0" + ")" * MAX_DEPTH) == Atom(0)
+    too_deep = [
+        "box " * (MAX_DEPTH + 1) + "p0",
+        "(" * 3000 + "p0" + ")" * 3000,
+        " -> ".join(["p0"] * 600),
+    ]
+    for text in too_deep:
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_formula(text)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_sequent("box " * 600 + "p0 |- p0")
