@@ -14,7 +14,7 @@ from pathlib import Path
 from .calculus import CalculusError, check_proof_graph
 from .coalgebra import BudgetError, BudgetExceeded, CoalgebraError, UnfoldBudget, Unfolding, unfold
 from .graphfile import GraphFileError, parse_proof_file, print_proof_file, to_dot
-from .grz import GRZ, GRZ_CUT, cut_elim, cut_elimination_step
+from .grz import GRZ, GRZ_CUT, cut_elimination_step
 from .grz.rules import CALCULI
 from .search import SearchBudget, search
 from .syntax import ParseError, parse_formula, parse_sequent, print_sequent
@@ -83,38 +83,23 @@ def _cmd_cutelim(args) -> int:
     if name != GRZ_CUT.name:
         print(f"cutelim expects a {GRZ_CUT.name} file, got {name}", file=sys.stderr)
         return 2
-    out = cut_elim(
-        pg,
-        budget=UnfoldBudget(args.depth, args.max_nodes),
-        memo=not args.no_memo,
-        max_states=args.max_states,
-    )
-    if isinstance(out, Unfolding):
-        print("closed: no")
-        print(f"states: >{args.max_states}")
-        _emit(_print_unfolding(out), args.output)
-    else:
-        print("closed: yes")
-        print(f"states: {len(out.states)}")
-        _emit(print_proof_file(out, GRZ.name), args.output)
-    return 0
+    return _extend_and_emit(args, pg, cut_elimination_step(), GRZ.name, print_bound=True)
 
 
 def _cmd_translate(args) -> int:
     name, pg = _load(args.file)
-    calc = CALCULI[name]
     if args.step == "identity":
-        step = identity_step(calc)
-        target_name = name
-    elif args.step == "cut-elim":
-        if name != GRZ_CUT.name:
-            print(f"the cut-elim step expects a {GRZ_CUT.name} file", file=sys.stderr)
-            return 2
-        step = cut_elimination_step()
-        target_name = GRZ.name
-    else:
-        print(f"unknown step {args.step!r}", file=sys.stderr)
+        return _extend_and_emit(args, pg, identity_step(CALCULI[name]), name)
+    if name != GRZ_CUT.name:
+        print(f"the cut-elim step expects a {GRZ_CUT.name} file", file=sys.stderr)
         return 2
+    return _extend_and_emit(args, pg, cut_elimination_step(), GRZ.name)
+
+
+def _extend_and_emit(args, pg, step, target_name: str, print_bound: bool = False) -> int:
+    """Extend ``step`` over ``pg`` within the budgets of ``args``, report
+    whether it closed and emit the proof file or the unfolding; with
+    ``print_bound`` an open result also reports the state bound."""
     out = extend(
         step,
         pg,
@@ -124,6 +109,8 @@ def _cmd_translate(args) -> int:
     )
     if isinstance(out, Unfolding):
         print("closed: no")
+        if print_bound:
+            print(f"states: >{args.max_states}")
         _emit(_print_unfolding(out), args.output)
     else:
         print("closed: yes")

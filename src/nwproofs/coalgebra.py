@@ -4,6 +4,9 @@ A coalgebra stores at each state a finite tree with star leaves and a
 total map from those leaves back to states.  Regular infinite trees are
 exactly what these machines generate; the infinite object itself only
 ever exists through :func:`unfold`, which is depth- and size-budgeted.
+Its layout is :func:`unfold_by`, which takes any destructor, so a
+translation that is never closed into a machine
+(:mod:`nwproofs.translate`) unfolds through the same code.
 
 States are walked in one order everywhere, :func:`root_first_order`:
 breadth first from a root, each state's successors in the order of
@@ -14,7 +17,7 @@ state store and the printed file format all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Container, Iterable, Mapping
+from typing import Any, Callable, Container, Iterable, Mapping
 
 from .fftree import FFTree
 from .trees import (
@@ -170,33 +173,46 @@ class Unfolding:
 
 
 def unfold(coalg: Coalgebra, state: StateId, budget: UnfoldBudget) -> Unfolding:
+    """Lay out ``budget.max_depth`` layers of the machine's fragments as
+    one tree; see :func:`unfold_by`."""
+    coalg._check(state)
+    return unfold_by(lambda s, at: coalg._dest[s], state, budget, lambda s: s)
+
+
+def unfold_by(
+    destruct: Callable[[Any, Word], tuple[TreeNW, Mapping[Word, Any]]],
+    root: Any,
+    budget: UnfoldBudget,
+    name: Callable[[Any], str],
+) -> Unfolding:
     """Lay out ``budget.max_depth`` layers of fragments as one tree.
 
-    Layer k holds the fragments reachable by root paths of length k;
-    beyond the last layer each pending glue point becomes a truncation
-    leaf recording the state it would continue with.
+    ``destruct(x, at)`` gives the fragment of a value placed at word
+    ``at`` and its successor per star leaf.  Layer k holds the fragments
+    reached by root paths of length k; beyond the last layer each
+    pending glue point becomes a truncation leaf carrying its value's
+    ``name`` and root label, taken in frontier order.
     """
-    coalg._check(state)
     labels: dict[Word, Any] = {}
     root_of: dict[Word, Word] = {}
-    truncations: dict[Word, StateId] = {}
-    frontier: list[tuple[Word, StateId]] = [(EPSILON, state)]
+    truncations: dict[Word, str] = {}
+    frontier: list[tuple[Word, Any]] = [(EPSILON, root)]
     for _ in range(budget.max_depth):
-        next_frontier: list[tuple[Word, StateId]] = []
-        for base, s in frontier:
-            frag, links = coalg._dest[s]
+        next_frontier: list[tuple[Word, Any]] = []
+        for base, x in frontier:
+            frag, succ = destruct(x, base)
             for u in frag.proper_nodes:
                 labels[base + u] = frag.label(u)
                 root_of[base + u] = base
             if len(labels) > budget.max_nodes:
                 raise BudgetExceeded(f"unfolding exceeds {budget.max_nodes} nodes")
             for w in sorted(frag.nw_leaves):
-                next_frontier.append((base + w, links[w]))
+                next_frontier.append((base + w, succ[w]))
         frontier = next_frontier
-    for base, s in frontier:
-        labels[base] = Truncation(s, coalg.fragment(s).label(EPSILON))
+    for base, x in frontier:
+        truncations[base] = name(x)
+        labels[base] = Truncation(truncations[base], destruct(x, base)[0].label(EPSILON))
         root_of[base] = base
-        truncations[base] = s
         if len(labels) > budget.max_nodes:
             raise BudgetExceeded(f"unfolding exceeds {budget.max_nodes} nodes")
     return Unfolding(FFTree(labels, root_of, allow_truncation=True), truncations)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .calculus import PLink, PNode, ProofGraph, to_nested
+from .calculus import PLink, ProofGraph
 from .coalgebra import Coalgebra, root_first_order
 from .grz.rules import CALCULI
 from .syntax import ParseError, parse_sequent, print_sequent
@@ -38,20 +38,17 @@ def print_proof_file(pg: ProofGraph, calculus_name: str) -> str:
     # unreachable states still serialize, after the reachable ones
     for state in order + sorted(pg.states.difference(order)):
         lines.append(f"state {state}")
-        nested = to_nested(pg.fragment(state), pg.links(state))
-        _print_node(nested, 1, lines)
+        links = pg.links(state)
+        # the key lists words sorted, which is pre-order; each node is
+        # indented one level more than its depth
+        for w, label in pg.fragment(state).key:
+            pad = INDENT * (len(w) + 1)
+            if w in links:
+                lines.append(f"{pad}link {links[w]}")
+            else:
+                lines.append(f"{pad}{print_sequent(label[0])} : {label[1]}")
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
-
-
-def _print_node(node: PNode | PLink, depth: int, lines: list[str]) -> None:
-    pad = INDENT * depth
-    if isinstance(node, PLink):
-        lines.append(f"{pad}link {node.target}")
-        return
-    lines.append(f"{pad}{print_sequent(node.sequent)} : {node.rule}")
-    for child in node.children:
-        _print_node(child, depth + 1, lines)
 
 
 def parse_proof_file(text: str) -> tuple[str, ProofGraph]:

@@ -3,26 +3,19 @@
 ``reduce_cut`` removes one cut between two proofs whose root fragments
 are cut free, by case analysis on their last rules; every recursive
 call strictly decreases the (cut-formula rank, local-height sum) pair,
-which is asserted at runtime.  ``cuts_up`` iterates it over the topmost
-cuts of the root fragment, and ``cut_elim`` extends that one-fragment
-move corecursively over the whole regular proof.
+which is asserted at runtime.  ``cuts_up`` applies it to the cuts of
+the root fragment in one post-order pass, premises before conclusions,
+so each cut meets cut-free premises; ``cut_elim`` extends that
+one-fragment move corecursively over the whole regular proof.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
-from ..calculus import (
-    Arena,
-    PLink,
-    PNode,
-    ProofGraph,
-    replace_subtree,
-    subtree_at,
-    to_nested,
-)
+from ..calculus import Arena, PLink, PNode, ProofGraph
 from ..coalgebra import UnfoldBudget, Unfolding
-from ..trees import EPSILON, Word
+from ..trees import EPSILON, TreeNW, Word
 from .admissible import (
     NotAProof,
     _require_proof,
@@ -284,7 +277,7 @@ def reduce_cut(
     _require_proof(left)
     _require_proof(right)
     for pg, name in ((left, "left"), (right, "right")):
-        if to_nested(pg.fragment(pg.root), pg.links(pg.root)).count(CUT):
+        if _has_cut(pg.fragment(pg.root)):
             raise NotAProof(f"{name} premise has a cut in its root fragment")
     phi = _derive_cut_formula(left.root_sequent, right.root_sequent)
     arena = Arena()
@@ -294,53 +287,47 @@ def reduce_cut(
     return arena.proof(out)
 
 
-def _cut_positions(node: PNode) -> list[Word]:
-    out: list[Word] = []
+def _has_cut(fragment: TreeNW) -> bool:
+    return any(fragment.label(w)[1] == CUT for w in fragment.proper_nodes)
 
-    def walk(n: PNode, at: Word) -> None:
-        if n.rule == CUT:
-            out.append(at)
-        for i, c in enumerate(n.children):
-            if isinstance(c, PNode):
-                walk(c, at + (i,))
 
-    walk(node, EPSILON)
-    return out
+def _cut_free(
+    arena: Arena, fragment: TreeNW, links: Mapping[Word, str], w: Word, on_step: StepHook | None
+) -> PNode | PLink:
+    """The node at ``w`` with every cut at or above it reduced, premises
+    before conclusions and left to right, so each cut meets cut-free
+    premises."""
+    if w in links:
+        return PLink(links[w])
+    sequent, rule = fragment.label(w)
+    kids = tuple(_cut_free(arena, fragment, links, c, on_step) for c in fragment.children(w))
+    if rule != CUT:
+        return PNode(sequent, rule, kids)
+    pa, pb = kids
+    assert isinstance(pa, PNode) and isinstance(pb, PNode)
+    return _reduce(arena, pa, pb, _derive_cut_formula(pa.sequent, pb.sequent), None, on_step)
 
 
 def cuts_up(pg: ProofGraph, on_step: StepHook | None = None) -> ProofGraph:
-    """Remove every cut from the root fragment, one topmost cut per round.
+    """Remove every cut from the root fragment in one post-order pass.
 
-    Among the cuts with no cut above them the one at the least node word
-    is reduced first; the cut count of the root fragment drops by at
-    least one per round, so this terminates.  A view of an
-    :class:`Arena` is rewritten in that store, anything else in a fresh
-    one; the result is a view.
+    Cuts are reduced premises before conclusions and left to right,
+    which is the order of the least word among the cuts with no cut
+    above them.  A view of an :class:`Arena` is rewritten in that store,
+    anything else in a fresh one; the result is a view, and a root
+    fragment with no cut is handed back as the input state.
     """
     _require_proof(pg)
     arena = pg.store if pg.store is not None else Arena()
-    nested = arena.materialize(arena.include(pg))
-    while True:
-        cuts = _cut_positions(nested)
-        if not cuts:
-            break
-        topmost = [
-            w
-            for w in cuts
-            if not any(u != w and u[: len(w)] == w for u in cuts)
-        ]
-        at = min(topmost)
-        node = subtree_at(nested, at)
-        assert isinstance(node, PNode)
-        pa, pb = node.children
-        assert isinstance(pa, PNode) and isinstance(pb, PNode)
-        phi = _derive_cut_formula(pa.sequent, pb.sequent)
-        reduced = _reduce(arena, pa, pb, phi, None, on_step)
-        replaced = replace_subtree(nested, at, reduced)
-        assert isinstance(replaced, PNode)
-        assert replaced.count(CUT) < nested.count(CUT), "cut count must drop"
-        nested = replaced
-    return arena.proof(nested)
+    root = arena.include(pg)
+    fragment = arena.state_fragment(root)
+    if not _has_cut(fragment):
+        return arena.view(root)
+    top = _cut_free(arena, fragment, arena.graph.links(root), EPSILON, on_step)
+    assert isinstance(top, PNode)
+    clean = arena.intern(top)
+    assert not _has_cut(arena.state_fragment(clean)), "root fragment must be cut free"
+    return arena.view(clean)
 
 
 def cut_elimination_step():

@@ -16,15 +16,20 @@ state links only to older ones.  A residual's memo key is its root's
 class id, so residuals are keyed up to bisimilarity without rebuilding
 a canonical form per residual.
 
-Both conditions a step must satisfy are checked while extending: every
-residual must pass the source checker, and every emitted fragment,
+Both conditions a step must satisfy are checked while extending, and
+only there, in ``_Engine``: every glue point must get a residual that
+passes the source checker (condition 2), and every emitted fragment,
 paired with the root sequents of its translated residuals, must pass
-the target fragment check.  The store remembers which states passed, so
-each state's fragment is checked against the source once.
+the target fragment check (condition 1).  The store remembers which
+states passed, so each state's fragment is checked against the source
+once.  Without closure the output is laid out by the same driver as
+:func:`~nwproofs.coalgebra.unfold`, :func:`~nwproofs.coalgebra.unfold_by`,
+and :func:`validate_step` is a memo-free extension of one layer.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Mapping
 
@@ -36,13 +41,7 @@ from .calculus import (
     check_proof_fragment,
     check_proof_graph,
 )
-from .coalgebra import (
-    BudgetExceeded,
-    Coalgebra,
-    UnfoldBudget,
-    Unfolding,
-)
-from .fftree import FFTree
+from .coalgebra import BudgetExceeded, Coalgebra, UnfoldBudget, Unfolding, unfold_by
 from .trees import EPSILON, TreeNW, Truncation, Word, format_word
 
 StepOutput = tuple[TreeNW, Mapping[Word, ProofGraph]]
@@ -133,6 +132,9 @@ class _Engine:
         elif self.staged is not None:
             step, nxt = self.staged.second, 1
         fragment, parts = step.apply(pg)
+        for w in sorted(fragment.nw_leaves):
+            if w not in parts:
+                raise StepContractViolation(2, f"no residual at leaf {format_word(w)}")
         return fragment, {w: (self.own(p), nxt) for w, p in parts.items()}, fires
 
     def own(self, pg: ProofGraph) -> ProofGraph:
@@ -220,8 +222,6 @@ def _close(engine, root_value, max_states) -> ProofGraph | None:
         fragment, parts, switched = engine.apply(value)
         out = _Emitted(fragment, switched=switched)
         for w in sorted(fragment.nw_leaves):
-            if w not in parts:
-                raise StepContractViolation(2, f"no residual at leaf {format_word(w)}")
             succ = parts[w]
             key = engine.key(succ)
             if key not in memo:
@@ -243,51 +243,34 @@ def _close(engine, root_value, max_states) -> ProofGraph | None:
 
 
 def _unfold(engine, root_value, budget) -> Unfolding:
-    """Layered translation without closure: truncate after ``max_depth``
-    layers of output fragments, stepping the frontier once so truncation
-    marks still carry the translated root labels."""
-    labels: dict[Word, Any] = {}
-    root_of: dict[Word, Word] = {}
-    truncations: dict[Word, str] = {}
-    frontier: list[tuple[Word, tuple]] = [(EPSILON, root_value)]
-    counter = 0
-    applied: dict[Word, tuple[TreeNW, dict[Word, tuple], bool]] = {}
+    """Layered translation without closure, through :func:`unfold_by`:
+    each value but the root passes the source check before it is
+    stepped, truncation marks are named ``t0, t1, ...`` in frontier
+    order and carry the translated root labels, and each laid-out
+    fragment is then checked against the labels behind its star leaves."""
+    stepped: dict[Word, tuple[TreeNW, bool]] = {}
 
-    for _ in range(budget.max_depth):
-        nxt: list[tuple[Word, tuple]] = []
-        for base, value in frontier:
-            fragment, parts, switched = engine.apply(value)
-            applied[base] = (fragment, parts, switched)
-            for u in fragment.proper_nodes:
-                labels[base + u] = fragment.label(u)
-                root_of[base + u] = base
-            if len(labels) > budget.max_nodes:
-                raise BudgetExceeded(f"translated unfolding exceeds {budget.max_nodes} nodes")
-            for w in sorted(fragment.nw_leaves):
-                if w not in parts:
-                    raise StepContractViolation(2, f"no residual at leaf {format_word(w)}")
-                engine.check_value(parts[w], f"position {format_word(base + w)}")
-                nxt.append((base + w, parts[w]))
-        frontier = nxt
-    for base, value in frontier:
-        fragment, _, _ = engine.apply(value)
-        name = f"t{counter}"
-        counter += 1
-        labels[base] = Truncation(name, fragment.label(EPSILON))
-        root_of[base] = base
-        truncations[base] = name
-        if len(labels) > budget.max_nodes:
-            raise BudgetExceeded(f"translated unfolding exceeds {budget.max_nodes} nodes")
-    for base, (fragment, parts, switched) in applied.items():
+    def destruct(value, at):
+        if at != EPSILON:
+            engine.check_value(value, f"position {format_word(at)}")
+        fragment, parts, switched = engine.apply(value)
+        stepped[at] = fragment, switched
+        return fragment, parts
+
+    names = (f"t{i}" for i in itertools.count())
+    try:
+        out = unfold_by(destruct, root_value, budget, lambda _: next(names))
+    except BudgetExceeded as err:
+        raise BudgetExceeded(f"translated {err}") from None
+    for base, (fragment, switched) in stepped.items():
+        if base in out.truncations:
+            continue
         leaf_sequents = {}
         for w in fragment.nw_leaves:
-            child = labels[base + w]
-            if isinstance(child, Truncation):
-                leaf_sequents[w] = child.label[0]
-            else:
-                leaf_sequents[w] = child[0]
+            child = out.tree.label(base + w)
+            leaf_sequents[w] = (child.label if isinstance(child, Truncation) else child)[0]
         engine.check_fragment(fragment, leaf_sequents, f"position {format_word(base)}", switched)
-    return Unfolding(FFTree(labels, root_of, allow_truncation=True), truncations)
+    return out
 
 
 @dataclass(frozen=True)
@@ -308,36 +291,16 @@ class StepReport:
 
 
 def validate_step(step: TranslationStep, corpus: list[ProofGraph]) -> StepReport:
-    """Check both step obligations for one application per corpus proof."""
+    """Check both step obligations for one application per corpus proof:
+    a memo-free extension of one layer, reporting the first broken
+    obligation per member (condition 0: the member is no source proof)."""
     report = StepReport()
     for i, pg in enumerate(corpus):
         report.checked += 1
-        pre = check_proof_graph(step.source, pg)
-        if not pre.ok:
-            report.findings.append(StepFinding(i, 0, "corpus member fails the source check"))
-            continue
-        fragment, parts = step.apply(pg)
-        leaf_sequents: dict[Word, Any] = {}
-        bad = False
-        for w in sorted(fragment.nw_leaves):
-            if w not in parts:
-                report.findings.append(StepFinding(i, 2, f"no residual at {format_word(w)}"))
-                bad = True
-                continue
-            sub = check_proof_graph(step.source, parts[w])
-            if not sub.ok:
-                report.findings.append(
-                    StepFinding(i, 2, f"residual at {format_word(w)} fails the source check")
-                )
-                bad = True
-                continue
-            next_fragment, _ = step.apply(parts[w])
-            leaf_sequents[w] = next_fragment.label(EPSILON)[0]
-        if bad:
-            continue
-        frag_report = check_proof_fragment(step.target, fragment, leaf_sequents)
-        if not frag_report.ok:
-            report.findings.append(
-                StepFinding(i, 1, f"fragment is not a {step.target.name} fragment: {frag_report}")
-            )
+        try:
+            extend(step, pg, UnfoldBudget(1), memo=False)
+        except NotASourceProof as err:
+            report.findings.append(StepFinding(i, 0, str(err)))
+        except StepContractViolation as err:
+            report.findings.append(StepFinding(i, err.condition, str(err)))
     return report

@@ -224,3 +224,37 @@ def test_check_deep_fragment_reports_findings(tmp_path, capsys):
     # every node but the leaf has a premise, so it is no axiom
     assert len(out) == depth - 1
     assert all(line.endswith("rule: not an instance of ax") for line in out)
+
+
+def test_deep_cut_free_fragment_passes_every_command(tmp_path, capsys):
+    # a refl chain of 1,100 nodes in one fragment, deeper than the
+    # interpreter's recursion limit; it is cut free, so every command
+    # hands its fragment through unchanged
+    depth = 1100
+    lines = ["calculus grz+cut", "root s0", "", "state s0"]
+    for d in range(depth):
+        ante = ", ".join(["p0"] * d + ["box p0"])
+        lines.append("  " * (d + 1) + f"{ante} |- p0 : {'refl' if d < depth - 1 else 'ax'}")
+    text = "\n".join(lines) + "\n"
+    path = write(tmp_path, "deep.proof", text)
+    outs = {name: str(tmp_path / name) for name in ("cutelim", "identity", "no-memo", "dot")}
+
+    assert main(["cutelim", path, "-o", outs["cutelim"]]) == 0
+    assert main(["translate", path, "--step", "identity", "-o", outs["identity"]]) == 0
+    argv = ["translate", path, "--step", "cut-elim", "--no-memo", "-o", outs["no-memo"]]
+    assert main(argv) == 0
+    assert main(["render", path, "-o", outs["dot"]]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "closed: yes", "states: 1", "closed: yes", "states: 1", "closed: no"
+    ]
+
+    printed = Path(outs["cutelim"]).read_text()
+    assert printed == text.replace("calculus grz+cut", "calculus grz", 1)
+    assert main(["check", outs["cutelim"]]) == 0
+    assert Path(outs["identity"]).read_text() == text
+    # the unfolding has no glue point, so it is the fragment itself
+    unfolded = Path(outs["no-memo"]).read_text().splitlines()
+    assert [line.split("  ", 1)[1] for line in unfolded] == [
+        line.strip() + (" [root]" if d == 0 else "") for d, line in enumerate(lines[4:])
+    ]
+    assert Path(outs["dot"]).read_text().count(" -> ") == depth - 1

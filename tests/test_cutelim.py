@@ -125,6 +125,8 @@ def test_cuts_up_identity_on_cut_free():
     out = cuts_up(pg)
     assert check_proof_graph(GRZ, out).ok
     assert canonical_form(out.graph, out.root) == canonical_form(pg.graph, pg.root)
+    # handed back as the input state, not rebuilt
+    assert out.root == pg.root and out.fragment(out.root) is pg.fragment(pg.root)
 
 
 def test_cuts_up_single_cut():
@@ -149,6 +151,29 @@ def test_cuts_up_two_stacked_cuts():
     assert check_proof_graph(GRZ_CUT, pg).ok
     out = cuts_up(pg)
     assert out.root_sequent == seq([P], [P])
+    assert main_fragment_cuts(out) == 0
+    assert check_proof_graph(GRZ, out).ok
+
+
+def test_cuts_up_reduces_premises_before_conclusions_left_to_right():
+    # the cut ranks tell the cuts apart: rank 3 is stacked on rank 1,
+    # which stands beside rank 2, and both sit on the root cut of rank 0
+    def cut(phi, ante, succ, left=None, right=None):
+        return node(
+            seq(ante, succ),
+            "cut",
+            left or node(seq(ante, [phi, *succ]), "ax"),
+            right or node(seq([phi, *ante], succ), "ax"),
+        )
+
+    f0, f1, f2, f3 = Q, Box(Q), Box(Box(Q)), Imp(Q, Box(Box(Q)))
+    left = cut(f1, [P], [f0, P], left=cut(f3, [P], [f1, f0, P]))
+    right = cut(f2, [f0, P], [P])
+    pg = graph("s0", s0=cut(f0, [P], [P], left, right))
+    assert check_proof_graph(GRZ_CUT, pg).ok
+    seen = []
+    out = cuts_up(pg, on_step=lambda measure, bound: seen.append((measure, bound)))
+    assert seen == [(CutMeasure(rank, 0), None) for rank in (3, 1, 2, 0)]
     assert main_fragment_cuts(out) == 0
     assert check_proof_graph(GRZ, out).ok
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from grzlib import (
@@ -14,9 +16,10 @@ from grzlib import (
     weakening_part_cut_graph,
 )
 from nwproofs.calculus import check_proof_graph, compute_fragmentation
-from nwproofs.coalgebra import UnfoldBudget, Unfolding, canonical_form, unfold
+from nwproofs.coalgebra import UnfoldBudget, Unfolding, canonical_form, reachable, unfold
+from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, cut_elimination_step
-from nwproofs.grz.rules import CUT
+from nwproofs.grz.rules import CALCULI, CUT
 from nwproofs.translate import (
     CompatibilityViolation,
     StagedStep,
@@ -30,6 +33,7 @@ from nwproofs.translate import (
 from nwproofs.trees import Truncation
 
 BUDGET = UnfoldBudget(max_depth=4)
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def cut_step_into_grz_cut():
@@ -47,19 +51,25 @@ def test_identity_extension_is_bisimilar():
 
 
 def test_identity_without_memo_unfolds():
-    pg = self_loop_graph()
-    out = extend(identity_step(GRZ), pg, UnfoldBudget(max_depth=3), memo=False)
-    assert isinstance(out, Unfolding)
-    direct = unfold(pg.graph, pg.root, UnfoldBudget(max_depth=3))
-
     def strip(tree):
         return {
             w: (("trunc", lab.label) if isinstance(lab, Truncation) else lab)
             for w, lab in tree.labels().items()
         }
 
-    assert strip(out.tree) == strip(direct.tree)
-    assert out.tree.partition() == direct.tree.partition()
+    cyclic = 0
+    for path in sorted(CORPUS.glob("*.proof")):
+        name, pg = parse_proof_file(path.read_text())
+        if not any(s in reachable(pg.graph, t) for s in pg.states for t in pg.links(s).values()):
+            continue
+        cyclic += 1
+        out = extend(identity_step(CALCULI[name]), pg, UnfoldBudget(max_depth=3), memo=False)
+        assert isinstance(out, Unfolding)
+        direct = unfold(pg.graph, pg.root, UnfoldBudget(max_depth=3))
+        assert strip(out.tree) == strip(direct.tree), path.name
+        assert out.tree.partition() == direct.tree.partition(), path.name
+        assert set(out.truncations) == set(direct.truncations), path.name
+    assert cyclic >= 4
 
 
 def test_extension_rejects_non_proof_input():
@@ -153,6 +163,29 @@ def test_validate_step_reports_rule_relabeling():
     report = validate_step(TranslationStep(GRZ, GRZ, bad_apply), [ax_graph()])
     assert not report.ok
     assert report.findings[0].condition == 1
+
+
+def test_validate_step_reports_a_member_that_is_no_proof():
+    bad = graph("s0", s0=node(seq([P], []), "ax"))
+    report = validate_step(identity_step(GRZ), [ax_graph(), bad, box_step_graph()])
+    assert report.checked == 3
+    assert [(f.index, f.condition) for f in report.findings] == [(1, 0)]
+
+
+def test_validate_step_reports_garbled_or_missing_residuals():
+    base = identity_step(GRZ)
+
+    def garbled(pg):
+        frag, parts = base.apply(pg)
+        return frag, {w: graph("b0", b0=node(seq([P], []), "box")) for w in parts}
+
+    def missing(pg):
+        frag, _ = base.apply(pg)
+        return frag, {}
+
+    for apply in (garbled, missing):
+        report = validate_step(TranslationStep(GRZ, GRZ, apply), [ax_graph(), box_step_graph()])
+        assert [(f.index, f.condition) for f in report.findings] == [(1, 2)], apply.__name__
 
 
 def test_staged_never_switching_equals_plain():
