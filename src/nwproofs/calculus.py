@@ -313,12 +313,16 @@ class PNode:
     sequent: Any
     rule: str
     children: tuple["PNode | PLink", ...] = ()
+    # computed once, from the children's heights, so reading it never recurses
+    height: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def height(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(c.height if isinstance(c, PNode) else 0 for c in self.children)
+    def __post_init__(self) -> None:
+        height = 0
+        for c in self.children:
+            h = c.height + 1 if isinstance(c, PNode) else 1
+            if h > height:
+                height = h
+        object.__setattr__(self, "height", height)
 
     def count(self, rule: str) -> int:
         own = 1 if self.rule == rule else 0

@@ -11,7 +11,8 @@ one-fragment move corecursively over the whole regular proof.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple
+from collections.abc import Callable, Mapping
+from typing import NamedTuple
 
 from ..calculus import Arena, PLink, PNode, ProofGraph
 from ..coalgebra import UnfoldBudget, Unfolding

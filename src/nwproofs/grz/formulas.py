@@ -1,46 +1,118 @@
 """Modal formulas over bottom, implication, and box; multiset sequents.
 
-Multisets are kept as association lists sorted under a total structural
-order on formulas, giving canonical, hashable sequents with linear-time
-union, difference, and intersection.
+Formulas are hash-consed (after Filliâtre and Conchon, "Type-safe
+modular hash-consing", 2006): each structurally distinct formula exists
+once, in one module-level table, so equality is identity and so is the
+hash.  Each formula stores its structural order key, computed once at
+construction from its parts' keys; :func:`formula_key` returns it.
+Formulas are immutable, and copying or unpickling one returns the
+interned object.
+
+Multisets are kept as association lists sorted under that key, giving
+canonical, hashable sequents with linear-time union, difference, and
+intersection; adding or removing a formula is one scan by identity.
+Sequents are plain values that cache their hash.  They are not interned:
+a global sequent table keeps every explored sequent alive, which costs
+proof search more memory than the saved hashing is worth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
 class Formula:
+    __slots__ = ("_key",)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled formulas are built by the constructor, so
+        # they come back as the interned object
+        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
+
+
+# handle -> formula: ``(Bot,)``, ``(Atom, index)``, ``(Box, id(body))`` or
+# ``(Imp, id(left), id(right))``; the table keeps every part alive, so
+# the ids in its handles stay unique
+_TABLE: dict[tuple, Formula] = {}
+
+
+def _intern(cls: type, handle: tuple, key: tuple, **parts: object) -> Formula:
+    f = object.__new__(cls)
+    for name, value in parts.items():
+        object.__setattr__(f, name, value)
+    object.__setattr__(f, "_key", key)
+    _TABLE[handle] = f
+    return f
+
+
+def _require(*parts: object) -> None:
+    for part in parts:
+        if not isinstance(part, Formula):
+            raise TypeError(f"not a formula: {part!r}")
+
+
+class Bot(Formula):
     __slots__ = ()
 
+    def __new__(cls) -> Bot:
+        f = _TABLE.get((Bot,))
+        return f if f is not None else _intern(cls, (Bot,), (0,))
 
-@dataclass(frozen=True, slots=True)
-class Bot(Formula):
     def __repr__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
+    __slots__ = ("index",)
     index: int
+
+    def __new__(cls, index: int) -> Atom:
+        f = _TABLE.get((Atom, index))
+        if f is not None:
+            return f
+        if not isinstance(index, int):
+            raise TypeError(f"atom index must be an int, not {index!r}")
+        return _intern(cls, (Atom, index), (1, index), index=index)
 
     def __repr__(self) -> str:
         return f"p{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
 class Imp(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
+
+    def __new__(cls, left: Formula, right: Formula) -> Imp:
+        handle = (Imp, id(left), id(right))
+        f = _TABLE.get(handle)
+        if f is not None:
+            return f
+        _require(left, right)
+        return _intern(cls, handle, (3, left._key, right._key), left=left, right=right)
 
     def __repr__(self) -> str:
         return f"({self.left!r} -> {self.right!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Box(Formula):
+    __slots__ = ("body",)
     body: Formula
+
+    def __new__(cls, body: Formula) -> Box:
+        handle = (Box, id(body))
+        f = _TABLE.get(handle)
+        if f is not None:
+            return f
+        _require(body)
+        return _intern(cls, handle, (2, body._key), body=body)
 
     def __repr__(self) -> str:
         return f"box {self.body!r}"
@@ -50,16 +122,12 @@ BOT = Bot()
 
 
 def formula_key(f: Formula) -> tuple:
-    """Total structural order used to canonicalize multisets."""
-    if isinstance(f, Bot):
-        return (0,)
-    if isinstance(f, Atom):
-        return (1, f.index)
-    if isinstance(f, Box):
-        return (2, formula_key(f.body))
-    if isinstance(f, Imp):
-        return (3, formula_key(f.left), formula_key(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+    """Total structural order used to canonicalize multisets: ``(0,)``
+    for bottom, ``(1, i)`` for ``p<i>``, ``(2, key(body))`` for a box and
+    ``(3, key(left), key(right))`` for an implication."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return f._key
 
 
 def rank(f: Formula) -> int:
@@ -97,16 +165,20 @@ Mset = tuple[tuple[Formula, int], ...]
 EMPTY: Mset = ()
 
 
+def _entry_key(entry: tuple[Formula, int]) -> tuple:
+    return entry[0]._key
+
+
 def mset(formulas: Iterable[Formula] = ()) -> Mset:
     counts: dict[Formula, int] = {}
     for f in formulas:
         counts[f] = counts.get(f, 0) + 1
-    return tuple(sorted(counts.items(), key=lambda kv: formula_key(kv[0])))
+    return tuple(sorted(counts.items(), key=_entry_key))
 
 
 def mcount(m: Mset, f: Formula) -> int:
     for g, n in m:
-        if g == f:
+        if g is f:
             return n
     return 0
 
@@ -127,24 +199,33 @@ def mexpand(m: Mset) -> list[Formula]:
 
 
 def madd(m: Mset, f: Formula, n: int = 1) -> Mset:
-    counts = dict(m)
-    counts[f] = counts.get(f, 0) + n
-    return tuple(sorted(counts.items(), key=lambda kv: formula_key(kv[0])))
+    """``m`` with ``n`` more copies of ``f``: one scan to ``f``'s key position."""
+    key = f._key
+    for i, (g, k) in enumerate(m):
+        if g is f:
+            return m[:i] + ((f, k + n),) + m[i + 1 :]
+        if key < g._key:
+            return m[:i] + ((f, n),) + m[i:]
+    return m + ((f, n),)
 
 
 def mremove(m: Mset, f: Formula, n: int = 1) -> Mset:
-    have = mcount(m, f)
-    if have < n:
-        raise KeyError(f"{f!r} occurs {have} times, cannot remove {n}")
-    out = [(g, k if g != f else k - n) for g, k in m]
-    return tuple((g, k) for g, k in out if k > 0)
+    for i, (g, k) in enumerate(m):
+        if g is f:
+            break
+    else:
+        i, k = len(m), 0
+    if k < n:
+        raise KeyError(f"{f!r} occurs {k} times, cannot remove {n}")
+    rest = m[i + 1 :]
+    return m[:i] + ((f, k - n),) + rest if k > n else m[:i] + rest
 
 
 def munion(a: Mset, b: Mset) -> Mset:
     counts = dict(a)
     for f, n in b:
         counts[f] = counts.get(f, 0) + n
-    return tuple(sorted(counts.items(), key=lambda kv: formula_key(kv[0])))
+    return tuple(sorted(counts.items(), key=_entry_key))
 
 
 def mdiff(a: Mset, b: Mset) -> Mset:
@@ -169,6 +250,18 @@ class Sequent:
 
     ante: Mset = EMPTY
     succ: Mset = EMPTY
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.ante, self.succ))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self) -> tuple:
+        return Sequent, (self.ante, self.succ)
 
     @staticmethod
     def of(ante: Iterable[Formula] = (), succ: Iterable[Formula] = ()) -> "Sequent":

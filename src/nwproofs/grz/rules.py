@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from ..calculus import LocalProgressCalculus, ProofGraph
 from .formulas import (
+    BOT,
     Atom,
-    Bot,
     Box,
     Formula,
     Imp,
@@ -44,7 +44,7 @@ def is_axiom(s: Sequent) -> bool:
 
 
 def is_bot_axiom(s: Sequent) -> bool:
-    return s.left_count(Bot()) > 0
+    return s.left_count(BOT) > 0
 
 
 def match_ax(premises: tuple, concl: Sequent) -> bool:

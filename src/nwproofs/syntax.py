@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .grz.formulas import Atom, Bot, Box, Formula, Imp, Sequent, mexpand
+from .grz.formulas import BOT, Atom, Bot, Box, Formula, Imp, Sequent, mexpand
 
 
 class ParseError(ValueError):
@@ -24,78 +24,76 @@ class ParseError(ValueError):
 
 MAX_DEPTH = 256
 
-_TOKEN = re.compile(r"\s*(p\d+|false|box|->|\(|\)|,|\|-)")
+# every token, or any other non-space character, which starts no token
+_TOKEN = re.compile(r"\s*(p\d+|false|box|->|[(),]|\|-|\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return out
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, found in one pass.  A character that starts
+    no token is a :class:`ParseError` at the end of the token before it."""
+    tokens = _TOKEN.findall(text)
+    bad = {t for t in set(tokens) if len(t) == 1 and t not in "(),"}
+    if bad:
+        for m in _TOKEN.finditer(text):
+            if m[1] in bad:
+                raise ParseError(f"unexpected character {m[1]!r}", m.start())
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens: list[str | None] = _tokenize(text)
+        self.tokens.append(None)  # end of input
         self.at = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.at][0] if self.at < len(self.tokens) else None
-
     def pos(self) -> int:
-        return self.tokens[self.at][1] if self.at < len(self.tokens) else len(self.text)
+        """Where the next token starts; only errors ask, so it is found by
+        tokenizing again."""
+        if self.tokens[self.at] is None:
+            return len(self.text)
+        return [m.start(1) for m in _TOKEN.finditer(self.text)][self.at]
 
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            want = expected or "a token"
-            raise ParseError(f"expected {want}", self.pos())
+    def take(self, expected: str) -> None:
+        if self.tokens[self.at] != expected:
+            raise ParseError(f"expected {expected}", self.pos())
         self.at += 1
-        return tok
 
     def formula(self, depth: int = 0) -> Formula:
         left = self.unary(depth)
-        if self.peek() == "->":
-            self.take()
+        if self.tokens[self.at] == "->":
+            self.at += 1
             return Imp(left, self.formula(depth + 1))
         return left
 
     def unary(self, depth: int) -> Formula:
-        tok = self.peek()
+        tok = self.tokens[self.at]
         if tok is None:
             raise ParseError("expected a formula", self.pos())
         if depth > MAX_DEPTH:
             raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", self.pos())
+        if tok[0] == "p":
+            self.at += 1
+            return Atom(int(tok[1:]))
         if tok == "box":
-            self.take()
+            self.at += 1
             return Box(self.unary(depth + 1))
         if tok == "false":
-            self.take()
-            return Bot()
+            self.at += 1
+            return BOT
         if tok == "(":
-            self.take()
+            self.at += 1
             inner = self.formula(depth + 1)
             self.take(")")
             return inner
-        if tok.startswith("p"):
-            self.take()
-            return Atom(int(tok[1:]))
         raise ParseError(f"unexpected token {tok!r}", self.pos())
 
     def formula_list(self) -> list[Formula]:
-        if self.peek() in (None, "|-"):
+        if self.tokens[self.at] in (None, "|-"):
             return []
         out = [self.formula()]
-        while self.peek() == ",":
-            self.take()
+        while self.tokens[self.at] == ",":
+            self.at += 1
             out.append(self.formula())
         return out
 
@@ -106,8 +104,9 @@ class _Parser:
         return Sequent.of(ante, succ)
 
     def expect_end(self) -> None:
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r}", self.pos())
+        tok = self.tokens[self.at]
+        if tok is not None:
+            raise ParseError(f"trailing input {tok!r}", self.pos())
 
 
 def parse_formula(text: str) -> Formula:

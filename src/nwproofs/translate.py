@@ -30,8 +30,9 @@ and :func:`validate_step` is a memo-free extension of one layer.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any
 
 from .calculus import (
     Arena,

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 from grzlib import seq, P
+from nwproofs.grz import Box
 from nwproofs.cli import main
 from nwproofs.graphfile import parse_proof_file
 
@@ -258,3 +259,23 @@ def test_deep_cut_free_fragment_passes_every_command(tmp_path, capsys):
         line.strip() + (" [root]" if d == 0 else "") for d, line in enumerate(lines[4:])
     ]
     assert Path(outs["dot"]).read_text().count(" -> ") == depth - 1
+
+
+def test_cut_over_deep_refl_chain_is_eliminated(tmp_path, capsys):
+    # a root cut on p1 whose left premise is a refl chain of 400 nodes:
+    # the cut measure reads both premises' heights, which must not recurse
+    depth = 400
+    lines = ["calculus grz+cut", "root s0", "", "state s0", "  box p0 |- p0 : cut"]
+    for d in range(depth):
+        ante = ", ".join(["p0"] * d + ["box p0"])
+        lines.append("  " * (d + 2) + f"{ante} |- p0, p1 : {'refl' if d < depth - 1 else 'ax'}")
+    lines += ["    p1, box p0 |- p0 : refl", "      p0, p1, box p0 |- p0 : ax"]
+    path = write(tmp_path, "deep_cut.proof", "\n".join(lines) + "\n")
+    out = str(tmp_path / "out.proof")
+
+    assert main(["cutelim", path, "-o", out]) == 0
+    assert capsys.readouterr().out.splitlines() == ["closed: yes", "states: 1"]
+    assert main(["check", out]) == 0
+    calculus, pg = parse_proof_file(Path(out).read_text())
+    assert calculus == "grz"
+    assert pg.root_sequent == seq([Box(P)], [P])
