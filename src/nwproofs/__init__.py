@@ -7,69 +7,54 @@ fragment at a time.  The bundled instance is the box-modal calculus of
 Grzegorczyk logic with full cut elimination.
 """
 
-from .trees import STAR, TreeNW, Truncation, validate_tree_nw
-from .coalgebra import (
-    Coalgebra,
-    UnfoldBudget,
-    Unfolding,
-    bisim_minimize,
-    canonical_form,
-    unfold,
-)
-from .fftree import FFTree, construct, validate_fftree
-from .calculus import (
-    CheckReport,
-    LocalProgressCalculus,
-    ProofGraph,
-    check_proof_fragment,
-    check_proof_graph,
-    check_pre_proof,
-    compute_fragmentation,
-    progressing,
-    subproof,
-)
-from .translate import (
-    StagedStep,
-    StepContractViolation,
-    TranslationStep,
-    extend,
-    extend_staged,
-    identity_step,
-    validate_step,
-)
-from .search import SearchBudget, generate_corpus, search
+from __future__ import annotations
 
-__all__ = [
-    "STAR",
-    "TreeNW",
-    "Truncation",
-    "validate_tree_nw",
-    "Coalgebra",
-    "UnfoldBudget",
-    "Unfolding",
-    "bisim_minimize",
-    "canonical_form",
-    "unfold",
-    "FFTree",
-    "construct",
-    "validate_fftree",
-    "CheckReport",
-    "LocalProgressCalculus",
-    "ProofGraph",
-    "check_proof_fragment",
-    "check_proof_graph",
-    "check_pre_proof",
-    "compute_fragmentation",
-    "progressing",
-    "subproof",
-    "StagedStep",
-    "StepContractViolation",
-    "TranslationStep",
-    "extend",
-    "extend_staged",
-    "identity_step",
-    "validate_step",
-    "SearchBudget",
-    "generate_corpus",
-    "search",
-]
+import sys
+from importlib import import_module
+from types import ModuleType
+from typing import Any
+
+# the public names, by the submodule that defines them, in ``__all__`` order
+_WHERE = {
+    name: module
+    for module, names in [
+        ("trees", ["STAR", "TreeNW", "Truncation", "validate_tree_nw"]),
+        ("coalgebra", ["Coalgebra", "UnfoldBudget", "Unfolding", "bisim_minimize"]),
+        ("coalgebra", ["canonical_form", "unfold"]),
+        ("fftree", ["FFTree", "construct", "validate_fftree"]),
+        ("calculus", ["CheckReport", "LocalProgressCalculus", "ProofGraph"]),
+        ("calculus", ["check_proof_fragment", "check_proof_graph", "check_pre_proof"]),
+        ("calculus", ["compute_fragmentation", "progressing"]),
+        ("store", ["subproof"]),
+        ("translate", ["StagedStep", "StepContractViolation", "TranslationStep", "extend"]),
+        ("translate", ["extend_staged", "identity_step", "validate_step"]),
+        ("search", ["SearchBudget", "generate_corpus", "search"]),
+    ]
+    for name in names
+}
+__all__ = list(_WHERE)
+
+
+def _resolve(package: ModuleType, where: dict[str, str], name: str) -> Any:
+    """The public ``name`` of ``package``, imported from its submodule on
+    first access, so that loading one submodule loads only what it uses."""
+    if name not in where:
+        raise AttributeError(f"module {package.__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{package.__name__}.{where[name]}"), name)
+    vars(package)[name] = value
+    return value
+
+
+def __getattr__(name: str) -> Any:
+    return _resolve(sys.modules[__name__], _WHERE, name)
+
+
+class _Package(ModuleType):
+    # Loading a submodule binds it on its package; `search` must stay the
+    # function, not become the submodule `nwproofs.search`.
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name not in _WHERE or not isinstance(value, ModuleType):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

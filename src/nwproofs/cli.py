@@ -1,7 +1,8 @@
 """Batch command line: check, unfold, translate, render, and search.
 
 Exit codes: 0 on success, 1 on a logical failure (an invalid proof, an
-unprovable goal), 2 on malformed input.
+unprovable goal), 2 on malformed input.  Only the commands that rewrite
+or search import that machinery, so ``check`` loads just the checker.
 """
 
 from __future__ import annotations
@@ -14,11 +15,8 @@ from pathlib import Path
 from .calculus import CalculusError, check_proof_graph
 from .coalgebra import BudgetError, BudgetExceeded, CoalgebraError, UnfoldBudget, Unfolding, unfold
 from .graphfile import GraphFileError, parse_proof_file, print_proof_file, to_dot
-from .grz import GRZ, GRZ_CUT, cut_elimination_step
-from .grz.rules import CALCULI
-from .search import SearchBudget, search
+from .grz.rules import CALCULI, GRZ, GRZ_CUT
 from .syntax import ParseError, parse_formula, parse_sequent, print_sequent
-from .translate import NotASourceProof, StepContractViolation, extend, identity_step
 from .trees import TreeError, Truncation, format_word
 
 
@@ -79,6 +77,8 @@ def _cmd_unfold(args) -> int:
 
 
 def _cmd_cutelim(args) -> int:
+    from .grz.cutelim import cut_elimination_step
+
     name, pg = _load(args.file)
     if name != GRZ_CUT.name:
         print(f"cutelim expects a {GRZ_CUT.name} file, got {name}", file=sys.stderr)
@@ -87,6 +87,9 @@ def _cmd_cutelim(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    from .grz.cutelim import cut_elimination_step
+    from .translate import identity_step
+
     name, pg = _load(args.file)
     if args.step == "identity":
         return _extend_and_emit(args, pg, identity_step(CALCULI[name]), name)
@@ -99,14 +102,16 @@ def _cmd_translate(args) -> int:
 def _extend_and_emit(args, pg, step, target_name: str, print_bound: bool = False) -> int:
     """Extend ``step`` over ``pg`` within the budgets of ``args``, report
     whether it closed and emit the proof file or the unfolding; with
-    ``print_bound`` an open result also reports the state bound."""
-    out = extend(
-        step,
-        pg,
-        UnfoldBudget(args.depth, args.max_nodes),
-        memo=not args.no_memo,
-        max_states=args.max_states,
-    )
+    ``print_bound`` an open result also reports the state bound.  A broken
+    step contract or an input that is no source proof exits 1."""
+    from .translate import NotASourceProof, StepContractViolation, extend
+
+    budget = UnfoldBudget(args.depth, args.max_nodes)
+    try:
+        out = extend(step, pg, budget, memo=not args.no_memo, max_states=args.max_states)
+    except (StepContractViolation, NotASourceProof) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     if isinstance(out, Unfolding):
         print("closed: no")
         if print_bound:
@@ -126,6 +131,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .search import SearchBudget, search
+
     goal = parse_sequent(args.sequent)
     calc = CALCULI[args.calculus]
     cut_pool = None
@@ -208,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphFileError, ParseError, TreeError, CalculusError, CoalgebraError, BudgetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, StepContractViolation, NotASourceProof) as err:
+    except BudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

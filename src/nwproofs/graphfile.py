@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .calculus import PLink, ProofGraph
+from .calculus import ProofGraph
 from .coalgebra import Coalgebra, root_first_order
 from .grz.rules import CALCULI
 from .syntax import ParseError, parse_sequent, print_sequent
@@ -114,9 +114,9 @@ def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
                 raise GraphFileError("links cannot have children", line_no)
             word = parent + (kids.get(parent, 0),)
             kids[parent] = word[-1] + 1
-        if isinstance(label, PLink):
+        if isinstance(label, str):
             labels[word] = STAR
-            links[word] = label.target
+            links[word] = label
         else:
             labels[word] = label
         path.append(word)
@@ -137,13 +137,13 @@ def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
     return calculus_name, ProofGraph(Coalgebra(dest), root)
 
 
-def _parse_node_line(body: str, line_no: int) -> PLink | tuple[Any, str]:
-    """A link leaf, or the (sequent, rule) label of a proper node."""
+def _parse_node_line(body: str, line_no: int) -> str | tuple[Any, str]:
+    """A link leaf's target state, or the (sequent, rule) label of a node."""
     if body.startswith("link "):
         target = body[len("link ") :].strip()
         if not target or " " in target:
             raise GraphFileError("malformed link line", line_no)
-        return PLink(target)
+        return target
     if " : " not in body:
         raise GraphFileError("expected 'sequent : rule'", line_no)
     seq_text, rule = body.rsplit(" : ", 1)

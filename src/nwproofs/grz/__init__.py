@@ -1,54 +1,29 @@
 """Grzegorczyk modal logic: formulas, sequent rules, admissible moves,
 and cut elimination over regular non-wellfounded proofs."""
 
-from .formulas import Atom, Bot, Box, Formula, Imp, Sequent, rank
-from .rules import GRZ, GRZ_CUT, local_height
-from .admissible import (
-    FormulaAbsent,
-    NotAProof,
-    contr_atom_left,
-    contr_atom_right,
-    inv_bot_right,
-    inv_box_right,
-    inv_imp_right,
-    linv_imp_left,
-    rinv_imp_left,
-    weakening,
-)
-from .cutelim import (
-    CutMeasure,
-    MeasureViolation,
-    cut_elim,
-    cut_elimination_step,
-    cuts_up,
-    reduce_cut,
-)
+from __future__ import annotations
 
-__all__ = [
-    "Atom",
-    "Bot",
-    "Box",
-    "Formula",
-    "Imp",
-    "Sequent",
-    "rank",
-    "GRZ",
-    "GRZ_CUT",
-    "local_height",
-    "FormulaAbsent",
-    "NotAProof",
-    "weakening",
-    "contr_atom_left",
-    "contr_atom_right",
-    "inv_bot_right",
-    "linv_imp_left",
-    "rinv_imp_left",
-    "inv_imp_right",
-    "inv_box_right",
-    "CutMeasure",
-    "MeasureViolation",
-    "reduce_cut",
-    "cuts_up",
-    "cut_elim",
-    "cut_elimination_step",
-]
+import sys
+from typing import Any
+
+from .. import _resolve
+
+# the public names, by the submodule that defines them, in ``__all__`` order
+_WHERE = {
+    name: module
+    for module, names in [
+        ("formulas", ["Atom", "Bot", "Box", "Formula", "Imp", "Sequent", "rank"]),
+        ("rules", ["GRZ", "GRZ_CUT", "local_height"]),
+        ("admissible", ["FormulaAbsent", "NotAProof", "weakening", "contr_atom_left"]),
+        ("admissible", ["contr_atom_right", "inv_bot_right", "linv_imp_left", "rinv_imp_left"]),
+        ("admissible", ["inv_imp_right", "inv_box_right"]),
+        ("cutelim", ["CutMeasure", "MeasureViolation", "reduce_cut", "cuts_up", "cut_elim"]),
+        ("cutelim", ["cut_elimination_step"]),
+    ]
+    for name in names
+}
+__all__ = list(_WHERE)
+
+
+def __getattr__(name: str) -> Any:
+    return _resolve(sys.modules[__name__], _WHERE, name)

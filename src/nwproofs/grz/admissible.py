@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..calculus import Arena, CheckReport, PNode, ProofGraph, check_proof_graph, to_nested
+from ..calculus import CheckReport, ProofGraph
+from ..store import Arena, PNode, check, to_nested
 from .formulas import Atom, Bot, Box, Formula, Imp, Sequent, mdiff
 from .rules import (
     BOX,
@@ -35,7 +36,7 @@ class FormulaAbsent(ValueError):
 
 
 def _require_proof(pg: ProofGraph) -> None:
-    report = check_proof_graph(GRZ_CUT, pg)
+    report = check(GRZ_CUT, pg)
     if not report.ok:
         raise NotAProof(f"input fails the proof check:\n{report}", report)
 

@@ -11,12 +11,13 @@ one-fragment move corecursively over the whole regular proof.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from typing import NamedTuple
 
-from ..calculus import Arena, PLink, PNode, ProofGraph
+from ..calculus import ProofGraph
 from ..coalgebra import UnfoldBudget, Unfolding
-from ..trees import EPSILON, TreeNW, Word
+from ..store import Arena, PLink, PNode, to_nested
+from ..trees import EPSILON, TreeNW
 from .admissible import (
     NotAProof,
     _require_proof,
@@ -292,21 +293,19 @@ def _has_cut(fragment: TreeNW) -> bool:
     return any(fragment.label(w)[1] == CUT for w in fragment.proper_nodes)
 
 
-def _cut_free(
-    arena: Arena, fragment: TreeNW, links: Mapping[Word, str], w: Word, on_step: StepHook | None
-) -> PNode | PLink:
-    """The node at ``w`` with every cut at or above it reduced, premises
-    before conclusions and left to right, so each cut meets cut-free
-    premises."""
-    if w in links:
-        return PLink(links[w])
-    sequent, rule = fragment.label(w)
-    kids = tuple(_cut_free(arena, fragment, links, c, on_step) for c in fragment.children(w))
-    if rule != CUT:
-        return PNode(sequent, rule, kids)
-    pa, pb = kids
-    assert isinstance(pa, PNode) and isinstance(pb, PNode)
-    return _reduce(arena, pa, pb, _derive_cut_formula(pa.sequent, pb.sequent), None, on_step)
+def _cut_free(arena: Arena, state: str, on_step: StepHook | None) -> PNode:
+    """The state's fragment with every cut reduced, premises before
+    conclusions and left to right, so each cut meets cut-free premises;
+    the walk keeps its own stack, so deep fragments do not recurse."""
+
+    def node(sequent: Sequent, rule: str, kids: tuple) -> PNode:
+        if rule != CUT:
+            return PNode(sequent, rule, kids)
+        pa, pb = kids
+        assert isinstance(pa, PNode) and isinstance(pb, PNode)
+        return _reduce(arena, pa, pb, _derive_cut_formula(pa.sequent, pb.sequent), None, on_step)
+
+    return to_nested(arena.state_fragment(state), arena.graph.links(state), node)
 
 
 def cuts_up(pg: ProofGraph, on_step: StepHook | None = None) -> ProofGraph:
@@ -324,9 +323,7 @@ def cuts_up(pg: ProofGraph, on_step: StepHook | None = None) -> ProofGraph:
     fragment = arena.state_fragment(root)
     if not _has_cut(fragment):
         return arena.view(root)
-    top = _cut_free(arena, fragment, arena.graph.links(root), EPSILON, on_step)
-    assert isinstance(top, PNode)
-    clean = arena.intern(top)
+    clean = arena.intern(_cut_free(arena, root, on_step))
     assert not _has_cut(arena.state_fragment(clean)), "root fragment must be cut free"
     return arena.view(clean)
 

@@ -15,17 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .calculus import (
-    LocalProgressCalculus,
-    PLink,
-    PNode,
-    ProofGraph,
-    check_proof_graph,
-    flatten,
-    replace_subtree,
-    subtree_at,
-    to_nested,
-)
+from .calculus import LocalProgressCalculus, ProofGraph, check_proof_graph
 from .coalgebra import BudgetError, Coalgebra, reachable, restrict
 from .grz.formulas import (
     Atom,
@@ -51,6 +41,7 @@ from .grz.rules import (
     is_bot_axiom,
 )
 from .grz.admissible import weaken_tree
+from .store import PLink, PNode, flatten, replace_subtree, subtree_at, to_nested
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,300 @@
+"""The rewriting side of the kernel; nothing in it is needed to check a proof.
+
+It holds the nested view of a fragment (:class:`PNode` with
+:class:`PLink` leaves) and its conversions to and from word tables, and
+:class:`Arena`, the hash-consed store in which ``extend``, ``cuts_up``
+and the admissible moves keep the proofs they make.  The store caches
+which of its states passed the checker; :func:`check` is the one place
+that reads or writes that cache.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Any
+
+from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, UnknownNode
+from .calculus import _check_labels, _node_label, check_proof_graph
+from .coalgebra import Coalgebra, StateId, bisim_minimize, root_first_order, validated_destructor
+from .trees import EPSILON, STAR, TreeNW, Word, format_word
+
+# -- nested fragment views ------------------------------------------------
+#
+# Rewrites of a single fragment are much easier over a recursive view
+# than over word-indexed label tables; links stay symbolic leaves.
+
+
+@dataclass(frozen=True)
+class PLink:
+    target: StateId
+
+
+@dataclass(frozen=True)
+class PNode:
+    sequent: Any
+    rule: str
+    children: tuple["PNode | PLink", ...] = ()
+    # computed once, from the children's heights, so reading it never recurses
+    height: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        height = 0
+        for c in self.children:
+            h = c.height + 1 if isinstance(c, PNode) else 1
+            if h > height:
+                height = h
+        object.__setattr__(self, "height", height)
+
+    def count(self, rule: str) -> int:
+        own = 1 if self.rule == rule else 0
+        return own + sum(c.count(rule) for c in self.children if isinstance(c, PNode))
+
+
+def to_nested(
+    fragment: TreeNW,
+    links: Mapping[Word, StateId],
+    node: Callable[[Any, str, tuple], PNode] = PNode,
+) -> PNode:
+    """The nested view of a fragment, built on an explicit stack, premises
+    before conclusions and left to right; ``node(sequent, rule, premises)``
+    makes each proper node, so a rewrite can act on every node as it is
+    built."""
+    done: list[PNode | PLink] = []  # the finished subtrees, in that order
+    stack: list[tuple[Word, int]] = [(EPSILON, -1)]  # -1 until the premises are pushed
+    while stack:
+        w, k = stack.pop()
+        if k >= 0:
+            sequent, rule = _node_label(fragment, w)
+            premises = tuple(done[len(done) - k :])
+            del done[len(done) - k :]
+            done.append(node(sequent, rule, premises))
+        elif w in fragment.nw_leaves:
+            done.append(PLink(links[w]))
+        else:
+            k = fragment.arity(w)
+            stack.append((w, k))
+            stack.extend((w + (i,), -1) for i in reversed(range(k)))
+    (top,) = done
+    assert isinstance(top, PNode)
+    return top
+
+
+def flatten(node: PNode) -> tuple[TreeNW, dict[Word, StateId]]:
+    """The word-indexed fragment and links of a nested view, laid out in
+    pre-order on an explicit stack."""
+    labels: dict[Word, Any] = {}
+    links: dict[Word, StateId] = {}
+    stack: list[tuple[PNode | PLink, Word]] = [(node, EPSILON)]
+    while stack:
+        n, at = stack.pop()
+        if isinstance(n, PLink):
+            labels[at] = STAR
+            links[at] = n.target
+            continue
+        labels[at] = (n.sequent, n.rule)
+        for i in reversed(range(len(n.children))):
+            stack.append((n.children[i], at + (i,)))
+    return TreeNW(labels), links
+
+
+def replace_subtree(node: PNode, at: Word, new: PNode | PLink) -> PNode | PLink:
+    if at == EPSILON:
+        return new
+    head, rest = at[0], at[1:]
+    kids = list(node.children)
+    child = kids[head]
+    assert isinstance(child, PNode) or rest == EPSILON
+    kids[head] = replace_subtree(child, rest, new) if isinstance(child, PNode) else new
+    return PNode(node.sequent, node.rule, tuple(kids))
+
+
+def subtree_at(node: PNode, at: Word) -> PNode | PLink:
+    cur: PNode | PLink = node
+    for i in at:
+        assert isinstance(cur, PNode)
+        cur = cur.children[i]
+    return cur
+
+
+class Arena:
+    """The append-only, hash-consed state store of one rewriting computation.
+
+    Every state carries the id of its bisimulation class, so two states
+    have the same id exactly when their rooted proofs are bisimilar.  A
+    state made by :meth:`add` links only to states already stored, so
+    it cannot change bisimilarity among them: its class is found by
+    looking up its signature, the fragment plus its successors' class
+    ids in leaf order, in a table (hash-consing after Filliâtre and
+    Conchon, "Type-safe modular hash-consing", 2006).  A graph brought
+    in by :meth:`include` may be cyclic; its new states are classified
+    once, by refining them jointly with one state of every known class.
+
+    Merging graphs renames a state only when the same id arrives with
+    different content; the rename is closed under reverse reachability
+    so shared ids always denote identical subgraphs.
+
+    The store also remembers, per calculus object, the states whose
+    proofs passed :func:`check`.
+    """
+
+    def __init__(self) -> None:
+        self._states: dict[StateId, tuple[TreeNW, dict[Word, StateId]]] = {}
+        self._counter = 0
+        self.graph = Coalgebra.view(self._states)
+        self._class: dict[StateId, int] = {}
+        self._reps: list[StateId] = []  # one state of each class, by class id
+        self._table: dict[tuple, int] = {}  # signature -> class id
+        self._certified: dict[int, tuple[LocalProgressCalculus, set[StateId]]] = {}
+
+    def view(self, state: StateId) -> ProofGraph:
+        return ProofGraph._view(self.graph, state, self)
+
+    def class_of(self, state: StateId) -> int:
+        return self._class[state]
+
+    def certified(self, calc: LocalProgressCalculus) -> set[StateId]:
+        """States whose proofs passed the check of this calculus object."""
+        # keyed by identity, and holding ``calc`` so that its id stays unique
+        return self._certified.setdefault(id(calc), (calc, set()))[1]
+
+    def include(self, pg: ProofGraph) -> StateId:
+        """Copy in the part of ``pg`` reachable from its root; returns the
+        root's id in this store."""
+        if pg.store is self:
+            return pg.root
+        part = {s: (pg.fragment(s), pg.links(s)) for s in root_first_order(pg.graph, pg.root)}
+        rename, new = self._merge(part)
+        self._classify(new)
+        return rename.get(pg.root, pg.root)
+
+    def _merge(
+        self, extra: Mapping[StateId, tuple[TreeNW, Mapping[Word, StateId]]]
+    ) -> tuple[dict[StateId, StateId], list[StateId]]:
+        conflicted = {
+            s
+            for s, (frag, links) in extra.items()
+            if s in self._states and self._states[s] != (frag, dict(links))
+        }
+        changed = True
+        while changed:
+            changed = False
+            for s, (_, links) in extra.items():
+                if s in conflicted or s not in self._states:
+                    continue
+                if any(t in conflicted for t in links.values()):
+                    conflicted.add(s)
+                    changed = True
+        rename: dict[StateId, StateId] = {}
+        for s in sorted(conflicted):
+            name = self.fresh()
+            while name in extra or name in rename.values():
+                name = self.fresh()
+            rename[s] = name
+        new: list[StateId] = []
+        for s, (frag, links) in extra.items():
+            new_id = rename.get(s, s)
+            new_links = {w: rename.get(t, t) for w, t in links.items()}
+            if new_id in self._states:
+                assert self._states[new_id] == (frag, new_links)
+            else:
+                new.append(new_id)
+            self._states[new_id] = (frag, new_links)
+        return rename, new
+
+    def _classify(self, new: list[StateId]) -> None:
+        """Class ids for states just merged in, from one refinement of them
+        jointly with a representative of every known class."""
+        if not new:
+            return
+        fresh = set(new)
+        known = len(self._reps)
+
+        def rep(t: StateId) -> StateId:
+            return t if t in fresh else self._reps[self._class[t]]
+
+        joint = {}
+        for s in self._reps + new:
+            frag, links = self._states[s]
+            joint[s] = (frag, {w: rep(t) for w, t in links.items()})
+        _, block = bisim_minimize(Coalgebra.view(joint))
+        class_of_block = {block[r]: c for c, r in enumerate(self._reps)}
+        for s in new:
+            c = class_of_block.setdefault(block[s], len(self._reps))
+            if c == len(self._reps):
+                self._reps.append(s)
+            self._class[s] = c
+        for c in range(known, len(self._reps)):
+            self._table[self._signature(*self._states[self._reps[c]])] = c
+
+    def _signature(self, fragment: TreeNW, links: Mapping[Word, StateId]) -> tuple:
+        return fragment, tuple(self._class[links[w]] for w in sorted(fragment.nw_leaves))
+
+    def fresh(self) -> StateId:
+        while True:
+            name = f"t{self._counter}"
+            self._counter += 1
+            if name not in self._states:
+                return name
+
+    def add(self, fragment: TreeNW, links: Mapping[Word, StateId]) -> StateId:
+        """Store a new state whose links lead to stored states."""
+        sid = self.fresh()
+        fragment, links = validated_destructor(sid, fragment, links, self._states)
+        _check_labels(fragment)
+        signature = self._signature(fragment, links)
+        c = self._table.setdefault(signature, len(self._reps))
+        if c == len(self._reps):
+            self._reps.append(sid)
+        self._states[sid] = (fragment, links)
+        self._class[sid] = c
+        return sid
+
+    def intern(self, node: PNode) -> StateId:
+        fragment, links = flatten(node)
+        return self.add(fragment, links)
+
+    def materialize(self, state: StateId) -> PNode:
+        fragment, links = self._states[state]
+        return to_nested(fragment, links)
+
+    def state_fragment(self, state: StateId) -> TreeNW:
+        return self._states[state][0]
+
+    def proof(self, node: PNode) -> ProofGraph:
+        return self.view(self.intern(node))
+
+
+def check(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:
+    """The checker, skipping the states of a view whose proofs passed with
+    this calculus object before; a pass certifies the states it walked.
+
+    A store never changes a stored state, so a certified state reaches
+    only certified states, and the findings and their order are those of
+    a walk over everything.  A graph outside a store is checked whole."""
+    if pg.store is None:
+        return check_proof_graph(calc, pg)
+    certified = pg.store.certified(calc)
+    report = check_proof_graph(calc, pg, certified)
+    if report.ok:
+        certified.update(root_first_order(pg.graph, pg.root, certified))
+    return report
+
+
+def subproof(pg: ProofGraph, node: Word) -> ProofGraph:
+    """The proof rooted at a node of the root fragment.
+
+    A star leaf yields the linked state's proof; an inner node becomes
+    a fresh state carrying the carved-out part of the fragment.
+    """
+    frag = pg.fragment(pg.root)
+    if node not in frag.nodes:
+        raise UnknownNode(f"node {format_word(node)} not in root fragment")
+    links = pg.links(pg.root)
+    if node in frag.nw_leaves:
+        return pg.at(links[node])
+    arena = Arena()
+    arena.include(pg)
+    nested = subtree_at(to_nested(frag, links), node)
+    assert isinstance(nested, PNode)
+    return arena.proof(nested)

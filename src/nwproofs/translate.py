@@ -9,7 +9,7 @@ the state budget) the output is a depth-budgeted unfolding with
 truncation marks.
 
 One extension keeps every proof it handles in one hash-consed
-:class:`~nwproofs.calculus.Arena`, and residuals are views of it.  The
+:class:`~nwproofs.store.Arena`, and residuals are views of it.  The
 input is copied in and minimized once; each state added later gets its
 bisimulation class by a table lookup, which stays exact because a new
 state links only to older ones.  A residual's memo key is its root's
@@ -20,9 +20,10 @@ Both conditions a step must satisfy are checked while extending, and
 only there, in ``_Engine``: every glue point must get a residual that
 passes the source checker (condition 2), and every emitted fragment,
 paired with the root sequents of its translated residuals, must pass
-the target fragment check (condition 1).  The store remembers which
-states passed, so each state's fragment is checked against the source
-once.  Without closure the output is laid out by the same driver as
+the target fragment check (condition 1).  Source checks go through the
+store's cached check, :func:`~nwproofs.store.check`, so each state's
+fragment is checked against the source once.  Without closure the
+output is laid out by the same driver as
 :func:`~nwproofs.coalgebra.unfold`, :func:`~nwproofs.coalgebra.unfold_by`,
 and :func:`validate_step` is a memo-free extension of one layer.
 """
@@ -34,15 +35,9 @@ from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from .calculus import (
-    Arena,
-    CheckReport,
-    LocalProgressCalculus,
-    ProofGraph,
-    check_proof_fragment,
-    check_proof_graph,
-)
-from .coalgebra import BudgetExceeded, Coalgebra, UnfoldBudget, Unfolding, unfold_by
+from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, check_proof_fragment
+from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, UnfoldBudget, Unfolding, unfold_by
+from .store import Arena, check
 from .trees import EPSILON, TreeNW, Truncation, Word, format_word
 
 StepOutput = tuple[TreeNW, Mapping[Word, ProofGraph]]
@@ -148,7 +143,7 @@ class _Engine:
         return self.store.class_of(pg.root), stage
 
     def check_value(self, value: tuple[ProofGraph, int], where: str) -> None:
-        report = check_proof_graph(self.source, value[0])
+        report = check(self.source, value[0])
         if not report.ok:
             raise StepContractViolation(
                 2, f"residual at {where} is not a {self.source.name} proof", report
@@ -180,6 +175,7 @@ def extend(
     Returns a closed :class:`ProofGraph` when memoization finds a finite
     set of residual keys within ``max_states``; otherwise a truncated
     :class:`Unfolding` of the translated proof, bounded by ``budget``.
+    A ``max_states`` below 1 raises :class:`BudgetError`.
     """
     return _run(_Engine(None, step), pg, budget, memo, max_states)
 
@@ -196,12 +192,14 @@ def extend_staged(
 
 
 def _require_source_proof(step: TranslationStep, pg: ProofGraph) -> None:
-    report = check_proof_graph(step.source, pg)
+    report = check(step.source, pg)
     if not report.ok:
         raise NotASourceProof(f"input is not a {step.source.name} proof:\n{report}")
 
 
 def _run(engine, pg, budget, memo, max_states):
+    if max_states < 1:
+        raise BudgetError("budget bounds must be at least 1")
     root = engine.own(pg)
     _require_source_proof(engine.step, root)
     root_value = (root, 0)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from nwproofs.calculus import PLink, PNode, ProofGraph, flatten
+from nwproofs.calculus import ProofGraph
 from nwproofs.coalgebra import Coalgebra
 from nwproofs.grz import Atom, Box, Imp, Sequent
+from nwproofs.store import PLink, PNode, flatten
 
 P = Atom(0)
 Q = Atom(1)
@@ -218,7 +219,7 @@ def boxed_context_cut_graph() -> ProofGraph:
 def cut_above_loop_graph() -> ProofGraph:
     """A cut at the root over the cyclic proof: the right premise is the
     self-looping proof weakened by the cut formula."""
-    from nwproofs.calculus import Arena
+    from nwproofs.store import Arena
     from nwproofs.grz import weakening
 
     pp = Imp(P, P)

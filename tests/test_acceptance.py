@@ -21,18 +21,12 @@ from grzlib import (
 )
 from nwproofs.calculus import (
     NotAPreProof,
-    PLink,
-    PNode,
     ProofGraph,
     check_proof_fragment,
     check_proof_graph,
     compute_fragmentation,
-    flatten,
-    replace_subtree,
-    subproof,
-    subtree_at,
-    to_nested,
 )
+from nwproofs.store import PLink, PNode, flatten, replace_subtree, subproof, subtree_at, to_nested
 from nwproofs.coalgebra import (
     Coalgebra,
     UnfoldBudget,

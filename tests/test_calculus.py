@@ -8,14 +8,12 @@ from nwproofs.calculus import (
     check_proof_fragment,
     check_proof_graph,
     compute_fragmentation,
-    flatten,
     progressing,
-    subproof,
-    to_nested,
 )
 from nwproofs.coalgebra import UnfoldBudget, unfold
 from nwproofs.fftree import FFTree
 from nwproofs.grz import GRZ, Box, Imp, local_height
+from nwproofs.store import flatten, subproof, to_nested
 from nwproofs.trees import EPSILON
 
 
@@ -55,7 +53,7 @@ def test_check_proof_graph_examples():
 def test_self_loop_with_swapped_box_children_fails():
     # move the self link to the non-progress premise of the inner box
     from grzlib import s1_node, s2_node
-    from nwproofs.calculus import replace_subtree, subtree_at
+    from nwproofs.store import replace_subtree, subtree_at
 
     good = s2_node()
 

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from grzlib import seq, P
 from nwproofs.grz import Box
 from nwproofs.cli import main
@@ -185,6 +187,17 @@ def test_budgets_out_of_range_exit_two(capsys):
         assert err == "error: budget bounds must be at least 1\n", argv
 
 
+def test_max_states_out_of_range_exits_two(capsys):
+    for bound in ("0", "-3"):
+        for argv in (
+            ["cutelim", str(CORPUS / "boxed_context_cut.proof"), "--max-states", bound],
+            ["translate", str(CORPUS / "self_loop.proof"), "--step", "identity", "--max-states", bound],
+        ):
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", "error: budget bounds must be at least 1\n"), argv
+
+
 # parses, but the axiom has a premise, so it is no grz+cut proof
 NOT_A_PROOF = """calculus grz+cut
 root s0
@@ -278,4 +291,37 @@ def test_cut_over_deep_refl_chain_is_eliminated(tmp_path, capsys):
     assert main(["check", out]) == 0
     calculus, pg = parse_proof_file(Path(out).read_text())
     assert calculus == "grz"
+    assert pg.root_sequent == seq([Box(P)], [P])
+
+
+def _chain_ante(d: int) -> str:
+    return ", ".join(["p0"] * d + ["box p0"])
+
+
+def _cut_at_root_over_chain(depth: int) -> list[str]:
+    # a root cut on p1 whose left premise is a refl chain
+    lines = ["  box p0 |- p0 : cut"]
+    for d in range(depth):
+        lines.append("  " * (d + 2) + f"{_chain_ante(d)} |- p0, p1 : {'refl' if d < depth - 1 else 'ax'}")
+    return lines + ["    p1, box p0 |- p0 : refl", "      p0, p1, box p0 |- p0 : ax"]
+
+
+def _cut_at_the_bottom_of_a_chain(depth: int) -> list[str]:
+    # a refl chain whose deepest node is a cut on p1 between two axioms
+    lines = ["  " * (d + 1) + f"{_chain_ante(d)} |- p0 : {'refl' if d < depth - 1 else 'cut'}" for d in range(depth)]
+    ante, pad = _chain_ante(depth - 1), "  " * (depth + 1)
+    return lines + [f"{pad}{ante} |- p0, p1 : ax", f"{pad}p1, {ante} |- p0 : ax"]
+
+
+@pytest.mark.parametrize("build", [_cut_at_root_over_chain, _cut_at_the_bottom_of_a_chain])
+def test_cut_in_a_fragment_deeper_than_the_recursion_limit_is_eliminated(tmp_path, capsys, build):
+    lines = ["calculus grz+cut", "root s0", "", "state s0"] + build(1200)
+    path = write(tmp_path, "deep_cut.proof", "\n".join(lines) + "\n")
+    out = str(tmp_path / "out.proof")
+
+    assert main(["cutelim", path, "-o", out]) == 0
+    assert capsys.readouterr().out.splitlines() == ["closed: yes", "states: 1"]
+    assert main(["check", out]) == 0
+    calculus, pg = parse_proof_file(Path(out).read_text())
+    assert calculus == "grz"  # which has no cut rule
     assert pg.root_sequent == seq([Box(P)], [P])

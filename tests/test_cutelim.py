@@ -15,7 +15,7 @@ from grzlib import (
     seq,
     weakening_part_cut_graph,
 )
-from nwproofs.calculus import check_proof_graph, subproof, to_nested
+from nwproofs.calculus import check_proof_graph
 from nwproofs.coalgebra import UnfoldBudget, Unfolding, canonical_form, unfold
 from nwproofs.grz import (
     GRZ,
@@ -29,6 +29,7 @@ from nwproofs.grz import (
     reduce_cut,
 )
 from nwproofs.grz.rules import CUT
+from nwproofs.store import subproof, to_nested
 from nwproofs.trees import Truncation
 
 

@@ -1,11 +1,12 @@
 import random
 
 from grzlib import P, Q, seq
-from nwproofs.calculus import check_proof_graph, to_nested
+from nwproofs.calculus import check_proof_graph
 from nwproofs.coalgebra import reachable
 from nwproofs.grz import GRZ, GRZ_CUT, Box, Imp, Sequent
 from nwproofs.grz.rules import CUT
 from nwproofs.search import SearchBudget, generate_corpus, search
+from nwproofs.store import to_nested
 
 GRZ_AXIOM = Imp(Box(Imp(Box(Imp(P, Box(P))), P)), P)
 

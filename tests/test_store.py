@@ -14,17 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import random_tree_nw
 from grzlib import P, Q, atomic_cut_graph, box_step_graph, seq
-from nwproofs import calculus, coalgebra
-from nwproofs.calculus import (
-    Arena,
-    LocalProgressCalculus,
-    ProofGraph,
-    check_proof_graph,
-)
+from nwproofs import calculus, coalgebra, store
+from nwproofs.calculus import LocalProgressCalculus, ProofGraph, check_proof_graph
 from nwproofs.coalgebra import Coalgebra, UnfoldBudget, canonical_form
 from nwproofs.grz import GRZ, GRZ_CUT, cut_elim
 from nwproofs.grz.formulas import Atom, Box, Imp, Sequent
 from nwproofs.search import SearchBudget, _plant_cut, search
+from nwproofs.store import Arena, PNode, check
 from nwproofs.translate import StepContractViolation, TranslationStep, extend, identity_step
 from nwproofs.trees import EPSILON, STAR, TreeNW
 
@@ -76,12 +72,12 @@ def test_store_classes_agree_with_canonical_form(rng):
 def test_certification_does_not_leak_between_calculi():
     arena = Arena()
     view = arena.view(arena.include(atomic_cut_graph()))
-    assert check_proof_graph(GRZ_CUT, view).ok
+    assert check(GRZ_CUT, view).ok
     assert view.root in arena.certified(GRZ_CUT)
-    assert not check_proof_graph(GRZ, view).ok
+    assert not check(GRZ, view).ok
     # the cache is keyed by the calculus object, not by its name
     impostor = LocalProgressCalculus(GRZ_CUT.name, GRZ.rules, GRZ.progress)
-    assert not check_proof_graph(impostor, view).ok
+    assert not check(impostor, view).ok
     assert view.root not in arena.certified(GRZ)
 
 
@@ -92,18 +88,48 @@ def _star_tree(sequent, rule: str, leaves: int) -> TreeNW:
 def test_failing_report_matches_the_uncached_checker():
     arena = Arena()
     good = arena.view(arena.include(box_step_graph()))
-    assert check_proof_graph(GRZ, good).ok
+    assert check(GRZ, good).ok
     s0, s1 = good.root, good.links(good.root)[(1,)]
     j1 = arena.add(_star_tree(seq([P], []), "box", 2), {(0,): s1, (1,): s0})
     j2 = arena.add(_star_tree(seq([Q], []), "impr", 2), {(0,): j1, (1,): s1})
     top = arena.add(_star_tree(seq([], [P]), "refl", 3), {(0,): j2, (1,): s0, (2,): j1})
     view = arena.view(top)
-    cached = check_proof_graph(GRZ, view)
+    cached = check(GRZ, view)
     uncached = check_proof_graph(GRZ, view.pruned())
     assert len(cached.findings) == 3
     assert cached.findings == uncached.findings
     assert str(cached) == str(uncached)
     assert not {top, j1, j2} & arena.certified(GRZ)
+
+
+def _cache(arena: Arena) -> dict:
+    return {calc.name: set(arena.certified(calc)) for calc in (GRZ, GRZ_CUT)}
+
+
+def test_the_checker_neither_reads_nor_fills_the_store_cache():
+    arena = Arena()
+    good = arena.view(arena.include(box_step_graph()))
+    assert check(GRZ, good).ok
+    s0, s1 = good.root, good.links(good.root)[(1,)]
+    bad = arena.view(arena.add(_star_tree(seq([P], []), "box", 2), {(0,): s1, (1,): s0}))
+    # a certified mark the checker must not trust
+    arena.certified(GRZ).add(bad.root)
+    before = _cache(arena)
+    assert check_proof_graph(GRZ, good).ok
+    assert check_proof_graph(GRZ_CUT, good).ok
+    failing = check_proof_graph(GRZ, bad)
+    assert failing.findings == check_proof_graph(GRZ, bad.pruned()).findings
+    assert not failing.ok
+    assert _cache(arena) == before
+
+
+def test_calculus_forwards_the_store_names_the_benchmark_imports():
+    from nwproofs.calculus import Arena as ForwardedArena, PNode as ForwardedPNode
+
+    assert ForwardedArena is Arena and ForwardedPNode is PNode
+    assert Arena.__module__ == PNode.__module__ == store.__name__
+    with pytest.raises(ImportError):
+        from nwproofs.calculus import flatten  # noqa: F401
 
 
 def _box_chain(n: int) -> Sequent:

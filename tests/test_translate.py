@@ -214,7 +214,7 @@ def test_staged_one_fragment_delay_keeps_root_cuts_only():
     out = extend_staged(staged, pg, UnfoldBudget(max_depth=5))
     assert not isinstance(out, Unfolding)
     assert check_proof_graph(GRZ_CUT, out).ok
-    from nwproofs.calculus import to_nested
+    from nwproofs.store import to_nested
 
     root_cuts = to_nested(out.fragment(out.root), out.links(out.root)).count(CUT)
     assert root_cuts == 1
