@@ -8,10 +8,13 @@ leaf sequents read off the linked states, certifies the whole
 non-wellfounded proof.  There is one checker, :func:`check_proof_graph`,
 walking states in the coalgebra's one root-first order
 (:func:`~nwproofs.coalgebra.root_first_order`); :func:`check_pre_proof`
-keeps the rule findings of its report.
+keeps the rule findings of its report.  One call decides each distinct
+``(rule, premises, conclusion)`` instance once, however many nodes and
+states it labels; the glue-point test still runs at every node.
 
 This module is the checker and nothing else: it never changes a proof
-and keeps nothing between calls.  What rewrites proofs is in
+and keeps nothing between calls; a table of decided instances belongs
+to one call or to its caller.  What rewrites proofs is in
 :mod:`nwproofs.store`.
 
 Sequents are opaque here: anything hashable with equality works.
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .coalgebra import Coalgebra, StateId, UnknownState, reachable, restrict, root_first_order
-from .trees import EPSILON, TreeNW, Truncation, Word, format_word
+from .trees import EPSILON, STAR, TreeNW, Truncation, Word, format_word
 
 if TYPE_CHECKING:
     from .store import Arena
@@ -184,17 +187,17 @@ def _instance_at(
     """Premise sequents, conclusion, and rule name at a proper node."""
     sequent, rule = _node_label(tree, w)
     premises = []
-    for child in tree.children(w):
-        if child in tree.nw_leaves:
+    for i in range(tree.arity(w)):
+        child = w + (i,)
+        label = tree.label(child)
+        if label is STAR:
             if child not in leaf_sequents:
                 raise CalculusError(f"no sequent supplied for leaf {format_word(child)}")
             premises.append(leaf_sequents[child])
+        elif isinstance(label, Truncation):
+            premises.append(label.label[0])
         else:
-            label = tree.label(child)
-            if isinstance(label, Truncation):
-                premises.append(label.label[0])
-            else:
-                premises.append(_node_label(tree, child)[0])
+            premises.append(_node_label(tree, child)[0])
     return tuple(premises), sequent, rule
 
 
@@ -203,22 +206,43 @@ def check_proof_fragment(
     tree: TreeNW,
     leaf_sequents: Mapping[Word, Any],
     state: StateId | None = None,
+    *,
+    decided: dict | None = None,
 ) -> CheckReport:
     """Check one fragment: every proper node is a rule instance and its
-    star leaves sit exactly at the progressing premises."""
+    star leaves sit exactly at the progressing premises.
+
+    ``decided`` maps each ``(rule, premises, conclusion)`` instance
+    already decided with this ``calc`` to its progress set, or to None
+    for a non-instance; it is valid for one calculus only.  The matcher
+    runs on instances missing from it, and they are added.  Glue points
+    are tested at every node, and a failing instance is reported at
+    every node it labels."""
+    if decided is None:
+        decided = {}
     report = CheckReport()
-    for w in sorted(tree.proper_nodes):
-        if isinstance(tree.label(w), Truncation):
+    for w, label in tree.key:
+        if label is STAR or isinstance(label, Truncation):
             continue
         premises, sequent, rule = _instance_at(calc, tree, w, leaf_sequents)
-        if not calc.is_instance(rule, premises, sequent):
+        instance = (rule, premises, sequent)
+        try:
+            prog = decided[instance]
+        except KeyError:
+            prog = decided[instance] = (
+                calc.progress_set(rule, premises, sequent)
+                if calc.is_instance(rule, premises, sequent)
+                else None
+            )
+        if prog is None:
             report.findings.append(
                 Finding(state, w, "rule", f"not an instance of {rule}")
             )
             continue
-        prog = calc.progress_set(rule, premises, sequent)
-        for i, child in enumerate(tree.children(w)):
-            is_boundary = child in tree.nw_leaves or isinstance(tree.label(child), Truncation)
+        for i in range(tree.arity(w)):
+            child = w + (i,)
+            below = tree.label(child)
+            is_boundary = below is STAR or isinstance(below, Truncation)
             if is_boundary != (i in prog):
                 expect = "a glue point" if i in prog else "an ordinary premise"
                 report.findings.append(
@@ -239,11 +263,16 @@ def check_proof_graph(
 
     States in ``skip`` are neither checked nor entered: a caller passes
     the states whose proofs it has already seen pass with ``calc``.
+    Every fragment check of one call shares one table of decided
+    instances.
     """
     report = CheckReport()
+    decided: dict = {}
     for state in root_first_order(pg.graph, pg.root, skip):
         report.extend(
-            check_proof_fragment(calc, pg.fragment(state), _leaf_sequents_for(pg, state), state)
+            check_proof_fragment(
+                calc, pg.fragment(state), _leaf_sequents_for(pg, state), state, decided=decided
+            )
         )
     return report
 

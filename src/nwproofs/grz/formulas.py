@@ -187,10 +187,6 @@ def mtotal(m: Mset) -> int:
     return sum(n for _, n in m)
 
 
-def mformulas(m: Mset) -> list[Formula]:
-    return [f for f, _ in m]
-
-
 def mexpand(m: Mset) -> list[Formula]:
     out = []
     for f, n in m:

@@ -18,7 +18,6 @@ from .formulas import (
     Mset,
     Sequent,
     mdiff,
-    mformulas,
 )
 
 AX = "ax"
@@ -38,9 +37,7 @@ def _single(m: Mset) -> Formula | None:
 
 
 def is_axiom(s: Sequent) -> bool:
-    return any(
-        isinstance(f, Atom) and s.right_count(f) > 0 for f in mformulas(s.ante)
-    )
+    return any(isinstance(f, Atom) and s.right_count(f) > 0 for f, _ in s.ante)
 
 
 def is_bot_axiom(s: Sequent) -> bool:
@@ -74,7 +71,7 @@ def match_box(premises: tuple, concl: Sequent) -> bool:
     f = _single(p1.succ)
     if f is None:
         return False
-    if not all(isinstance(g, Box) for g in mformulas(p1.ante)):
+    if not all(isinstance(g, Box) for g, _ in p1.ante):
         return False
     boxed = Box(f)
     if concl.right_count(boxed) == 0:
@@ -124,7 +121,7 @@ def local_height(pg: ProofGraph) -> int:
 
 
 def imp_left_principal(premises: tuple, concl: Sequent) -> Imp | None:
-    for f in mformulas(concl.ante):
+    for f, _ in concl.ante:
         if isinstance(f, Imp):
             rest = concl.drop_left(f)
             if premises[0] == rest.with_right(f.left) and premises[1] == rest.with_left(f.right):
@@ -133,7 +130,7 @@ def imp_left_principal(premises: tuple, concl: Sequent) -> Imp | None:
 
 
 def imp_right_principal(premises: tuple, concl: Sequent) -> Imp | None:
-    for f in mformulas(concl.succ):
+    for f, _ in concl.succ:
         if isinstance(f, Imp):
             if premises[0] == concl.drop_right(f).with_left(f.left).with_right(f.right):
                 return f

@@ -25,7 +25,6 @@ from .grz.formulas import (
     Imp,
     Sequent,
     formula_key,
-    mformulas,
 )
 from .grz.rules import (
     AX,
@@ -188,14 +187,14 @@ class _Search:
         if height == 0:
             return
 
-        succ_imp = next((g for g in mformulas(goal.succ) if isinstance(g, Imp)), None)
+        succ_imp = next((g for g, _ in goal.succ if isinstance(g, Imp)), None)
         if succ_imp is not None:
             premise = goal.drop_right(succ_imp).with_left(succ_imp.left).with_right(succ_imp.right)
             for sub in self._fragments(premise, height - 1, reflected, cut_used):
                 yield PNode(goal, IMP_RIGHT, (sub,))
             return
 
-        ante_imp = next((g for g in mformulas(goal.ante) if isinstance(g, Imp)), None)
+        ante_imp = next((g for g, _ in goal.ante if isinstance(g, Imp)), None)
         if ante_imp is not None:
             rest = goal.drop_left(ante_imp)
             left, right = rest.with_right(ante_imp.left), rest.with_left(ante_imp.right)
@@ -205,7 +204,7 @@ class _Search:
             return
 
         fresh_box = next(
-            (g for g in mformulas(goal.ante) if isinstance(g, Box) and g not in reflected),
+            (g for g, _ in goal.ante if isinstance(g, Box) and g not in reflected),
             None,
         )
         if fresh_box is not None:
@@ -215,7 +214,7 @@ class _Search:
             return
 
         boxes = [f for f, n in goal.ante for _ in range(n) if isinstance(f, Box)]
-        for f in self._order([g for g in mformulas(goal.succ) if isinstance(g, Box)]):
+        for f in self._order([g for g, _ in goal.succ if isinstance(g, Box)]):
             left = goal.drop_right(f).with_right(f.body)
             pending = Sequent.of(boxes, [f.body])
             for sub in self._fragments(left, height - 1, reflected, cut_used):

@@ -22,7 +22,9 @@ passes the source checker (condition 2), and every emitted fragment,
 paired with the root sequents of its translated residuals, must pass
 the target fragment check (condition 1).  Source checks go through the
 store's cached check, :func:`~nwproofs.store.check`, so each state's
-fragment is checked against the source once.  Without closure the
+fragment is checked against the source once.  Target checks share one
+table of decided instances per extension, so a rule instance that
+repeats across emitted fragments is matched once.  Without closure the
 output is laid out by the same driver as
 :func:`~nwproofs.coalgebra.unfold`, :func:`~nwproofs.coalgebra.unfold_by`,
 and :func:`validate_step` is a memo-free extension of one layer.
@@ -116,6 +118,7 @@ class _Engine:
         self.source = step.source
         self.target = step.target
         self.store = Arena()
+        self.decided: dict = {}  # target instances, shared by every fragment check
 
     def apply(self, value: tuple[ProofGraph, int]) -> tuple[TreeNW, dict[Word, tuple[ProofGraph, int]], bool]:
         pg, stage = value
@@ -156,7 +159,7 @@ class _Engine:
         where: str,
         switched: bool,
     ) -> None:
-        report = check_proof_fragment(self.target, fragment, leaf_sequents)
+        report = check_proof_fragment(self.target, fragment, leaf_sequents, decided=self.decided)
         if report.ok:
             return
         cls = CompatibilityViolation if switched else StepContractViolation

@@ -1,8 +1,13 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from grzlib import P, Q, ax_graph, box_step_graph, graph, link, node, self_loop_graph, seq
 from nwproofs.calculus import (
+    Finding,
     NotAPreProof,
+    ProofGraph,
     UnknownNode,
     check_pre_proof,
     check_proof_fragment,
@@ -10,11 +15,14 @@ from nwproofs.calculus import (
     compute_fragmentation,
     progressing,
 )
-from nwproofs.coalgebra import UnfoldBudget, unfold
+from nwproofs.coalgebra import Coalgebra, UnfoldBudget, root_first_order, unfold
 from nwproofs.fftree import FFTree
-from nwproofs.grz import GRZ, Box, Imp, local_height
+from nwproofs.graphfile import parse_proof_file
+from nwproofs.grz import GRZ, GRZ_CUT, Box, Imp, local_height
 from nwproofs.store import flatten, subproof, to_nested
-from nwproofs.trees import EPSILON
+from nwproofs.trees import EPSILON, TreeNW
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_axiom_fragment_passes():
@@ -213,3 +221,80 @@ def test_nested_round_trip():
     frag, links = flatten(nested)
     assert frag == pg.fragment("s2")
     assert links == pg.links("s2")
+
+
+# -- the checker against a memo-free reference -------------------------------
+
+
+def _reference_findings(calc, pg: ProofGraph) -> list[Finding]:
+    """Every proper node matched on its own, states root first, nodes in
+    word order."""
+    findings = []
+    for state in root_first_order(pg.graph, pg.root):
+        frag = pg.fragment(state)
+        leaves = {w: pg.state_sequent(t) for w, t in pg.links(state).items()}
+        for w in sorted(frag.proper_nodes):
+            sequent, rule = frag.label(w)
+            kids = [w + (i,) for i in range(frag.arity(w))]
+            premises = tuple(leaves[c] if c in frag.nw_leaves else frag.label(c)[0] for c in kids)
+            if not calc.is_instance(rule, premises, sequent):
+                findings.append(Finding(state, w, "rule", f"not an instance of {rule}"))
+                continue
+            prog = calc.progress_set(rule, premises, sequent)
+            for i, c in enumerate(kids):
+                if (c in frag.nw_leaves) != (i in prog):
+                    expect = "a glue point" if i in prog else "an ordinary premise"
+                    findings.append(Finding(state, c, "progress", f"premise {i} must be {expect}"))
+    return findings
+
+
+def _mutated(rng: random.Random, pg: ProofGraph) -> ProofGraph:
+    """``pg`` with one node's rule name, or its sequent, replaced by one
+    used elsewhere in the graph."""
+    dest = pg.graph.destructors()
+    state = rng.choice(sorted(dest))
+    frag, links = dest[state]
+    labels = frag.labels()
+    w = rng.choice(sorted(frag.proper_nodes))
+    sequent, rule = labels[w]
+    if rng.random() < 0.5:
+        labels[w] = sequent, rng.choice([r for r in sorted(GRZ_CUT.rules) if r != rule])
+    else:
+        pool = {}
+        for f, _ in dest.values():
+            for v in sorted(f.proper_nodes):
+                pool.setdefault(repr(f.label(v)[0]), f.label(v)[0])
+        labels[w] = pool[rng.choice(sorted(pool))], rule
+    dest[state] = TreeNW(labels), links
+    return ProofGraph(Coalgebra(dest), pg.root)
+
+
+def _golden_graphs() -> list[ProofGraph]:
+    return [parse_proof_file(path.read_text())[1] for path in sorted(CORPUS.glob("*.proof"))]
+
+
+def test_checker_findings_match_the_memo_free_reference():
+    graphs = _golden_graphs()
+    assert len(graphs) == 9
+    rng = random.Random(7)
+    cases = graphs + [_mutated(rng, pg) for pg in graphs for _ in range(20)]
+    failing = 0
+    for pg in cases:
+        for calc in (GRZ, GRZ_CUT):
+            findings = check_proof_graph(calc, pg).findings
+            assert findings == _reference_findings(calc, pg)
+            failing += bool(findings)
+    assert failing > len(cases)
+
+
+def test_a_repeated_non_instance_is_reported_in_every_state():
+    # "|- p0 : ax" is no axiom; it labels a node of s0 and the root of s1
+    bad = node(seq([], [P]), "ax")
+    pg = graph("s0", s0=node(seq([], [Box(P)]), "box", bad, link("s1")), s1=bad)
+    for calc in (GRZ, GRZ_CUT):
+        findings = check_proof_graph(calc, pg).findings
+        assert findings == _reference_findings(calc, pg)
+        assert [(f.state, f.node, f.condition) for f in findings] == [
+            ("s0", (0,), "rule"),
+            ("s1", EPSILON, "rule"),
+        ]

@@ -215,3 +215,33 @@ def test_extend_works_once_per_state(n, monkeypatch):
         assert counts["check"] <= len(source.states) + counts["add"] + len(out.states)
         assert counts["canonical"] == 0
         assert counts["minimize"] <= 1
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_extend_decides_each_instance_once_per_scope(n, monkeypatch):
+    """Counts, not times: the rule matchers run at most once per distinct
+    instance in the source checks and once in the target checks, however
+    often the instance repeats across states."""
+    pg = _nested(n)
+    cut = _plant_cut(random.Random(n), pg)
+    matched: list[tuple] = []
+
+    def wrap(rule, matcher):
+        def counted(premises, concl):
+            matched.append((rule, premises, concl))
+            return matcher(premises, concl)
+
+        return counted
+
+    for calc in (GRZ, GRZ_CUT):
+        for rule, matcher in list(calc.rules.items()):
+            monkeypatch.setitem(calc.rules, rule, wrap(rule, matcher))
+    runs = [
+        lambda: extend(identity_step(GRZ), pg, UnfoldBudget(4), max_states=10_000),
+        lambda: cut_elim(cut),
+    ]
+    for run in runs:
+        matched.clear()
+        assert isinstance(run(), ProofGraph)
+        assert matched
+        assert len(matched) <= 2 * len(set(matched))
