@@ -10,11 +10,13 @@ walking states in the coalgebra's one root-first order
 (:func:`~nwproofs.coalgebra.root_first_order`); :func:`check_pre_proof`
 keeps the rule findings of its report.  One call decides each distinct
 ``(rule, premises, conclusion)`` instance once, however many nodes and
-states it labels; the glue-point test still runs at every node.
+states it labels, and each fragment once per leaf sequents it passes
+with; a walk validates each label once, straight from the word table.
 
 This module is the checker and nothing else: it never changes a proof
-and keeps nothing between calls; a table of decided instances belongs
-to one call or to its caller.  What rewrites proofs is in
+and keeps nothing between calls.  Its ``decided`` table of instances
+and passed fragments (never a failing one) is valid for one calculus
+and belongs to one call or to its caller.  What rewrites proofs is in
 :mod:`nwproofs.store`.
 
 Sequents are opaque here: anything hashable with equality works.
@@ -34,6 +36,7 @@ if TYPE_CHECKING:
 
 Matcher = Callable[[tuple, Any], bool]
 ProgressFn = Callable[[str, tuple, Any], frozenset[int]]
+_MISSING = object()  # stands for a leaf sequent not supplied
 
 
 class CalculusError(ValueError):
@@ -81,6 +84,7 @@ class Finding:
 @dataclass
 class CheckReport:
     findings: list[Finding] = field(default_factory=list)
+    states: list[StateId] = field(default_factory=list, compare=False)  # walked by a graph check
 
     @property
     def ok(self) -> bool:
@@ -93,16 +97,17 @@ class CheckReport:
         return "\n".join(str(f) for f in self.findings) if self.findings else "ok"
 
 
-def _node_label(tree: TreeNW, w: Word) -> tuple[Any, str]:
-    label = tree.label(w)
+def _sequent_rule(label: Any, w: Word) -> tuple[Any, str]:
+    """``label``, read at proper node ``w``, once it has the shape (sequent, rule)."""
     if not (isinstance(label, tuple) and len(label) == 2 and isinstance(label[1], str)):
         raise CalculusError(f"node {format_word(w)} is not labelled with (sequent, rule)")
     return label
 
 
 def _check_labels(frag: TreeNW) -> None:
-    for w in frag.proper_nodes:
-        _node_label(frag, w)
+    for w, label in frag.key:
+        if label is not STAR:
+            _sequent_rule(label, w)
 
 
 class ProofGraph:
@@ -154,7 +159,7 @@ class ProofGraph:
         return self.graph.links(state)
 
     def state_sequent(self, state: StateId) -> Any:
-        return _node_label(self.graph.fragment(state), EPSILON)[0]
+        return _sequent_rule(self.graph.fragment(state).label(EPSILON), EPSILON)[0]
 
     @property
     def root_sequent(self) -> Any:
@@ -178,27 +183,23 @@ class ProofGraph:
         return f"ProofGraph(root={self.root!r}, states={sorted(self.states)})"
 
 
-def _instance_at(
-    calc: LocalProgressCalculus,
-    tree: TreeNW,
-    w: Word,
-    leaf_sequents: Mapping[Word, Any],
-) -> tuple[tuple, Any, str]:
-    """Premise sequents, conclusion, and rule name at a proper node."""
-    sequent, rule = _node_label(tree, w)
-    premises = []
-    for i in range(tree.arity(w)):
+def _premises(tree: TreeNW, w: Word, leaf_sequents: Mapping[Word, Any]) -> tuple[tuple, list[int]]:
+    """The premise sequents of proper node ``w`` and the indices of its glue points."""
+    labels, premises, glue = tree._labels, [], []  # the table is read, never written
+    for i in range(tree._arity[w]):
         child = w + (i,)
-        label = tree.label(child)
+        label = labels[child]
         if label is STAR:
             if child not in leaf_sequents:
                 raise CalculusError(f"no sequent supplied for leaf {format_word(child)}")
             premises.append(leaf_sequents[child])
+            glue.append(i)
         elif isinstance(label, Truncation):
             premises.append(label.label[0])
+            glue.append(i)
         else:
-            premises.append(_node_label(tree, child)[0])
-    return tuple(premises), sequent, rule
+            premises.append(_sequent_rule(label, child)[0])
+    return tuple(premises), glue
 
 
 def check_proof_fragment(
@@ -217,14 +218,27 @@ def check_proof_fragment(
     for a non-instance; it is valid for one calculus only.  The matcher
     runs on instances missing from it, and they are added.  Glue points
     are tested at every node, and a failing instance is reported at
-    every node it labels."""
+    every node it labels.  A fragment that passes is recorded too, with
+    its leaf sequents in leaf-word order, and that pair passes again
+    without a walk; a failing one is walked, and reported, every time."""
     if decided is None:
         decided = {}
+    stars = decided.get(tree)  # its star leaves in word order, once it has passed
+    if stars is not None:
+        if (tree, tuple([leaf_sequents.get(w, _MISSING) for w in stars])) in decided:
+            return CheckReport()
     report = CheckReport()
+    truncated: set[Word] = set()  # a truncation's children are read as nodes only
     for w, label in tree.key:
-        if label is STAR or isinstance(label, Truncation):
+        if label is STAR:
             continue
-        premises, sequent, rule = _instance_at(calc, tree, w, leaf_sequents)
+        if isinstance(label, Truncation):
+            truncated.add(w)
+            continue
+        if not w or (truncated and w[:-1] in truncated):
+            _sequent_rule(label, w)
+        sequent, rule = label
+        premises, glue = _premises(tree, w, leaf_sequents)
         instance = (rule, premises, sequent)
         try:
             prog = decided[instance]
@@ -235,45 +249,44 @@ def check_proof_fragment(
                 else None
             )
         if prog is None:
-            report.findings.append(
-                Finding(state, w, "rule", f"not an instance of {rule}")
-            )
-            continue
-        for i in range(tree.arity(w)):
-            child = w + (i,)
-            below = tree.label(child)
-            is_boundary = below is STAR or isinstance(below, Truncation)
-            if is_boundary != (i in prog):
-                expect = "a glue point" if i in prog else "an ordinary premise"
-                report.findings.append(
-                    Finding(state, child, "progress", f"premise {i} must be {expect}")
-                )
+            report.findings.append(Finding(state, w, "rule", f"not an instance of {rule}"))
+        elif glue or prog:
+            for i in range(len(premises)):
+                if (i in glue) != (i in prog):
+                    expect = "a glue point" if i in prog else "an ordinary premise"
+                    report.findings.append(
+                        Finding(state, w + (i,), "progress", f"premise {i} must be {expect}")
+                    )
+    if not report.findings:
+        stars = decided.setdefault(tree, tuple(w for w, label in tree.key if label is STAR))
+        decided[tree, tuple([leaf_sequents.get(w, _MISSING) for w in stars])] = True
     return report
 
 
-def _leaf_sequents_for(pg: ProofGraph, state: StateId) -> dict[Word, Any]:
-    return {w: pg.state_sequent(t) for w, t in pg.links(state).items()}
+def _leaf_sequents(dest: Mapping[StateId, tuple[TreeNW, Any]], state: StateId) -> dict[Word, Any]:
+    """The root sequent of each state that ``state`` links to."""
+    links = dest[state][1]
+    return {w: _sequent_rule(dest[links[w]][0].label(EPSILON), EPSILON)[0] for w in links}
 
 
 def check_proof_graph(
-    calc: LocalProgressCalculus, pg: ProofGraph, skip: Container[StateId] = ()
+    calc: LocalProgressCalculus, pg: ProofGraph, skip: Container[StateId] = (), *,
+    decided: dict | None = None,
 ) -> CheckReport:
     """Check every state reachable from the root; passing certifies the
     whole unfolded proof because fragments repeat state by state.
 
     States in ``skip`` are neither checked nor entered: a caller passes
     the states whose proofs it has already seen pass with ``calc``.
-    Every fragment check of one call shares one table of decided
-    instances.
+    One ``decided`` table, the caller's or a fresh one, serves every
+    fragment check; the report lists the states checked.
     """
-    report = CheckReport()
-    decided: dict = {}
-    for state in root_first_order(pg.graph, pg.root, skip):
-        report.extend(
-            check_proof_fragment(
-                calc, pg.fragment(state), _leaf_sequents_for(pg, state), state, decided=decided
-            )
-        )
+    report = CheckReport(states=root_first_order(pg.graph, pg.root, skip))
+    decided = {} if decided is None else decided
+    dest = pg.graph._dest  # read, never written
+    for state in report.states:
+        leaves = _leaf_sequents(dest, state)
+        report.extend(check_proof_fragment(calc, dest[state][0], leaves, state, decided=decided))
     return report
 
 
@@ -291,8 +304,8 @@ def progressing(calc: LocalProgressCalculus, pg: ProofGraph, state: StateId, nod
         raise UnknownNode(f"node {format_word(node)} not in state {state!r}")
     if node == EPSILON:
         return False
-    parent = node[:-1]
-    premises, sequent, rule = _instance_at(calc, frag, parent, _leaf_sequents_for(pg, state))
+    sequent, rule = _sequent_rule(frag.label(node[:-1]), node[:-1])
+    premises = _premises(frag, node[:-1], _leaf_sequents(pg.graph._dest, state))[0]
     return node[-1] in calc.progress_set(rule, premises, sequent)
 
 
@@ -312,7 +325,8 @@ def compute_fragmentation(
         label = tree.label(w)
         if isinstance(label, Truncation):
             continue
-        premises, sequent, rule = _instance_at(calc, tree, w, {})
+        sequent, rule = _sequent_rule(label, w)
+        premises = _premises(tree, w, {})[0]
         if not calc.is_instance(rule, premises, sequent):
             raise NotAPreProof(f"node {format_word(w)} is not an instance of {rule}")
         prog = calc.progress_set(rule, premises, sequent)

@@ -4,8 +4,13 @@ It holds the nested view of a fragment (:class:`PNode` with
 :class:`PLink` leaves) and its conversions to and from word tables, and
 :class:`Arena`, the hash-consed store in which ``extend``, ``cuts_up``
 and the admissible moves keep the proofs they make.  The store caches
-which of its states passed the checker; :func:`check` is the one place
-that reads or writes that cache.
+which of its states passed the checker, and what the checker decided,
+in one pair of tables per calculus object; :func:`check` and the
+target checks of ``extend`` are the places that read or write them.
+Sharing them across checks is sound: a stored state never changes, so
+a state that passed still passes, and whether an instance, or a
+fragment over given leaf sequents, passes depends on the calculus
+alone.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, UnknownNode
-from .calculus import _check_labels, _node_label, check_proof_graph
+from .calculus import _check_labels, _sequent_rule, check_proof_graph
 from .coalgebra import Coalgebra, StateId, bisim_minimize, root_first_order, validated_destructor
 from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
@@ -65,7 +70,7 @@ def to_nested(
     while stack:
         w, k = stack.pop()
         if k >= 0:
-            sequent, rule = _node_label(fragment, w)
+            sequent, rule = _sequent_rule(fragment.label(w), w)
             premises = tuple(done[len(done) - k :])
             del done[len(done) - k :]
             done.append(node(sequent, rule, premises))
@@ -134,8 +139,9 @@ class Arena:
     different content; the rename is closed under reverse reachability
     so shared ids always denote identical subgraphs.
 
-    The store also remembers, per calculus object, the states whose
-    proofs passed :func:`check`.
+    The store also keeps, per calculus object, the states whose proofs
+    passed :func:`check` and the table of instances and fragments the
+    checker decided.
     """
 
     def __init__(self) -> None:
@@ -145,7 +151,7 @@ class Arena:
         self._class: dict[StateId, int] = {}
         self._reps: list[StateId] = []  # one state of each class, by class id
         self._table: dict[tuple, int] = {}  # signature -> class id
-        self._certified: dict[int, tuple[LocalProgressCalculus, set[StateId]]] = {}
+        self._checked: dict[int, tuple[LocalProgressCalculus, set[StateId], dict]] = {}
 
     def view(self, state: StateId) -> ProofGraph:
         return ProofGraph._view(self.graph, state, self)
@@ -155,8 +161,18 @@ class Arena:
 
     def certified(self, calc: LocalProgressCalculus) -> set[StateId]:
         """States whose proofs passed the check of this calculus object."""
+        return self._tables(calc)[1]
+
+    def decided(self, calc: LocalProgressCalculus) -> dict:
+        """The instances and fragments decided with this calculus object,
+        as :func:`~nwproofs.calculus.check_proof_fragment` keeps them."""
+        return self._tables(calc)[2]
+
+    def _tables(self, calc: LocalProgressCalculus) -> tuple[Any, set[StateId], dict]:
         # keyed by identity, and holding ``calc`` so that its id stays unique
-        return self._certified.setdefault(id(calc), (calc, set()))[1]
+        if id(calc) not in self._checked:
+            self._checked[id(calc)] = (calc, set(), {})
+        return self._checked[id(calc)]
 
     def include(self, pg: ProofGraph) -> StateId:
         """Copy in the part of ``pg`` reachable from its root; returns the
@@ -275,9 +291,9 @@ def check(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:
     if pg.store is None:
         return check_proof_graph(calc, pg)
     certified = pg.store.certified(calc)
-    report = check_proof_graph(calc, pg, certified)
+    report = check_proof_graph(calc, pg, certified, decided=pg.store.decided(calc))
     if report.ok:
-        certified.update(root_first_order(pg.graph, pg.root, certified))
+        certified.update(report.states)
     return report
 
 

@@ -22,9 +22,12 @@ passes the source checker (condition 2), and every emitted fragment,
 paired with the root sequents of its translated residuals, must pass
 the target fragment check (condition 1).  Source checks go through the
 store's cached check, :func:`~nwproofs.store.check`, so each state's
-fragment is checked against the source once.  Target checks share one
-table of decided instances per extension, so a rule instance that
-repeats across emitted fragments is matched once.  Without closure the
+fragment is checked against the source once.  Target checks use the
+store's table of what the checker decided with the target calculus, so
+a rule instance that repeats across emitted fragments is matched once,
+and a fragment that a step hands back unchanged, over the same leaf
+sequents, is looked up rather than walked again when the source check
+with the same calculus object passed it.  Without closure the
 output is laid out by the same driver as
 :func:`~nwproofs.coalgebra.unfold`, :func:`~nwproofs.coalgebra.unfold_by`,
 and :func:`validate_step` is a memo-free extension of one layer.
@@ -118,7 +121,7 @@ class _Engine:
         self.source = step.source
         self.target = step.target
         self.store = Arena()
-        self.decided: dict = {}  # target instances, shared by every fragment check
+        self.decided = self.store.decided(self.target)  # shared with the store's checks
 
     def apply(self, value: tuple[ProofGraph, int]) -> tuple[TreeNW, dict[Word, tuple[ProofGraph, int]], bool]:
         pg, stage = value

@@ -5,6 +5,7 @@ import pytest
 
 from grzlib import P, Q, ax_graph, box_step_graph, graph, link, node, self_loop_graph, seq
 from nwproofs.calculus import (
+    CalculusError,
     Finding,
     NotAPreProof,
     ProofGraph,
@@ -20,7 +21,7 @@ from nwproofs.fftree import FFTree
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, Box, Imp, local_height
 from nwproofs.store import flatten, subproof, to_nested
-from nwproofs.trees import EPSILON, TreeNW
+from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -298,3 +299,35 @@ def test_a_repeated_non_instance_is_reported_in_every_state():
             ("s0", (0,), "rule"),
             ("s1", EPSILON, "rule"),
         ]
+
+
+def test_checker_errors_name_the_label_the_walk_reads_first():
+    ok_refl = (seq([Box(P)], [P]), "refl")
+    ok_ax = (seq([P, Box(P)], [P]), "ax")
+    box = (seq([Box(P)], [Box(P)]), "box")
+    unlabelled = "node {} is not labelled with (sequent, rule)"
+    glued = {EPSILON: box, (0,): ok_refl, (0, 0): ok_ax, (1,): STAR}
+    cases = [
+        ({EPSILON: None}, unlabelled.format(".")),
+        ({EPSILON: ok_refl, (0,): ("p0",)}, unlabelled.format("0")),
+        # below a truncation, a node's label is read when the walk reaches it
+        ({EPSILON: Truncation("s1", ok_refl), (0,): 3}, unlabelled.format("0")),
+        # a bad child of the root is read before the bad node 0.0 that precedes it
+        ({**glued, (0, 0): "ax", (1,): (ok_refl[0], 7)}, unlabelled.format("1")),
+        (glued, "no sequent supplied for leaf 1"),
+    ]
+    for labels, message in cases:
+        with pytest.raises(CalculusError) as err:
+            check_proof_fragment(GRZ, TreeNW(labels), {})
+        assert str(err.value) == message
+    # a fragment that passed still raises when a leaf sequent is missing
+    decided: dict = {}
+    assert check_proof_fragment(GRZ, TreeNW(glued), {(1,): ok_refl[0]}, decided=decided).ok
+    with pytest.raises(CalculusError, match="no sequent supplied for leaf 1"):
+        check_proof_fragment(GRZ, TreeNW(glued), {}, decided=decided)
+    # a truncation leaf is a premise carrying its recorded sequent, and a glue point
+    cut_short = {**glued, (1,): Truncation("s1", ok_refl)}
+    assert check_proof_fragment(GRZ, TreeNW(cut_short), {}).ok
+    wrong = {**glued, (1,): Truncation("s1", (seq([Box(P)], [Q]), "refl"))}
+    findings = check_proof_fragment(GRZ, TreeNW(wrong), {}).findings
+    assert [(f.node, f.condition) for f in findings] == [(EPSILON, "rule")]

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tree_nw
-from grzlib import P, Q, atomic_cut_graph, box_step_graph, seq
-from nwproofs import calculus, coalgebra, store
+from grzlib import P, Q, atomic_cut_graph, box_step_graph, node, seq
+from nwproofs import calculus, coalgebra, store, translate
 from nwproofs.calculus import LocalProgressCalculus, ProofGraph, check_proof_graph
 from nwproofs.coalgebra import Coalgebra, UnfoldBudget, canonical_form
 from nwproofs.grz import GRZ, GRZ_CUT, cut_elim
@@ -245,3 +245,61 @@ def test_extend_decides_each_instance_once_per_scope(n, monkeypatch):
         assert isinstance(run(), ProofGraph)
         assert matched
         assert len(matched) <= 2 * len(set(matched))
+
+
+def _count_matches(monkeypatch, matched: list) -> None:
+    for calc in (GRZ, GRZ_CUT):
+        for rule, matcher in list(calc.rules.items()):
+
+            def counted(premises, concl, rule=rule, matcher=matcher):
+                matched.append((rule, premises, concl))
+                return matcher(premises, concl)
+
+            monkeypatch.setitem(calc.rules, rule, counted)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_identity_extend_decides_each_fragment_once(n, monkeypatch):
+    """Counts, not times: the store's table lets the target checks of an
+    identity step look up the fragments that the source check passed."""
+    pg = _nested(n)
+    matched: list[tuple] = []
+    _count_matches(monkeypatch, matched)
+    in_target: list[int] = []
+    check_fragment = translate._Engine.check_fragment
+
+    def counted(self, *args):
+        before = len(matched)
+        check_fragment(self, *args)
+        in_target.append(len(matched) - before)
+
+    monkeypatch.setattr(translate._Engine, "check_fragment", counted)
+    out = extend(identity_step(GRZ), pg, UnfoldBudget(4), max_states=10_000)
+    assert isinstance(out, ProofGraph) and out.root_sequent == pg.root_sequent
+    assert matched and len(matched) == len(set(matched))
+    assert len(in_target) == len(out.states) and not any(in_target)
+
+
+def test_a_failing_fragment_is_walked_every_time():
+    refl = node(seq([Box(P)], [P]), "refl", node(seq([P, Box(P)], [P]), "ax"))
+    bad_rule = TreeNW({EPSILON: (seq([], [P]), "ax")})
+    bad_glue, _ = store.flatten(node(seq([Box(P)], [Box(P)]), "box", refl, refl))
+    decided: dict = {}
+    for tree, where, condition in [(bad_rule, EPSILON, "rule"), (bad_glue, (1,), "progress")]:
+        for state in ("s0", "s1"):
+            report = calculus.check_proof_fragment(GRZ, tree, {}, state, decided=decided)
+            assert [(f.state, f.node, f.condition) for f in report.findings] == [
+                (state, where, condition)
+            ]
+
+
+def test_decided_tables_are_per_calculus():
+    arena = Arena()
+    view = arena.view(arena.include(atomic_cut_graph()))
+    assert check(GRZ_CUT, view).ok
+    for _ in range(2):
+        report = check(GRZ, view)
+        assert [(f.node, f.condition, f.message) for f in report.findings] == [
+            (EPSILON, "rule", "not an instance of cut")
+        ]
+    assert check(GRZ_CUT, view).ok
