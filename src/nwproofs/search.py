@@ -4,9 +4,16 @@ Fragments are grown by saturating the non-progress rules up to a height
 bound; each box opens a new goal behind its right premise, and goals
 are memoized by sequent so a repeated goal becomes a back link.  Every
 cycle created this way crosses a progress edge, which is exactly when
-back links are sound, so outputs always pass the graph checker.  The
-search is deliberately incomplete: it is a budgeted oracle, not a
-decision procedure.
+back links are sound, so outputs always pass the graph checker, and
+``search`` checks each one before it returns it.  The search is
+deliberately incomplete: it is a budgeted oracle, not a decision
+procedure.
+
+A failed goal is remembered under its sequent and the number of goals
+already open or finished, together with the answers to the "is this
+goal already in the table?" tests that the failed attempt made.  A
+later attempt at the same goal, over a table of the same size that
+answers those tests the same way, fails without being explored again.
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ class _Search:
         self.budget = budget
         self.cuts = cuts and budget.cut_formulas
         self.rng = rng
-        self._fail: set[tuple] = set()
+        self._fail: dict[tuple[Sequent, int], list[tuple[tuple[Sequent, bool], ...]]] = {}
 
     def _order(self, items: list) -> list:
         if self.rng is not None:
@@ -98,7 +105,7 @@ class _Search:
         return items
 
     def run(self, goal: Sequent) -> ProofGraph | None:
-        tables = self._prove_state(goal, _Tables())
+        tables = self._prove_state(goal, _Tables(), set())
         if tables is None:
             return None
         dest = {}
@@ -121,48 +128,52 @@ class _Search:
                 kids.append(c)
         return PNode(node.sequent, node.rule, tuple(kids))
 
-    def _prove_state(self, goal: Sequent, tables: _Tables) -> _Tables | None:
+    def _prove_state(self, goal: Sequent, tables: _Tables, reads: set[Sequent]) -> _Tables | None:
+        """Prove ``goal`` as a state on top of ``tables``, or fail.
+
+        Adds to ``reads`` every goal whose presence in the table the
+        attempt tested, its sub-attempts included.  Without an ``rng``
+        the attempt is a function of the table's size and those answers:
+        ids only grow, and each goal it adds follows from what it read
+        before.  So a failure is remembered under (goal, size) with the
+        answers it read, and recurs wherever they all read the same.
+        With an ``rng`` a recurring failure is taken as such too, though
+        other shuffles might have succeeded.
+        """
+        reads.add(goal)
         if goal in tables.ids:
             return tables  # open or finished goal: back link
-        if len(tables.ids) >= self.budget.max_states:
+        size = len(tables.ids)
+        if size >= self.budget.max_states:
             return None
-        fail_key = (goal, frozenset(tables.ids))
-        if fail_key in self._fail:
-            return None
+        for answers in self._fail.get((goal, size), ()):
+            if all((g in tables.ids) == known for g, known in answers):
+                reads.update(g for g, _ in answers)
+                return None
+        mine = {goal}
         opened = tables.copy()
-        sid = f"s{len(opened.ids)}"
+        sid = f"s{size}"
         opened.ids[goal] = sid
         opened.frags[sid] = None
-        for candidate in self._fragments(
+        for candidate, pendings in self._fragments(
             goal, self.budget.max_fragment_height, frozenset(), frozenset()
         ):
             trial = opened.copy()
             ok = True
-            for pending in self._pending_goals(candidate):
-                nxt = self._prove_state(pending, trial)
+            for pending in pendings:
+                nxt = self._prove_state(pending, trial, mine)
                 if nxt is None:
                     ok = False
                     break
                 trial = nxt
             if ok:
                 trial.frags[sid] = candidate
+                reads |= mine
                 return trial
-        self._fail.add(fail_key)
+        answers = tuple((g, g in tables.ids) for g in mine)
+        self._fail.setdefault((goal, size), []).append(answers)
+        reads |= mine
         return None
-
-    def _pending_goals(self, node: PNode) -> list[Sequent]:
-        out = []
-
-        def walk(n) -> None:
-            if isinstance(n, _Pending):
-                out.append(n.sequent)
-                return
-            if isinstance(n, PNode):
-                for c in n.children:
-                    walk(c)
-
-        walk(node)
-        return out
 
     def _fragments(
         self,
@@ -170,8 +181,9 @@ class _Search:
         height: int,
         reflected: frozenset[Formula],
         cut_used: frozenset[Formula],
-    ) -> Iterator[PNode]:
-        """Candidate fragments for a goal, leaves possibly pending goals.
+    ) -> Iterator[tuple[PNode, tuple[Sequent, ...]]]:
+        """Candidate fragments for a goal, leaves possibly pending goals,
+        each with its pending goals in left-to-right order.
 
         Termination: every deterministic step strictly shrinks the pair
         (implication nodes, unreflected antecedent boxes), box steps
@@ -179,10 +191,10 @@ class _Search:
         height bound caps everything anyway.
         """
         if is_axiom(goal):
-            yield PNode(goal, AX, ())
+            yield PNode(goal, AX, ()), ()
             return
         if is_bot_axiom(goal):
-            yield PNode(goal, BOT_LEFT, ())
+            yield PNode(goal, BOT_LEFT, ()), ()
             return
         if height == 0:
             return
@@ -190,17 +202,17 @@ class _Search:
         succ_imp = next((g for g, _ in goal.succ if isinstance(g, Imp)), None)
         if succ_imp is not None:
             premise = goal.drop_right(succ_imp).with_left(succ_imp.left).with_right(succ_imp.right)
-            for sub in self._fragments(premise, height - 1, reflected, cut_used):
-                yield PNode(goal, IMP_RIGHT, (sub,))
+            for sub, pendings in self._fragments(premise, height - 1, reflected, cut_used):
+                yield PNode(goal, IMP_RIGHT, (sub,)), pendings
             return
 
         ante_imp = next((g for g, _ in goal.ante if isinstance(g, Imp)), None)
         if ante_imp is not None:
             rest = goal.drop_left(ante_imp)
             left, right = rest.with_right(ante_imp.left), rest.with_left(ante_imp.right)
-            for sub_l in self._fragments(left, height - 1, reflected, cut_used):
-                for sub_r in self._fragments(right, height - 1, reflected, cut_used):
-                    yield PNode(goal, IMP_LEFT, (sub_l, sub_r))
+            for sub_l, pend_l in self._fragments(left, height - 1, reflected, cut_used):
+                for sub_r, pend_r in self._fragments(right, height - 1, reflected, cut_used):
+                    yield PNode(goal, IMP_LEFT, (sub_l, sub_r)), pend_l + pend_r
             return
 
         fresh_box = next(
@@ -209,16 +221,17 @@ class _Search:
         )
         if fresh_box is not None:
             premise = goal.with_left(fresh_box.body)
-            for sub in self._fragments(premise, height - 1, reflected | {fresh_box}, cut_used):
-                yield PNode(goal, REFL, (sub,))
+            reflected = reflected | {fresh_box}
+            for sub, pendings in self._fragments(premise, height - 1, reflected, cut_used):
+                yield PNode(goal, REFL, (sub,)), pendings
             return
 
         boxes = [f for f, n in goal.ante for _ in range(n) if isinstance(f, Box)]
         for f in self._order([g for g, _ in goal.succ if isinstance(g, Box)]):
             left = goal.drop_right(f).with_right(f.body)
             pending = Sequent.of(boxes, [f.body])
-            for sub in self._fragments(left, height - 1, reflected, cut_used):
-                yield PNode(goal, BOX, (sub, _Pending(pending)))
+            for sub, pendings in self._fragments(left, height - 1, reflected, cut_used):
+                yield PNode(goal, BOX, (sub, _Pending(pending))), pendings + (pending,)
 
         # One cut per branch: its premises are searched cut free, which
         # keeps exhaustion of the cut space affordable while still
@@ -227,9 +240,9 @@ class _Search:
             for f in self._order(sorted(self.budget.cut_formulas, key=formula_key)):
                 left, right = goal.with_right(f), goal.with_left(f)
                 used = cut_used | {f}
-                for sub_l in self._fragments(left, height - 1, reflected, used):
-                    for sub_r in self._fragments(right, height - 1, reflected, used):
-                        yield PNode(goal, CUT, (sub_l, sub_r))
+                for sub_l, pend_l in self._fragments(left, height - 1, reflected, used):
+                    for sub_r, pend_r in self._fragments(right, height - 1, reflected, used):
+                        yield PNode(goal, CUT, (sub_l, sub_r)), pend_l + pend_r
 
 
 def search(
@@ -238,15 +251,21 @@ def search(
     budget: SearchBudget,
     rng: random.Random | None = None,
 ) -> ProofGraph | None:
-    """Search for a proof graph of ``goal``; None when the budget runs out.
+    """Search for a proof graph of ``goal``.
 
-    Cut is attempted (last) only when the calculus carries it and the
-    budget supplies a pool of cut formulas.
+    None means that this incomplete search found no proof within the
+    bounds it explores, not that some budget ran out: the goal may be
+    provable with larger bounds or with rule choices the search never
+    tries.  Cut is attempted (last) only when the calculus carries it
+    and the budget supplies a pool of cut formulas.  Failed goals are
+    remembered as the module docstring says.  Every proof found is
+    checked before it is returned, under any interpreter flags; an
+    invalid one raises ``AssertionError``.
     """
     cuts = calc.name == GRZ_CUT.name
     out = _Search(budget, cuts, rng).run(goal)
-    if out is not None:
-        assert check_proof_graph(calc, out).ok, "oracle produced an invalid proof"
+    if out is not None and not check_proof_graph(calc, out).ok:
+        raise AssertionError("oracle produced an invalid proof")
     return out
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from nwproofs.calculus import ProofGraph
 from nwproofs.coalgebra import Coalgebra
-from nwproofs.grz import Atom, Box, Imp, Sequent
+from nwproofs.grz import Atom, Bot, Box, Imp, Sequent
 from nwproofs.store import PLink, PNode, flatten
 
 P = Atom(0)
@@ -29,6 +29,32 @@ def graph(root: str, **states: PNode) -> ProofGraph:
         frag, links = flatten(nested)
         dest[name] = (frag, links)
     return ProofGraph(Coalgebra(dest), root)
+
+
+def formulas_up_to(size: int, atoms: int) -> list:
+    """Every formula of at most ``size`` symbols over ``atoms`` atoms."""
+    by_size = {1: [Bot()] + [Atom(i) for i in range(atoms)]}
+    for s in range(2, size + 1):
+        out = [Box(f) for f in by_size[s - 1]]
+        for left_size in range(1, s - 1):
+            out.extend(
+                Imp(a, b)
+                for a in by_size[left_size]
+                for b in by_size[s - 1 - left_size]
+            )
+        by_size[s] = out
+    return [f for group in by_size.values() for f in group]
+
+
+def criterion_8_goals() -> list[Sequent]:
+    """The 2,401 sequents of at most one formula a side, formulas of
+    size at most 4 over two atoms, that criterion 8 cross-checks."""
+    formulas = formulas_up_to(4, 2)
+    goals = [Sequent.of([], [g]) for g in formulas]
+    goals += [Sequent.of([f], []) for f in formulas]
+    goals += [Sequent.of([f], [g]) for f in formulas for g in formulas]
+    goals.append(Sequent.of([], []))
+    return goals
 
 
 def ax_graph() -> ProofGraph:

@@ -16,6 +16,7 @@ from grzlib import (
     atomic_cut_graph,
     box_principal_cut_graph,
     boxed_context_cut_graph,
+    criterion_8_goals,
     cut_above_loop_graph,
     weakening_part_cut_graph,
 )
@@ -456,26 +457,8 @@ def test_criterion_7_end_to_end_cut_elimination():
 # -- criterion 8 ---------------------------------------------------------
 
 
-def _formulas_up_to(size: int, atoms: int):
-    by_size = {1: [Bot()] + [Atom(i) for i in range(atoms)]}
-    for s in range(2, size + 1):
-        out = [Box(f) for f in by_size[s - 1]]
-        for left_size in range(1, s - 1):
-            out.extend(
-                Imp(a, b)
-                for a in by_size[left_size]
-                for b in by_size[s - 1 - left_size]
-            )
-        by_size[s] = out
-    return [f for group in by_size.values() for f in group]
-
-
 def test_criterion_8_derivability_cross_check():
-    formulas = _formulas_up_to(4, 2)
-    goals = [Sequent.of([], [g]) for g in formulas]
-    goals += [Sequent.of([f], []) for f in formulas]
-    goals += [Sequent.of([f], [g]) for f in formulas for g in formulas]
-    goals.append(Sequent.of([], []))
+    goals = criterion_8_goals()
 
     budget = SearchBudget(10, 12)
     counterexamples = 0
