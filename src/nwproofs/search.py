@@ -14,6 +14,11 @@ already open or finished, together with the answers to the "is this
 goal already in the table?" tests that the failed attempt made.  A
 later attempt at the same goal, over a table of the same size that
 answers those tests the same way, fails without being explored again.
+
+An ``impl`` or ``cut`` node enumerates its right premise once, when its
+left premise yields a first candidate, and pairs that list with every
+left candidate in the order of a nested loop; a node whose right
+premise has no candidate yields nothing and is left at once.
 """
 
 from __future__ import annotations
@@ -189,6 +194,13 @@ class _Search:
         (implication nodes, unreflected antecedent boxes), box steps
         strip a box, and each cut formula is used once per branch; the
         height bound caps everything anyway.
+
+        The right premise of an ``impl`` or ``cut`` node is listed once
+        and paired with every left candidate, in the order of a nested
+        loop; an empty list ends the node (for a cut, that cut formula)
+        before more left candidates are built.  The pairing stays
+        inline: a helper generator would add a frame per level and so
+        lower the depth the search reaches before ``RecursionError``.
         """
         if is_axiom(goal):
             yield PNode(goal, AX, ()), ()
@@ -210,8 +222,13 @@ class _Search:
         if ante_imp is not None:
             rest = goal.drop_left(ante_imp)
             left, right = rest.with_right(ante_imp.left), rest.with_left(ante_imp.right)
+            rights = None
             for sub_l, pend_l in self._fragments(left, height - 1, reflected, cut_used):
-                for sub_r, pend_r in self._fragments(right, height - 1, reflected, cut_used):
+                if rights is None:
+                    rights = list(self._fragments(right, height - 1, reflected, cut_used))
+                    if not rights:
+                        return
+                for sub_r, pend_r in rights:
                     yield PNode(goal, IMP_LEFT, (sub_l, sub_r)), pend_l + pend_r
             return
 
@@ -240,8 +257,13 @@ class _Search:
             for f in self._order(sorted(self.budget.cut_formulas, key=formula_key)):
                 left, right = goal.with_right(f), goal.with_left(f)
                 used = cut_used | {f}
+                rights = None
                 for sub_l, pend_l in self._fragments(left, height - 1, reflected, used):
-                    for sub_r, pend_r in self._fragments(right, height - 1, reflected, used):
+                    if rights is None:
+                        rights = list(self._fragments(right, height - 1, reflected, used))
+                        if not rights:
+                            break
+                    for sub_r, pend_r in rights:
                         yield PNode(goal, CUT, (sub_l, sub_r)), pend_l + pend_r
 
 

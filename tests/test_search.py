@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -9,8 +10,8 @@ from nwproofs.calculus import check_proof_graph
 from nwproofs.coalgebra import reachable
 from nwproofs.graphfile import print_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, Atom, Bot, Box, Imp, Sequent
-from nwproofs.grz.formulas import subformulas
-from nwproofs.grz.rules import CUT
+from nwproofs.grz.formulas import formula_key, subformulas
+from nwproofs.grz.rules import AX, BOT_LEFT, BOX, CUT, IMP_LEFT, IMP_RIGHT, REFL, is_axiom, is_bot_axiom
 from nwproofs.search import SearchBudget, _Pending, _Search, generate_corpus, search
 from nwproofs.store import PNode, to_nested
 
@@ -112,10 +113,120 @@ def test_corpus_without_cuts_passes_plain_checker():
         assert check_proof_graph(GRZ, pg).ok
 
 
+def _restarting_fragments(self, goal, height, reflected, cut_used):
+    """Reference enumeration: ``_Search._fragments`` as it was when an
+    ``impl`` or ``cut`` node enumerated its right premise afresh for
+    every left candidate."""
+    if is_axiom(goal):
+        yield PNode(goal, AX, ()), ()
+        return
+    if is_bot_axiom(goal):
+        yield PNode(goal, BOT_LEFT, ()), ()
+        return
+    if height == 0:
+        return
+
+    succ_imp = next((g for g, _ in goal.succ if isinstance(g, Imp)), None)
+    if succ_imp is not None:
+        premise = goal.drop_right(succ_imp).with_left(succ_imp.left).with_right(succ_imp.right)
+        for sub, pendings in _restarting_fragments(self, premise, height - 1, reflected, cut_used):
+            yield PNode(goal, IMP_RIGHT, (sub,)), pendings
+        return
+
+    ante_imp = next((g for g, _ in goal.ante if isinstance(g, Imp)), None)
+    if ante_imp is not None:
+        rest = goal.drop_left(ante_imp)
+        left, right = rest.with_right(ante_imp.left), rest.with_left(ante_imp.right)
+        for sub_l, pend_l in _restarting_fragments(self, left, height - 1, reflected, cut_used):
+            for sub_r, pend_r in _restarting_fragments(self, right, height - 1, reflected, cut_used):
+                yield PNode(goal, IMP_LEFT, (sub_l, sub_r)), pend_l + pend_r
+        return
+
+    fresh_box = next(
+        (g for g, _ in goal.ante if isinstance(g, Box) and g not in reflected),
+        None,
+    )
+    if fresh_box is not None:
+        premise = goal.with_left(fresh_box.body)
+        reflected = reflected | {fresh_box}
+        for sub, pendings in _restarting_fragments(self, premise, height - 1, reflected, cut_used):
+            yield PNode(goal, REFL, (sub,)), pendings
+        return
+
+    boxes = [f for f, n in goal.ante for _ in range(n) if isinstance(f, Box)]
+    for f in self._order([g for g, _ in goal.succ if isinstance(g, Box)]):
+        left = goal.drop_right(f).with_right(f.body)
+        pending = Sequent.of(boxes, [f.body])
+        for sub, pendings in _restarting_fragments(self, left, height - 1, reflected, cut_used):
+            yield PNode(goal, BOX, (sub, _Pending(pending))), pendings + (pending,)
+
+    if self.cuts and not cut_used:
+        for f in self._order(sorted(self.budget.cut_formulas, key=formula_key)):
+            left, right = goal.with_right(f), goal.with_left(f)
+            used = cut_used | {f}
+            for sub_l, pend_l in _restarting_fragments(self, left, height - 1, reflected, used):
+                for sub_r, pend_r in _restarting_fragments(self, right, height - 1, reflected, used):
+                    yield PNode(goal, CUT, (sub_l, sub_r)), pend_l + pend_r
+
+
+def _subformula_pool(goal):
+    return frozenset().union(*(subformulas(f) for f, _ in goal.ante + goal.succ))
+
+
+def _cut_probe():
+    """A goal and cut pool whose first cut formula has a left candidate
+    and no right one, while the second has both: at height 4,
+    p0 |- box (p1 -> p0) cut on box (p0 -> p0) has a right premise
+    that needs four more levels, and the cut on p0 -> false closes
+    both premises within three."""
+    return seq([P], [Box(Imp(Q, P))]), frozenset({Box(Imp(P, P)), Imp(P, Bot())}), 4
+
+
+def test_fragments_enumerate_as_the_restarting_enumeration():
+    """Enumerating each right premise once per node yields the same
+    candidates, in the same order, as enumerating it for every left
+    candidate: structural equality compares each candidate's tree,
+    pending leaves included, and its pending goals."""
+    cases = []
+    for goal in criterion_8_goals()[::16]:
+        for height in range(1, 9):
+            cases.append((goal, SearchBudget(height, 8), None))
+            cases.append((goal, SearchBudget(height, 8, cut_formulas=_subformula_pool(goal)), None))
+    # the axiom has no candidate below height 9; with its subformulas as
+    # the cut pool it has 637 at height 12
+    pool = _subformula_pool(GRZ_AXIOM_BOXED)
+    for height in range(1, 13):
+        cases.append((GRZ_AXIOM_BOXED, SearchBudget(height, 8), 500))
+        cases.append((GRZ_AXIOM_BOXED, SearchBudget(height, 8, cut_formulas=pool), 500))
+    probe, pool, height = _cut_probe()
+    cases.append((probe, SearchBudget(height, 8, cut_formulas=pool), None))
+    nonempty = 0
+    for goal, budget, cap in cases:
+        srch = _Search(budget, True, None)  # cuts only where the budget has a pool
+        start = (goal, budget.max_fragment_height, frozenset(), frozenset())
+        got = itertools.islice(srch._fragments(*start), cap)
+        want = itertools.islice(_restarting_fragments(srch, *start), cap)
+        seen = 0
+        for mine, theirs in itertools.zip_longest(got, want):
+            assert mine == theirs, (goal, budget, seen)
+            seen += 1
+        nonempty += seen > 0
+    assert 0 < nonempty < len(cases)
+    # the probe's last candidate cuts on p0 -> false, after the cut on
+    # box (p0 -> p0) found no right premise
+    probe_srch = _Search(SearchBudget(height, 8, cut_formulas=pool), True, None)
+    candidates = list(probe_srch._fragments(probe, height, frozenset(), frozenset()))
+    assert [c.rule for c, _ in candidates] == [BOX, CUT]
+    assert candidates[-1][0].children[0].sequent == probe.with_right(Imp(P, Bot()))
+
+
 class _WholeTableSearch(_Search):
     """Reference search: a failure is remembered under the goal and the
-    whole set of goals in the table, and pending goals are found by
-    walking each candidate."""
+    whole set of goals in the table, pending goals are found by walking
+    each candidate, and an ``impl`` or ``cut`` node enumerates its right
+    premise afresh for every left candidate."""
+
+    _fragments = _restarting_fragments
 
     def __init__(self, budget, cuts, rng):
         super().__init__(budget, cuts, rng)
@@ -199,9 +310,8 @@ def test_failure_memo_agrees_with_whole_table_memo():
     what remembering it by the whole table finds."""
     cases = []
     for goal in criterion_8_goals()[::16]:
-        pool = frozenset().union(*(subformulas(f) for f, _ in goal.ante + goal.succ))
         cases.append((GRZ, goal, SearchBudget(10, 12)))
-        cases.append((GRZ_CUT, goal, SearchBudget(10, 12, cut_formulas=pool)))
+        cases.append((GRZ_CUT, goal, SearchBudget(10, 12, cut_formulas=_subformula_pool(goal))))
     for states in (12, 16):
         cases.append((GRZ, GRZ_AXIOM_BOXED, SearchBudget(10, states)))
     for states in (5, 6, 7):
@@ -215,19 +325,37 @@ def test_failure_memo_agrees_with_whole_table_memo():
 
 
 def test_grz_axiom_search_ends_within_a_call_bound(monkeypatch):
-    # 18,659 calls; keyed by the whole table, the memo let this search
-    # run for more than 300 s
-    calls = 0
-    prove_state = _Search._prove_state
+    # 18,659 state calls and 13,402 fragment calls; keyed by the whole
+    # table, the memo let this search run for more than 300 s, and
+    # restarting each right premise made 76,691 fragment calls
+    calls = {"_prove_state": 0, "_fragments": 0}
 
-    def counted(self, *args):
-        nonlocal calls
-        calls += 1
-        return prove_state(self, *args)
+    def counting(name):
+        method = getattr(_Search, name)
 
-    monkeypatch.setattr(_Search, "_prove_state", counted)
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(_Search, name, counted)
+
+    counting("_prove_state")
+    counting("_fragments")
     assert search(GRZ, GRZ_AXIOM_BOXED, SearchBudget(12, 20)) is None
-    assert 0 < calls <= 20_000
+    assert 0 < calls["_prove_state"] <= 20_000
+    assert 0 < calls["_fragments"] <= 15_000
+
+
+def test_search_reaches_an_implication_chain_600_levels_deep():
+    # one generator frame per fragment level: a second frame per level,
+    # such as a helper generator pairing the premises, ends this search
+    # in RecursionError
+    n = 600
+    atoms = [Atom(i) for i in range(n + 1)]
+    goal = Sequent.of([atoms[0]] + [Imp(a, b) for a, b in zip(atoms, atoms[1:])], [atoms[n]])
+    pg = search(GRZ, goal, SearchBudget(n + 5, 4))
+    assert pg is not None
+    assert pg.root_sequent == goal
 
 
 def test_invalid_oracle_output_raises_under_python_optimize():
