@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=8)
     p.add_argument("--states", type=int, default=16)
     p.add_argument("--cut-formulas", help="semicolon-separated formulas for the cut rule")
-    p.add_argument("--seed", type=int, help="shuffle rule exploration deterministically")
+    p.add_argument("--seed", type=int, help="shuffle each sub-search's rule choices once, by this seed")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_search)
 

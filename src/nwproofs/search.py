@@ -19,16 +19,21 @@ An ``impl`` or ``cut`` node enumerates its right premise once, when its
 left premise yields a first candidate, and pairs that list with every
 left candidate in the order of a nested loop; a node whose right
 premise has no candidate yields nothing and is left at once.
+
+A fragment enumeration that runs to its end is stored under its
+arguments, and every later enumeration of them in the same search
+replays it; one abandoned part-way, by an attempt that succeeded, is not.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
 from .calculus import LocalProgressCalculus, ProofGraph, check_proof_graph
-from .coalgebra import BudgetError, Coalgebra, reachable, restrict
+from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, reachable, restrict
 from .grz.formulas import (
     Atom,
     Bot,
@@ -102,6 +107,7 @@ class _Search:
         self.cuts = cuts and budget.cut_formulas
         self.rng = rng
         self._fail: dict[tuple[Sequent, int], list[tuple[tuple[Sequent, bool], ...]]] = {}
+        self._done: dict[tuple, list[tuple[PNode, tuple[Sequent, ...]]]] = {}
 
     def _order(self, items: list) -> list:
         if self.rng is not None:
@@ -201,6 +207,10 @@ class _Search:
         before more left candidates are built.  The pairing stays
         inline: a helper generator would add a frame per level and so
         lower the depth the search reaches before ``RecursionError``.
+
+        A finished enumeration is stored where the body ends, inline for
+        the same reason, and replayed; an abandoned one is not stored.
+        With an ``rng``, a replay repeats the shuffle of the stored run.
         """
         if is_axiom(goal):
             yield PNode(goal, AX, ()), ()
@@ -210,12 +220,19 @@ class _Search:
             return
         if height == 0:
             return
+        key = (goal, height, reflected, cut_used)
+        if key in self._done:
+            yield from self._done[key]
+            return
+        out: list[tuple[PNode, tuple[Sequent, ...]]] = []
 
         succ_imp = next((g for g, _ in goal.succ if isinstance(g, Imp)), None)
         if succ_imp is not None:
             premise = goal.drop_right(succ_imp).with_left(succ_imp.left).with_right(succ_imp.right)
             for sub, pendings in self._fragments(premise, height - 1, reflected, cut_used):
-                yield PNode(goal, IMP_RIGHT, (sub,)), pendings
+                out.append((PNode(goal, IMP_RIGHT, (sub,)), pendings))
+                yield out[-1]
+            self._done[key] = out
             return
 
         ante_imp = next((g for g, _ in goal.ante if isinstance(g, Imp)), None)
@@ -227,9 +244,11 @@ class _Search:
                 if rights is None:
                     rights = list(self._fragments(right, height - 1, reflected, cut_used))
                     if not rights:
-                        return
+                        break
                 for sub_r, pend_r in rights:
-                    yield PNode(goal, IMP_LEFT, (sub_l, sub_r)), pend_l + pend_r
+                    out.append((PNode(goal, IMP_LEFT, (sub_l, sub_r)), pend_l + pend_r))
+                    yield out[-1]
+            self._done[key] = out
             return
 
         fresh_box = next(
@@ -240,7 +259,9 @@ class _Search:
             premise = goal.with_left(fresh_box.body)
             reflected = reflected | {fresh_box}
             for sub, pendings in self._fragments(premise, height - 1, reflected, cut_used):
-                yield PNode(goal, REFL, (sub,)), pendings
+                out.append((PNode(goal, REFL, (sub,)), pendings))
+                yield out[-1]
+            self._done[key] = out
             return
 
         boxes = [f for f, n in goal.ante for _ in range(n) if isinstance(f, Box)]
@@ -248,7 +269,8 @@ class _Search:
             left = goal.drop_right(f).with_right(f.body)
             pending = Sequent.of(boxes, [f.body])
             for sub, pendings in self._fragments(left, height - 1, reflected, cut_used):
-                yield PNode(goal, BOX, (sub, _Pending(pending))), pendings + (pending,)
+                out.append((PNode(goal, BOX, (sub, _Pending(pending))), pendings + (pending,)))
+                yield out[-1]
 
         # One cut per branch: its premises are searched cut free, which
         # keeps exhaustion of the cut space affordable while still
@@ -264,7 +286,9 @@ class _Search:
                         if not rights:
                             break
                     for sub_r, pend_r in rights:
-                        yield PNode(goal, CUT, (sub_l, sub_r)), pend_l + pend_r
+                        out.append((PNode(goal, CUT, (sub_l, sub_r)), pend_l + pend_r))
+                        yield out[-1]
+        self._done[key] = out
 
 
 def search(
@@ -279,13 +303,18 @@ def search(
     bounds it explores, not that some budget ran out: the goal may be
     provable with larger bounds or with rule choices the search never
     tries.  Cut is attempted (last) only when the calculus carries it
-    and the budget supplies a pool of cut formulas.  Failed goals are
-    remembered as the module docstring says.  Every proof found is
-    checked before it is returned, under any interpreter flags; an
-    invalid one raises ``AssertionError``.
+    and the budget supplies a pool of cut formulas.  Failed goals and
+    finished enumerations are remembered, for this search only, as the
+    module docstring says.  Every proof found is checked before it is
+    returned, under any interpreter flags; an invalid one raises
+    ``AssertionError``.  Too deep a search raises ``BudgetExceeded``.
     """
     cuts = calc.name == GRZ_CUT.name
-    out = _Search(budget, cuts, rng).run(goal)
+    try:
+        out = _Search(budget, cuts, rng).run(goal)
+    except RecursionError:
+        msg = f"search to fragment height {budget.max_fragment_height} hits recursion limit"
+        raise BudgetExceeded(f"{msg} {sys.getrecursionlimit()}") from None
     if out is not None and not check_proof_graph(calc, out).ok:
         raise AssertionError("oracle produced an invalid proof")
     return out

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,17 @@ def test_translate_on_invalid_proof_exits_one(tmp_path, capsys):
 def test_search_on_too_deeply_nested_goal_exits_two(capsys):
     assert main(["search", "box " * 600 + "p0 |- p0"]) == 2
     assert "nested deeper than 256" in capsys.readouterr().err
+
+
+def test_search_deeper_than_the_recursion_limit_exits_one(capsys):
+    # p0, p0 -> p1, ..., p999 -> p1000 |- p1000 needs a fragment level per
+    # implication, more than the interpreter's recursion limit allows
+    n = 1000
+    goal = ", ".join(["p0"] + [f"p{i} -> p{i + 1}" for i in range(n)]) + f" |- p{n}"
+    assert main(["search", goal, "--height", "1005", "--states", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: search to fragment height 1005 hits recursion limit {sys.getrecursionlimit()}\n"
 
 
 def test_check_deep_fragment_reports_findings(tmp_path, capsys):
