@@ -202,6 +202,11 @@ def _premises(tree: TreeNW, w: Word, leaf_sequents: Mapping[Word, Any]) -> tuple
     return tuple(premises), glue
 
 
+def recorded_pass(decided: Mapping, tree: TreeNW, leaf_sequents: Mapping[Word, Any]) -> bool:
+    """Does ``decided`` hold a pass of ``tree`` over these leaf sequents, keyed by its star leaves?"""
+    return (tree, tuple([leaf_sequents.get(w, _MISSING) for w in decided.get(tree, ())])) in decided
+
+
 def check_proof_fragment(
     calc: LocalProgressCalculus,
     tree: TreeNW,
@@ -223,10 +228,8 @@ def check_proof_fragment(
     without a walk; a failing one is walked, and reported, every time."""
     if decided is None:
         decided = {}
-    stars = decided.get(tree)  # its star leaves in word order, once it has passed
-    if stars is not None:
-        if (tree, tuple([leaf_sequents.get(w, _MISSING) for w in stars])) in decided:
-            return CheckReport()
+    elif recorded_pass(decided, tree, leaf_sequents):
+        return CheckReport()
     report = CheckReport()
     truncated: set[Word] = set()  # a truncation's children are read as nodes only
     for w, label in tree.key:

@@ -11,11 +11,13 @@ one-fragment move corecursively over the whole regular proof.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
+from contextlib import contextmanager
 from typing import NamedTuple
 
 from ..calculus import ProofGraph
-from ..coalgebra import UnfoldBudget, Unfolding
+from ..coalgebra import BudgetExceeded, UnfoldBudget, Unfolding
 from ..store import Arena, PLink, PNode, to_nested
 from ..trees import EPSILON, TreeNW
 from .admissible import (
@@ -274,7 +276,8 @@ def reduce_cut(
     ``left`` proves the context extended with the cut formula on the
     right, ``right`` with it on the left; neither may have a cut in its
     root fragment.  The result proves the bare context, again with a
-    cut-free root fragment.
+    cut-free root fragment.  A reduction deeper than the interpreter's
+    recursion limit raises ``BudgetExceeded``.
     """
     _require_proof(left)
     _require_proof(right)
@@ -285,8 +288,19 @@ def reduce_cut(
     arena = Arena()
     la = arena.include(left)
     lb = arena.include(right)
-    out = _reduce(arena, arena.materialize(la), arena.materialize(lb), phi, None, on_step)
+    with _recursion_budget():
+        out = _reduce(arena, arena.materialize(la), arena.materialize(lb), phi, None, on_step)
     return arena.proof(out)
+
+
+@contextmanager
+def _recursion_budget():
+    """Report a cut reduction that recurses past the interpreter's limit
+    (``_reduce`` takes a frame pair per permuted level) as a budget."""
+    try:
+        yield
+    except RecursionError:
+        raise BudgetExceeded(f"cut reduction hits recursion limit {sys.getrecursionlimit()}") from None
 
 
 def _has_cut(fragment: TreeNW) -> bool:
@@ -315,7 +329,9 @@ def cuts_up(pg: ProofGraph, on_step: StepHook | None = None) -> ProofGraph:
     which is the order of the least word among the cuts with no cut
     above them.  A view of an :class:`Arena` is rewritten in that store,
     anything else in a fresh one; the result is a view, and a root
-    fragment with no cut is handed back as the input state.
+    fragment with no cut is handed back as the input state.  A reduction
+    deeper than the interpreter's recursion limit raises
+    ``BudgetExceeded``.
     """
     _require_proof(pg)
     arena = pg.store if pg.store is not None else Arena()
@@ -323,7 +339,9 @@ def cuts_up(pg: ProofGraph, on_step: StepHook | None = None) -> ProofGraph:
     fragment = arena.state_fragment(root)
     if not _has_cut(fragment):
         return arena.view(root)
-    clean = arena.intern(_cut_free(arena, root, on_step))
+    with _recursion_budget():
+        reduced = _cut_free(arena, root, on_step)
+    clean = arena.intern(reduced)
     assert not _has_cut(arena.state_fragment(clean)), "root fragment must be cut free"
     return arena.view(clean)
 

@@ -10,7 +10,13 @@ target checks of ``extend`` are the places that read or write them.
 Sharing them across checks is sound: a stored state never changes, so
 a state that passed still passes, and whether an instance, or a
 fragment over given leaf sequents, passes depends on the calculus
-alone.
+alone.  Nothing is written into the tables of another calculus, but
+:meth:`Arena.passed` reads them: a fragment that passed with one
+calculus object passes with any other of the same type that has the
+same progress function and the same matcher object for every rule
+labelling the fragment, since the checker then decides each of its
+instances the same way.  So a Grz target check of a fragment that the
+Grz+cut check passed, and that holds no cut, is a lookup.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, UnknownNode
-from .calculus import _check_labels, _sequent_rule, check_proof_graph
+from .calculus import _check_labels, _sequent_rule, check_proof_graph, recorded_pass
 from .coalgebra import Coalgebra, StateId, bisim_minimize, root_first_order, validated_destructor
 from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
@@ -168,6 +174,24 @@ class Arena:
         as :func:`~nwproofs.calculus.check_proof_fragment` keeps them."""
         return self._tables(calc)[2]
 
+    def passed(
+        self, calc: LocalProgressCalculus, fragment: TreeNW, leaf_sequents: Mapping[Word, Any]
+    ) -> bool:
+        """Does the fragment, over these leaf sequents, pass the fragment
+        check of ``calc``, as recorded in a table of this store?
+
+        Besides ``calc``'s own table, this reads the table of any calculus
+        object of the same type with the same progress function and, for
+        every rule labelling the fragment, the same matcher object: that
+        calculus decides each instance of the fragment as ``calc`` does.
+        Nothing is written, to any table."""
+        for other, _, decided in self._checked.values():
+            if recorded_pass(decided, fragment, leaf_sequents) and (
+                other is calc or _same_matchers(calc, other, fragment)
+            ):
+                return True
+        return False
+
     def _tables(self, calc: LocalProgressCalculus) -> tuple[Any, set[StateId], dict]:
         # keyed by identity, and holding ``calc`` so that its id stays unique
         if id(calc) not in self._checked:
@@ -279,6 +303,19 @@ class Arena:
 
     def proof(self, node: PNode) -> ProofGraph:
         return self.view(self.intern(node))
+
+
+def _same_matchers(calc: LocalProgressCalculus, other: LocalProgressCalculus, fragment: TreeNW) -> bool:
+    """Do the two calculi check every node of the fragment with the same
+    objects: progress function and the matcher of the node's rule?"""
+    if type(other) is not type(calc) or other.progress is not calc.progress:
+        return False
+    for _, label in fragment.key:
+        if isinstance(label, tuple):  # a proper node's (sequent, rule)
+            matcher = other.rules.get(label[1])
+            if matcher is None or calc.rules.get(label[1]) is not matcher:
+                return False
+    return True
 
 
 def check(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:

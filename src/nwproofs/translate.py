@@ -24,10 +24,14 @@ the target fragment check (condition 1).  Source checks go through the
 store's cached check, :func:`~nwproofs.store.check`, so each state's
 fragment is checked against the source once.  Target checks use the
 store's table of what the checker decided with the target calculus, so
-a rule instance that repeats across emitted fragments is matched once,
-and a fragment that a step hands back unchanged, over the same leaf
-sequents, is looked up rather than walked again when the source check
-with the same calculus object passed it.  Without closure the
+a rule instance that repeats across emitted fragments is matched once.
+A fragment that a step hands back unchanged, over the same leaf
+sequents, is looked up rather than walked again
+(:meth:`~nwproofs.store.Arena.passed`) when the source check passed it
+and the source calculus checks it with the target's own objects: the
+same calculus object, as for an identity step, or one with the same
+progress function and the same matcher for each rule in the fragment,
+as for cut elimination from Grz+cut into Grz.  Without closure the
 output is laid out by the same driver as
 :func:`~nwproofs.coalgebra.unfold`, :func:`~nwproofs.coalgebra.unfold_by`,
 and :func:`validate_step` is a memo-free extension of one layer.
@@ -162,6 +166,8 @@ class _Engine:
         where: str,
         switched: bool,
     ) -> None:
+        if self.store.passed(self.target, fragment, leaf_sequents):
+            return
         report = check_proof_fragment(self.target, fragment, leaf_sequents, decided=self.decided)
         if report.ok:
             return

@@ -239,6 +239,29 @@ def test_search_deeper_than_the_recursion_limit_exits_one(capsys):
     assert err == f"error: search to fragment height 1005 hits recursion limit {sys.getrecursionlimit()}\n"
 
 
+def _cut_permuting_through_a_refl_chain(n: int) -> str:
+    # box p2, box p1, box p0 |- p0 by a root cut on p1 whose left premise is
+    # n refl steps on box p2, then refl on box p1 and ax on p1: the cut
+    # reduction permutes through every level
+    ctx = "box p2, box p1, box p0"
+    lines = ["calculus grz+cut", "root s0", "", "state s0", f"  {ctx} |- p0 : cut"]
+    for d in range(n + 1):
+        lines.append("  " * (d + 2) + ", ".join(["p2"] * d + [ctx]) + " |- p0, p1 : refl")
+    lines.append("  " * (n + 3) + ", ".join(["p1"] + ["p2"] * n + [ctx]) + " |- p0, p1 : ax")
+    lines += [f"    p1, {ctx} |- p0 : refl", f"      p0, p1, {ctx} |- p0 : ax"]
+    return "\n".join(lines) + "\n"
+
+
+def test_cut_reduction_deeper_than_the_recursion_limit_exits_one(tmp_path, capsys):
+    path = write(tmp_path, "deep_reduce.proof", _cut_permuting_through_a_refl_chain(600))
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    assert main(["cutelim", path, "-o", str(tmp_path / "out.proof")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cut reduction hits recursion limit {sys.getrecursionlimit()}\n"
+
+
 def test_check_deep_fragment_reports_findings(tmp_path, capsys):
     # one chain of 1,199 nodes: deeper than the interpreter's recursion limit
     depth = 1199

@@ -7,6 +7,7 @@ import random
 import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,18 @@ from conftest import random_tree_nw
 from grzlib import P, Q, atomic_cut_graph, box_step_graph, node, seq
 from nwproofs import calculus, coalgebra, store, translate
 from nwproofs.calculus import LocalProgressCalculus, ProofGraph, check_proof_graph
-from nwproofs.coalgebra import Coalgebra, UnfoldBudget, canonical_form
+from nwproofs.coalgebra import Coalgebra, StateId, UnfoldBudget, Unfolding, canonical_form
+from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, cut_elim
+from nwproofs.grz.cutelim import cut_elimination_step
 from nwproofs.grz.formulas import Atom, Box, Imp, Sequent
+from nwproofs.grz.rules import BOX
 from nwproofs.search import SearchBudget, _plant_cut, search
 from nwproofs.store import Arena, PNode, check
 from nwproofs.translate import StepContractViolation, TranslationStep, extend, identity_step
 from nwproofs.trees import EPSILON, STAR, TreeNW
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # Few labels and small fragments, so that many states are bisimilar.
 LABELS = [("a", "r"), ("b", "r")]
@@ -189,8 +195,9 @@ def _count_calls(monkeypatch, counts: Counter, fn, name: str) -> None:
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_extend_works_once_per_state(n, monkeypatch):
-    """Counts, not times: a fragment check per input, stored or output
-    state, no canonical form, and one minimization per translation."""
+    """Counts, not times: a fragment walk per input or stored state, none
+    for an output state the step handed back unchanged, no canonical
+    form, and one minimization per translation."""
     pg = _nested(n)
     cut = _plant_cut(random.Random(n), pg)
     counts: Counter = Counter()
@@ -212,9 +219,190 @@ def test_extend_works_once_per_state(n, monkeypatch):
         counts.clear()
         out = run()
         assert isinstance(out, ProofGraph)
-        assert counts["check"] <= len(source.states) + counts["add"] + len(out.states)
+        # a target check of a state the step hands back unchanged is a lookup
+        assert counts["check"] <= len(source.states) + counts["add"]
         assert counts["canonical"] == 0
         assert counts["minimize"] <= 1
+
+
+def _walks_by_calculus(monkeypatch) -> list[tuple[LocalProgressCalculus, TreeNW]]:
+    """Record the calculus and fragment of every fragment walk."""
+    walks: list[tuple[LocalProgressCalculus, TreeNW]] = []
+    fn = calculus.check_proof_fragment
+
+    def counted(calc, tree, *args, **kwargs):
+        walks.append((calc, tree))
+        return fn(calc, tree, *args, **kwargs)
+
+    for module in (calculus, translate):
+        monkeypatch.setattr(module, "check_proof_fragment", counted)
+    return walks
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_cut_elim_walks_only_the_states_it_changes_in_grz(n, monkeypatch):
+    """Counts, not times: the Grz target check walks only the fragments
+    the step rewrote, each of them a stored state; every other emitted
+    fragment is one the Grz+cut check passed over the same leaf sequents."""
+    cut = _plant_cut(random.Random(n), _nested(n))
+    walks = _walks_by_calculus(monkeypatch)
+    add = Arena.add
+    added: list[StateId] = []
+
+    def counted_add(self, fragment, links):
+        added.append(add(self, fragment, links))
+        return added[-1]
+
+    monkeypatch.setattr(Arena, "add", counted_add)
+    out = cut_elim(cut)
+    assert isinstance(out, ProofGraph)
+    source = [tree for calc, tree in walks if calc is GRZ_CUT]
+    target = [tree for calc, tree in walks if calc is GRZ]
+    assert len(source) + len(target) == len(walks)
+    assert len(source) <= len(cut.states) + len(added)
+    assert 1 <= len(target) <= len(added) < len(out.states)
+
+
+# -- reusing a pass under another calculus ----------------------------------
+
+
+def _recorded_lookups(monkeypatch) -> list[tuple]:
+    """Record each call of ``Arena.passed``: its arguments, whether the
+    calculus's own table held the pass, and the answer."""
+    calls: list[tuple] = []
+    passed = Arena.passed
+
+    def recorded(self, calc, fragment, leaf_sequents):
+        own = calculus.recorded_pass(self.decided(calc), fragment, leaf_sequents)
+        answer = passed(self, calc, fragment, leaf_sequents)
+        calls.append((calc, fragment, dict(leaf_sequents), own, answer))
+        return answer
+
+    monkeypatch.setattr(Arena, "passed", recorded)
+    return calls
+
+
+_GOLDEN_CUTS = sorted(
+    p.name for p in CORPUS.glob("*.proof") if p.read_text().startswith(f"calculus {GRZ_CUT.name}\n")
+)
+
+
+@pytest.mark.parametrize(
+    "kind, arg", [("nested", n) for n in range(4, 13)] + [("golden", name) for name in _GOLDEN_CUTS]
+)
+def test_every_fragment_accepted_without_a_walk_passes_a_fresh_grz_check(kind, arg, monkeypatch):
+    if kind == "nested":
+        pg = _plant_cut(random.Random(arg), _nested(arg))
+    else:
+        pg = parse_proof_file((CORPUS / arg).read_text())[1]
+    calls = _recorded_lookups(monkeypatch)
+    closed = cut_elim(pg)
+    unfolded = cut_elim(pg, UnfoldBudget(4), memo=False)
+    assert isinstance(closed, ProofGraph) and isinstance(unfolded, Unfolding)
+    accepted = [(calc, tree, leaves, own) for calc, tree, leaves, own, answer in calls if answer]
+    for calc, tree, leaves, _ in accepted:
+        assert calc is GRZ
+        assert calculus.check_proof_fragment(GRZ, tree, leaves).ok
+    if kind == "nested":
+        assert any(not own for *_, own in accepted)
+
+
+def _same_box(premises, concl):
+    return GRZ.rules[BOX](premises, concl)
+
+
+def _no_box(premises, concl):
+    return False
+
+
+def _same_progress(rule, premises, concl):
+    return GRZ.progress(rule, premises, concl)
+
+
+def _no_progress(rule, premises, concl):
+    return frozenset()
+
+
+class _GrzCopy(LocalProgressCalculus):
+    pass
+
+
+class _NoBoxGrz(LocalProgressCalculus):
+    def is_instance(self, rule, premises, conclusion):
+        return rule != BOX and super().is_instance(rule, premises, conclusion)
+
+
+# Each row: what differs from Grz, a calculus that still behaves like Grz,
+# one that rejects every box node, and the rules whose nodes must be walked.
+_VARIANTS = {
+    "box matcher": (
+        LocalProgressCalculus("grz", {**GRZ.rules, BOX: _same_box}, GRZ.progress),
+        LocalProgressCalculus("grz", {**GRZ.rules, BOX: _no_box}, GRZ.progress),
+        {BOX},
+    ),
+    "progress function": (
+        LocalProgressCalculus("grz", GRZ.rules, _same_progress),
+        LocalProgressCalculus("grz", GRZ.rules, _no_progress),
+        set(GRZ.rules),
+    ),
+    "calculus type": (
+        _GrzCopy("grz", GRZ.rules, GRZ.progress),
+        _NoBoxGrz("grz", GRZ.rules, GRZ.progress),
+        set(GRZ.rules),
+    ),
+}
+
+
+def _rules_of(tree: TreeNW) -> set[str]:
+    return {label[1] for _, label in tree.key if label is not STAR}
+
+
+def _cut_elim_into(target: LocalProgressCalculus, pg: ProofGraph, **kwargs):
+    step = TranslationStep(GRZ_CUT, target, cut_elimination_step().apply, name="cut-elim")
+    return extend(step, pg, UnfoldBudget(4), **kwargs)
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+@pytest.mark.parametrize("memo", [True, False])
+def test_a_calculus_that_differs_from_the_source_walks(variant, memo, monkeypatch):
+    same, _, differing = _VARIANTS[variant]
+    cut = _plant_cut(random.Random(8), _nested(8))
+    expected = cut_elim(cut, UnfoldBudget(4), memo=memo)
+    walks = _walks_by_calculus(monkeypatch)
+    emitted: list[TreeNW] = []
+    check_fragment = translate._Engine.check_fragment
+
+    def recorded(self, fragment, *args):
+        emitted.append(fragment)
+        return check_fragment(self, fragment, *args)
+
+    monkeypatch.setattr(translate._Engine, "check_fragment", recorded)
+    assert _cut_elim_into(same, cut, memo=memo) == expected
+    walked = {tree for calc, tree in walks if calc is same}
+    must_walk = [tree for tree in emitted if _rules_of(tree) & differing]
+    assert must_walk and all(tree in walked for tree in must_walk)
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+@pytest.mark.parametrize("memo", [True, False])
+def test_a_calculus_that_differs_from_the_source_rejects_a_bad_fragment(variant, memo):
+    # a cut-free input, so every emitted fragment is one the step hands back
+    # unchanged after the Grz+cut check passed it
+    _, rejecting, _ = _VARIANTS[variant]
+    with pytest.raises(StepContractViolation) as err:
+        _cut_elim_into(rejecting, _nested(8), memo=memo)
+    assert err.value.condition == 1
+    assert "is not a grz fragment" in str(err.value)
+
+
+@pytest.mark.parametrize("memo", [True, False])
+def test_a_step_that_emits_a_cut_into_grz_breaks_condition_one(memo):
+    cut = _plant_cut(random.Random(8), _nested(8))
+    step = TranslationStep(GRZ_CUT, GRZ, identity_step(GRZ_CUT).apply, name="keeps-cuts")
+    with pytest.raises(StepContractViolation) as err:
+        extend(step, cut, UnfoldBudget(4), memo=memo)
+    assert err.value.condition == 1
+    assert [f.message for f in err.value.report.findings] == ["not an instance of cut"]
 
 
 @pytest.mark.parametrize("n", [8, 16])
