@@ -18,16 +18,15 @@ from typing import Any
 _WHERE = {
     name: module
     for module, names in [
-        ("trees", ["STAR", "TreeNW", "Truncation", "validate_tree_nw"]),
-        ("coalgebra", ["Coalgebra", "UnfoldBudget", "Unfolding", "bisim_minimize"]),
-        ("coalgebra", ["canonical_form", "unfold"]),
-        ("fftree", ["FFTree", "construct", "validate_fftree"]),
+        ("trees", ["STAR", "TreeNW", "Truncation"]),
+        ("coalgebra", ["Coalgebra", "UnfoldBudget"]),
+        ("fftree", ["Unfolding", "unfold", "FFTree", "construct", "validate_fftree"]),
+        ("fftree", ["check_pre_proof", "compute_fragmentation", "progressing"]),
         ("calculus", ["CheckReport", "LocalProgressCalculus", "ProofGraph"]),
-        ("calculus", ["check_proof_fragment", "check_proof_graph", "check_pre_proof"]),
-        ("calculus", ["compute_fragmentation", "progressing"]),
-        ("store", ["subproof"]),
-        ("translate", ["StagedStep", "StepContractViolation", "TranslationStep", "extend"]),
-        ("translate", ["extend_staged", "identity_step", "validate_step"]),
+        ("calculus", ["check_proof_fragment", "check_proof_graph"]),
+        ("store", ["bisim_minimize", "canonical_form", "subproof"]),
+        ("translate", ["StepContractViolation", "TranslationStep", "extend"]),
+        ("translate", ["identity_step", "validate_step"]),
         ("search", ["SearchBudget", "generate_corpus", "search"]),
     ]
     for name in names

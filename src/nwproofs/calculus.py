@@ -7,17 +7,18 @@ are (sequent, rule) pairs; checking each state's fragment once, with
 leaf sequents read off the linked states, certifies the whole
 non-wellfounded proof.  There is one checker, :func:`check_proof_graph`,
 walking states in the coalgebra's one root-first order
-(:func:`~nwproofs.coalgebra.root_first_order`); :func:`check_pre_proof`
-keeps the rule findings of its report.  One call decides each distinct
-``(rule, premises, conclusion)`` instance once, however many nodes and
-states it labels, and each fragment once per leaf sequents it passes
-with; a walk validates each label once, straight from the word table.
+(:func:`~nwproofs.coalgebra.root_first_order`).  One call decides each
+distinct ``(rule, premises, conclusion)`` instance once, however many
+nodes and states it labels, and each fragment once per leaf sequents it
+passes with; a walk validates each label once, straight from the word
+table.
 
 This module is the checker and nothing else: it never changes a proof
 and keeps nothing between calls.  Its ``decided`` table of instances
 and passed fragments (never a failing one) is valid for one calculus
 and belongs to one call or to its caller.  What rewrites proofs is in
-:mod:`nwproofs.store`.
+:mod:`nwproofs.store`; the paper's pre-proof definitions, read off the
+checker's helpers, are in :mod:`nwproofs.fftree`.
 
 Sequents are opaque here: anything hashable with equality works.
 """
@@ -28,7 +29,7 @@ from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from .coalgebra import Coalgebra, StateId, UnknownState, reachable, restrict, root_first_order
+from .coalgebra import Coalgebra, StateId, UnknownState, root_first_order
 from .trees import EPSILON, STAR, TreeNW, Truncation, Word, format_word
 
 if TYPE_CHECKING:
@@ -44,10 +45,6 @@ class CalculusError(ValueError):
 
 
 class UnknownNode(CalculusError):
-    pass
-
-
-class NotAPreProof(CalculusError):
     pass
 
 
@@ -166,7 +163,10 @@ class ProofGraph:
         return self.state_sequent(self.root)
 
     def pruned(self) -> "ProofGraph":
-        return ProofGraph(restrict(self.graph, reachable(self.graph, self.root)), self.root)
+        """A copy holding only the states reachable from the root."""
+        keep = set(root_first_order(self.graph, self.root))
+        dest = {s: d for s, d in self.graph._dest.items() if s in keep}
+        return ProofGraph(Coalgebra(dest), self.root)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -291,51 +291,6 @@ def check_proof_graph(
         leaves = _leaf_sequents(dest, state)
         report.extend(check_proof_fragment(calc, dest[state][0], leaves, state, decided=decided))
     return report
-
-
-def check_pre_proof(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:
-    """The rule findings of :func:`check_proof_graph`: is every proper
-    node a rule instance, wherever its glue points sit?"""
-    report = check_proof_graph(calc, pg)
-    return CheckReport([f for f in report.findings if f.condition == "rule"])
-
-
-def progressing(calc: LocalProgressCalculus, pg: ProofGraph, state: StateId, node: Word) -> bool:
-    """Is ``node`` a progressing premise of its parent in this fragment?"""
-    frag = pg.fragment(state)
-    if node not in frag.nodes:
-        raise UnknownNode(f"node {format_word(node)} not in state {state!r}")
-    if node == EPSILON:
-        return False
-    sequent, rule = _sequent_rule(frag.label(node[:-1]), node[:-1])
-    premises = _premises(frag, node[:-1], _leaf_sequents(pg.graph._dest, state))[0]
-    return node[-1] in calc.progress_set(rule, premises, sequent)
-
-
-def compute_fragmentation(
-    calc: LocalProgressCalculus, labels: Mapping[Word, Any]
-) -> dict[Word, Word]:
-    """Partition a labelled pre-proof tree along its progress edges.
-
-    Blocks are the regions connected by parent-child edges whose child
-    is not progressing; the result maps each node to its block root.
-    Truncation leaves contribute their recorded sequents to the parent
-    instance but carry no rule of their own.
-    """
-    tree = labels if isinstance(labels, TreeNW) else TreeNW(labels)
-    parent_root: dict[Word, Word] = {EPSILON: EPSILON}
-    for w in sorted(tree.nodes, key=len):
-        label = tree.label(w)
-        if isinstance(label, Truncation):
-            continue
-        sequent, rule = _sequent_rule(label, w)
-        premises = _premises(tree, w, {})[0]
-        if not calc.is_instance(rule, premises, sequent):
-            raise NotAPreProof(f"node {format_word(w)} is not an instance of {rule}")
-        prog = calc.progress_set(rule, premises, sequent)
-        for i, child in enumerate(tree.children(w)):
-            parent_root[child] = child if i in prog else parent_root[w]
-    return parent_root
 
 
 def __getattr__(name: str) -> Any:

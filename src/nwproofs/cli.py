@@ -1,8 +1,9 @@
 """Batch command line: check, unfold, translate, render, and search.
 
 Exit codes: 0 on success, 1 on a logical failure (an invalid proof, an
-unprovable goal), 2 on malformed input.  Only the commands that rewrite
-or search import that machinery, so ``check`` loads just the checker.
+unprovable goal), 2 on malformed input.  Only the commands that unfold,
+rewrite or search import that machinery, so ``check`` loads just the
+checker.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .calculus import CalculusError, check_proof_graph
-from .coalgebra import BudgetError, BudgetExceeded, CoalgebraError, UnfoldBudget, Unfolding, unfold
+from .coalgebra import BudgetError, BudgetExceeded, CoalgebraError, UnfoldBudget
 from .graphfile import GraphFileError, parse_proof_file, print_proof_file, to_dot
 from .grz.rules import CALCULI, GRZ, GRZ_CUT
 from .syntax import ParseError, parse_formula, parse_sequent, print_sequent
@@ -55,7 +56,7 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _print_unfolding(res: Unfolding) -> str:
+def _print_unfolding(res) -> str:
     lines = []
     tree = res.tree
     for w in sorted(tree.nodes):
@@ -70,6 +71,8 @@ def _print_unfolding(res: Unfolding) -> str:
 
 
 def _cmd_unfold(args) -> int:
+    from .fftree import unfold
+
     name, pg = _load(args.file)
     res = unfold(pg.graph, pg.root, UnfoldBudget(args.depth, args.max_nodes))
     _emit(_print_unfolding(res), args.output)
@@ -104,6 +107,7 @@ def _extend_and_emit(args, pg, step, target_name: str, print_bound: bool = False
     whether it closed and emit the proof file or the unfolding; with
     ``print_bound`` an open result also reports the state bound.  A broken
     step contract or an input that is no source proof exits 1."""
+    from .fftree import Unfolding
     from .translate import NotASourceProof, StepContractViolation, extend
 
     budget = UnfoldBudget(args.depth, args.max_nodes)

@@ -10,12 +10,34 @@ A tree is built in one place, :meth:`FFTree._build`, which indexes the
 members of every block; the constructor validates its input first, and
 ``subtree`` and ``construct`` call the builder directly because their
 input is valid by construction.
+
+The unfolding side of a coalgebra lives here too, outside what the
+checker loads: root paths through a machine (:func:`subelement`, next
+to its destructor-driven twin :func:`ff_subelement`), the layout of its
+first layers as one tree (:func:`unfold`, through :func:`unfold_by`,
+which takes any destructor, so a translation that is never closed into
+a machine, :mod:`nwproofs.translate`, unfolds through the same code),
+and the paper's pre-proof definitions, which partition such a tree
+along its progress edges (:func:`compute_fragmentation`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping
 
+from .calculus import (
+    CalculusError,
+    CheckReport,
+    LocalProgressCalculus,
+    ProofGraph,
+    _leaf_sequents,
+    _premises,
+    _sequent_rule,
+    check_proof_graph,
+)
+from .calculus import UnknownNode as UnknownProofNode  # not this module's UnknownNode
+from .coalgebra import BudgetExceeded, Coalgebra, CoalgebraError, StateId, UnfoldBudget
 from .trees import (
     EPSILON,
     STAR,
@@ -311,3 +333,144 @@ def ff_root_paths(tree: FFTree) -> list[RootPath]:
     for w in sorted(frag.nw_leaves):
         out.extend((w,) + rest for rest in ff_root_paths(parts[w]))
     return out
+
+
+# -- root paths through a coalgebra, and its unfolding -------------------
+
+
+class NotARootPath(CoalgebraError):
+    pass
+
+
+def is_root_path(coalg: Coalgebra, state: StateId, path: RootPath) -> bool:
+    """Does the sequence of leaf words trace through the machine?"""
+    try:
+        subelement(coalg, state, path)
+    except NotARootPath:
+        return False
+    return True
+
+
+def subelement(coalg: Coalgebra, state: StateId, path: RootPath) -> StateId:
+    """The state reached by following ``path`` from ``state``."""
+    coalg._check(state)
+    for w in path:
+        frag, links = coalg._dest[state]
+        if w not in frag.nw_leaves:
+            raise NotARootPath(f"{format_word(w)} is not a star leaf of state {state!r}")
+        state = links[w]
+    return state
+
+
+def fragment_at(coalg: Coalgebra, state: StateId, path: RootPath) -> TreeNW:
+    return coalg.fragment(subelement(coalg, state, path))
+
+
+@dataclass(frozen=True)
+class Unfolding:
+    """A depth-truncated unfolding plus where it was cut off."""
+
+    tree: FFTree
+    truncations: Mapping[Word, StateId]
+
+    @property
+    def complete_nodes(self) -> frozenset[Word]:
+        return self.tree.nodes - frozenset(self.truncations)
+
+
+def unfold(coalg: Coalgebra, state: StateId, budget: UnfoldBudget) -> Unfolding:
+    """Lay out ``budget.max_depth`` layers of the machine's fragments as
+    one tree; see :func:`unfold_by`."""
+    coalg._check(state)
+    return unfold_by(lambda s, at: coalg._dest[s], state, budget, lambda s: s)
+
+
+def unfold_by(
+    destruct: Callable[[Any, Word], tuple[TreeNW, Mapping[Word, Any]]],
+    root: Any,
+    budget: UnfoldBudget,
+    name: Callable[[Any], str],
+) -> Unfolding:
+    """Lay out ``budget.max_depth`` layers of fragments as one tree.
+
+    ``destruct(x, at)`` gives the fragment of a value placed at word
+    ``at`` and its successor per star leaf.  Layer k holds the fragments
+    reached by root paths of length k; beyond the last layer each
+    pending glue point becomes a truncation leaf carrying its value's
+    ``name`` and root label, taken in frontier order.
+    """
+    labels: dict[Word, Any] = {}
+    root_of: dict[Word, Word] = {}
+    truncations: dict[Word, str] = {}
+    frontier: list[tuple[Word, Any]] = [(EPSILON, root)]
+    for _ in range(budget.max_depth):
+        next_frontier: list[tuple[Word, Any]] = []
+        for base, x in frontier:
+            frag, succ = destruct(x, base)
+            for u in frag.proper_nodes:
+                labels[base + u] = frag.label(u)
+                root_of[base + u] = base
+            if len(labels) > budget.max_nodes:
+                raise BudgetExceeded(f"unfolding exceeds {budget.max_nodes} nodes")
+            for w in sorted(frag.nw_leaves):
+                next_frontier.append((base + w, succ[w]))
+        frontier = next_frontier
+    for base, x in frontier:
+        truncations[base] = name(x)
+        labels[base] = Truncation(truncations[base], destruct(x, base)[0].label(EPSILON))
+        root_of[base] = base
+        if len(labels) > budget.max_nodes:
+            raise BudgetExceeded(f"unfolding exceeds {budget.max_nodes} nodes")
+    return Unfolding(FFTree(labels, root_of, allow_truncation=True), truncations)
+
+
+# -- pre-proofs: the paper's definitions, read off the checker's helpers --
+
+
+class NotAPreProof(CalculusError):
+    pass
+
+
+def check_pre_proof(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:
+    """The rule findings of :func:`~nwproofs.calculus.check_proof_graph`:
+    is every proper node a rule instance, wherever its glue points sit?"""
+    report = check_proof_graph(calc, pg)
+    return CheckReport([f for f in report.findings if f.condition == "rule"])
+
+
+def progressing(calc: LocalProgressCalculus, pg: ProofGraph, state: StateId, node: Word) -> bool:
+    """Is ``node`` a progressing premise of its parent in this fragment?"""
+    frag = pg.fragment(state)
+    if node not in frag.nodes:
+        raise UnknownProofNode(f"node {format_word(node)} not in state {state!r}")
+    if node == EPSILON:
+        return False
+    sequent, rule = _sequent_rule(frag.label(node[:-1]), node[:-1])
+    premises = _premises(frag, node[:-1], _leaf_sequents(pg.graph._dest, state))[0]
+    return node[-1] in calc.progress_set(rule, premises, sequent)
+
+
+def compute_fragmentation(
+    calc: LocalProgressCalculus, labels: Mapping[Word, Any]
+) -> dict[Word, Word]:
+    """Partition a labelled pre-proof tree along its progress edges.
+
+    Blocks are the regions connected by parent-child edges whose child
+    is not progressing; the result maps each node to its block root.
+    Truncation leaves contribute their recorded sequents to the parent
+    instance but carry no rule of their own.
+    """
+    tree = labels if isinstance(labels, TreeNW) else TreeNW(labels)
+    parent_root: dict[Word, Word] = {EPSILON: EPSILON}
+    for w in sorted(tree.nodes, key=len):
+        label = tree.label(w)
+        if isinstance(label, Truncation):
+            continue
+        sequent, rule = _sequent_rule(label, w)
+        premises = _premises(tree, w, {})[0]
+        if not calc.is_instance(rule, premises, sequent):
+            raise NotAPreProof(f"node {format_word(w)} is not an instance of {rule}")
+        prog = calc.progress_set(rule, premises, sequent)
+        for i, child in enumerate(tree.children(w)):
+            parent_root[child] = child if i in prog else parent_root[w]
+    return parent_root

@@ -157,11 +157,6 @@ def _parse_node_line(body: str, line_no: int) -> str | tuple[Any, str]:
     return sequent, rule
 
 
-def canonicalize(text: str) -> str:
-    name, pg = parse_proof_file(text)
-    return print_proof_file(pg, name)
-
-
 def to_dot(pg: ProofGraph) -> str:
     """Graphviz rendering: one cluster per state, link edges dashed."""
     lines = ["digraph proof {", '  node [shape=box, fontname="monospace"];']

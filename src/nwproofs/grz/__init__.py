@@ -13,10 +13,10 @@ _WHERE = {
     name: module
     for module, names in [
         ("formulas", ["Atom", "Bot", "Box", "Formula", "Imp", "Sequent", "rank"]),
-        ("rules", ["GRZ", "GRZ_CUT", "local_height"]),
+        ("rules", ["GRZ", "GRZ_CUT"]),
         ("admissible", ["FormulaAbsent", "NotAProof", "weakening", "contr_atom_left"]),
         ("admissible", ["contr_atom_right", "inv_bot_right", "linv_imp_left", "rinv_imp_left"]),
-        ("admissible", ["inv_imp_right", "inv_box_right"]),
+        ("admissible", ["inv_imp_right", "inv_box_right", "local_height"]),
         ("cutelim", ["CutMeasure", "MeasureViolation", "reduce_cut", "cuts_up", "cut_elim"]),
         ("cutelim", ["cut_elimination_step"]),
     ]

@@ -4,8 +4,9 @@ and the inversions of the logical rules.
 Each one rewrites only the root state's fragment, by recursion on its
 height: in every rule the surrounding context passes through unchanged,
 and the right premise of a box node is a link whose subproof is reused
-as is.  All of them keep the local height from growing and never insert
-a cut, so a cut-free root fragment stays cut-free.
+as is.  All of them keep the local height (:func:`local_height`) from
+growing and never insert a cut, so a cut-free root fragment stays
+cut-free.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ class NotAProof(ValueError):
 
 class FormulaAbsent(ValueError):
     pass
+
+
+def local_height(pg: ProofGraph) -> int:
+    """Height of the root state's fragment, star leaves included."""
+    return pg.fragment(pg.root).height
 
 
 def _require_proof(pg: ProofGraph) -> None:

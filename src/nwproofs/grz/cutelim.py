@@ -17,7 +17,8 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 from ..calculus import ProofGraph
-from ..coalgebra import BudgetExceeded, UnfoldBudget, Unfolding
+from ..coalgebra import BudgetExceeded, UnfoldBudget
+from ..fftree import Unfolding
 from ..store import Arena, PLink, PNode, to_nested
 from ..trees import EPSILON, TreeNW
 from .admissible import (

@@ -230,11 +230,6 @@ def mdiff(a: Mset, b: Mset) -> Mset:
     return tuple((f, n - bmap.get(f, 0)) for f, n in a if n - bmap.get(f, 0) > 0)
 
 
-def minter(a: Mset, b: Mset) -> Mset:
-    bmap = dict(b)
-    return tuple((f, min(n, bmap[f])) for f, n in a if f in bmap and min(n, bmap[f]) > 0)
-
-
 def msubset(a: Mset, b: Mset) -> bool:
     bmap = dict(b)
     return all(n <= bmap.get(f, 0) for f, n in a)

@@ -8,7 +8,7 @@ Progress happens only at the right premise of the box rule.
 
 from __future__ import annotations
 
-from ..calculus import LocalProgressCalculus, ProofGraph
+from ..calculus import LocalProgressCalculus
 from .formulas import (
     BOT,
     Atom,
@@ -108,11 +108,6 @@ GRZ = LocalProgressCalculus("grz", dict(_BASE_RULES), _progress)
 GRZ_CUT = LocalProgressCalculus("grz+cut", {**_BASE_RULES, CUT: match_cut}, _progress)
 
 CALCULI = {GRZ.name: GRZ, GRZ_CUT.name: GRZ_CUT}
-
-
-def local_height(pg: ProofGraph) -> int:
-    """Height of the root state's fragment, star leaves included."""
-    return pg.fragment(pg.root).height
 
 
 # -- instance decomposition: each rule instance read through its principal

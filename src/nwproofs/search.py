@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .calculus import LocalProgressCalculus, ProofGraph, check_proof_graph
-from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, reachable, restrict
+from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, reachable
 from .grz.formulas import (
     Atom,
     Bot,
@@ -57,7 +57,7 @@ from .grz.rules import (
     is_bot_axiom,
 )
 from .grz.admissible import weaken_tree
-from .store import PLink, PNode, flatten, replace_subtree, subtree_at, to_nested
+from .store import PLink, PNode, flatten, replace_subtree, restrict, subtree_at, to_nested
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ class _Search:
         opened.ids[goal] = sid
         opened.frags[sid] = None
         for candidate, pendings in self._fragments(
-            goal, self.budget.max_fragment_height, frozenset(), frozenset()
+            goal, self.budget.max_fragment_height, frozenset(), False
         ):
             trial = opened.copy()
             ok = True
@@ -191,15 +191,15 @@ class _Search:
         goal: Sequent,
         height: int,
         reflected: frozenset[Formula],
-        cut_used: frozenset[Formula],
+        below_cut: bool,
     ) -> Iterator[tuple[PNode, tuple[Sequent, ...]]]:
         """Candidate fragments for a goal, leaves possibly pending goals,
         each with its pending goals in left-to-right order.
 
         Termination: every deterministic step strictly shrinks the pair
         (implication nodes, unreflected antecedent boxes), box steps
-        strip a box, and each cut formula is used once per branch; the
-        height bound caps everything anyway.
+        strip a box, and a branch holds at most one cut; the height bound
+        caps everything anyway.
 
         The right premise of an ``impl`` or ``cut`` node is listed once
         and paired with every left candidate, in the order of a nested
@@ -220,7 +220,7 @@ class _Search:
             return
         if height == 0:
             return
-        key = (goal, height, reflected, cut_used)
+        key = (goal, height, reflected, below_cut)
         if key in self._done:
             yield from self._done[key]
             return
@@ -229,7 +229,7 @@ class _Search:
         succ_imp = next((g for g, _ in goal.succ if isinstance(g, Imp)), None)
         if succ_imp is not None:
             premise = goal.drop_right(succ_imp).with_left(succ_imp.left).with_right(succ_imp.right)
-            for sub, pendings in self._fragments(premise, height - 1, reflected, cut_used):
+            for sub, pendings in self._fragments(premise, height - 1, reflected, below_cut):
                 out.append((PNode(goal, IMP_RIGHT, (sub,)), pendings))
                 yield out[-1]
             self._done[key] = out
@@ -240,9 +240,9 @@ class _Search:
             rest = goal.drop_left(ante_imp)
             left, right = rest.with_right(ante_imp.left), rest.with_left(ante_imp.right)
             rights = None
-            for sub_l, pend_l in self._fragments(left, height - 1, reflected, cut_used):
+            for sub_l, pend_l in self._fragments(left, height - 1, reflected, below_cut):
                 if rights is None:
-                    rights = list(self._fragments(right, height - 1, reflected, cut_used))
+                    rights = list(self._fragments(right, height - 1, reflected, below_cut))
                     if not rights:
                         break
                 for sub_r, pend_r in rights:
@@ -258,7 +258,7 @@ class _Search:
         if fresh_box is not None:
             premise = goal.with_left(fresh_box.body)
             reflected = reflected | {fresh_box}
-            for sub, pendings in self._fragments(premise, height - 1, reflected, cut_used):
+            for sub, pendings in self._fragments(premise, height - 1, reflected, below_cut):
                 out.append((PNode(goal, REFL, (sub,)), pendings))
                 yield out[-1]
             self._done[key] = out
@@ -268,21 +268,20 @@ class _Search:
         for f in self._order([g for g, _ in goal.succ if isinstance(g, Box)]):
             left = goal.drop_right(f).with_right(f.body)
             pending = Sequent.of(boxes, [f.body])
-            for sub, pendings in self._fragments(left, height - 1, reflected, cut_used):
+            for sub, pendings in self._fragments(left, height - 1, reflected, below_cut):
                 out.append((PNode(goal, BOX, (sub, _Pending(pending))), pendings + (pending,)))
                 yield out[-1]
 
         # One cut per branch: its premises are searched cut free, which
         # keeps exhaustion of the cut space affordable while still
         # finding genuinely cut-carrying proofs.
-        if self.cuts and not cut_used:
+        if self.cuts and not below_cut:
             for f in self._order(sorted(self.budget.cut_formulas, key=formula_key)):
                 left, right = goal.with_right(f), goal.with_left(f)
-                used = cut_used | {f}
                 rights = None
-                for sub_l, pend_l in self._fragments(left, height - 1, reflected, used):
+                for sub_l, pend_l in self._fragments(left, height - 1, reflected, True):
                     if rights is None:
-                        rights = list(self._fragments(right, height - 1, reflected, used))
+                        rights = list(self._fragments(right, height - 1, reflected, True))
                         if not rights:
                             break
                     for sub_r, pend_r in rights:

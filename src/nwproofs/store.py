@@ -1,9 +1,11 @@
 """The rewriting side of the kernel; nothing in it is needed to check a proof.
 
 It holds the nested view of a fragment (:class:`PNode` with
-:class:`PLink` leaves) and its conversions to and from word tables, and
-:class:`Arena`, the hash-consed store in which ``extend``, ``cuts_up``
-and the admissible moves keep the proofs they make.  The store caches
+:class:`PLink` leaves) and its conversions to and from word tables,
+bisimulation (:func:`bisim_minimize`, and :func:`canonical_form` built
+on it), and :class:`Arena`, the hash-consed store in which ``extend``,
+``cuts_up`` and the admissible moves keep the proofs they make, and
+whose classes are bisimulation classes.  The store caches
 which of its states passed the checker, and what the checker decided,
 in one pair of tables per calculus object; :func:`check` and the
 target checks of ``extend`` are the places that read or write them.
@@ -21,13 +23,13 @@ Grz+cut check passed, and that holds no cut, is a lookup.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
 from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, UnknownNode
 from .calculus import _check_labels, _sequent_rule, check_proof_graph, recorded_pass
-from .coalgebra import Coalgebra, StateId, bisim_minimize, root_first_order, validated_destructor
+from .coalgebra import Coalgebra, StateId, reachable, root_first_order, validated_destructor
 from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
 # -- nested fragment views ------------------------------------------------
@@ -126,6 +128,66 @@ def subtree_at(node: PNode, at: Word) -> PNode | PLink:
         assert isinstance(cur, PNode)
         cur = cur.children[i]
     return cur
+
+
+# -- bisimulation ----------------------------------------------------------
+
+
+def restrict(coalg: Coalgebra, states: Iterable[StateId]) -> Coalgebra:
+    keep = set(states)
+    return Coalgebra({s: d for s, d in coalg.destructors().items() if s in keep})
+
+
+def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]:
+    """Quotient by the coarsest bisimulation.
+
+    States are identified iff their fragments are equal and their links
+    lead to pairwise identified states; the refinement is seeded by
+    fragment equality.  Returns the quotient and the renaming map.
+    """
+    states = sorted(coalg.states)
+    block: dict[StateId, int] = {}
+    by_frag: dict[Any, int] = {}
+    for s in states:
+        # a fragment hashes once, where its key tuple would hash every label
+        block[s] = by_frag.setdefault(coalg._dest[s][0], len(by_frag))
+    while True:
+        sigs: dict[tuple, int] = {}
+        new_block: dict[StateId, int] = {}
+        for s in states:
+            frag, links = coalg._dest[s]
+            sig = (block[s], tuple((w, block[links[w]]) for w in sorted(links)))
+            new_block[s] = sigs.setdefault(sig, len(sigs))
+        if new_block == block:
+            break
+        block = new_block
+    members: dict[int, list[StateId]] = {}
+    for s in states:
+        members.setdefault(block[s], []).append(s)
+    name = {b: min(ms) for b, ms in members.items()}
+    renaming = {s: name[block[s]] for s in states}
+    dest = {}
+    for b, ms in members.items():
+        rep = min(ms)
+        frag, links = coalg._dest[rep]
+        dest[name[b]] = (frag, {w: renaming[t] for w, t in links.items()})
+    return Coalgebra(dest), renaming
+
+
+def canonical_form(coalg: Coalgebra, state: StateId) -> tuple:
+    """A hashable key equal for exactly the bisimilar rooted machines.
+
+    Minimizes the part reachable from ``state`` and serializes it in
+    a deterministic root-first order, so the key doubles as a memo key
+    for corecursion and as an isomorphism test.
+    """
+    small, renaming = bisim_minimize(restrict(coalg, reachable(coalg, state)))
+    order = root_first_order(small, renaming[state])
+    index = {s: i for i, s in enumerate(order)}
+    return tuple(
+        (small._dest[s][0].key, tuple((w, index[t]) for w, t in sorted(small._dest[s][1].items())))
+        for s in order
+    )
 
 
 class Arena:

@@ -33,7 +33,7 @@ same calculus object, as for an identity step, or one with the same
 progress function and the same matcher for each rule in the fragment,
 as for cut elimination from Grz+cut into Grz.  Without closure the
 output is laid out by the same driver as
-:func:`~nwproofs.coalgebra.unfold`, :func:`~nwproofs.coalgebra.unfold_by`,
+:func:`~nwproofs.fftree.unfold`, :func:`~nwproofs.fftree.unfold_by`,
 and :func:`validate_step` is a memo-free extension of one layer.
 """
 
@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, check_proof_fragment
-from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, UnfoldBudget, Unfolding, unfold_by
+from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, UnfoldBudget
+from .fftree import Unfolding, unfold_by
 from .store import Arena, check
 from .trees import EPSILON, TreeNW, Truncation, Word, format_word
 
@@ -62,21 +63,6 @@ class TranslationStep:
     name: str = "step"
 
 
-@dataclass(frozen=True)
-class StagedStep:
-    """Two steps with a switch: run ``first`` until the switch fires on a
-    value, then run ``second`` on everything after it."""
-
-    first: TranslationStep
-    second: TranslationStep
-    switch: Callable[[ProofGraph], bool]
-    compat: Callable[[ProofGraph], bool] | None = None
-
-    def __post_init__(self) -> None:
-        if self.first.source is not self.second.source or self.first.target is not self.second.target:
-            raise ValueError("staged steps must share source and target calculi")
-
-
 class StepContractViolation(ValueError):
     """A translation step broke one of its two obligations."""
 
@@ -84,10 +70,6 @@ class StepContractViolation(ValueError):
         super().__init__(f"condition {condition}: {message}")
         self.condition = condition
         self.report = report
-
-
-class CompatibilityViolation(StepContractViolation):
-    """The mixed fragment at a stage switch is not a target fragment."""
 
 
 class NotASourceProof(ValueError):
@@ -109,70 +91,48 @@ def identity_step(calc: LocalProgressCalculus) -> TranslationStep:
 class _Emitted:
     fragment: TreeNW
     links: dict[Word, str] = field(default_factory=dict)
-    switched: bool = False  # a stage boundary sits above its successors
 
 
 class _Engine:
-    """Shared worker for plain and staged extension.
+    """The worker of one extension; its values are views of ``store``."""
 
-    Values are (proof, stage) pairs, the proof a view of ``store``; plain
-    extension uses stage 0 only.
-    """
-
-    def __init__(self, staged: StagedStep | None, step: TranslationStep):
-        self.staged = staged
+    def __init__(self, step: TranslationStep):
         self.step = step
         self.source = step.source
         self.target = step.target
         self.store = Arena()
         self.decided = self.store.decided(self.target)  # shared with the store's checks
 
-    def apply(self, value: tuple[ProofGraph, int]) -> tuple[TreeNW, dict[Word, tuple[ProofGraph, int]], bool]:
-        pg, stage = value
-        step, nxt, fires = self.step, 0, False
-        if self.staged is not None and stage == 0:
-            fires = self.staged.switch(pg)
-            if fires and self.staged.compat is not None and not self.staged.compat(pg):
-                raise CompatibilityViolation(1, f"compatibility predicate rejected {pg!r}")
-            nxt = 1 if fires else 0
-        elif self.staged is not None:
-            step, nxt = self.staged.second, 1
-        fragment, parts = step.apply(pg)
+    def apply(self, pg: ProofGraph) -> tuple[TreeNW, dict[Word, ProofGraph]]:
+        fragment, parts = self.step.apply(pg)
         for w in sorted(fragment.nw_leaves):
             if w not in parts:
                 raise StepContractViolation(2, f"no residual at leaf {format_word(w)}")
-        return fragment, {w: (self.own(p), nxt) for w, p in parts.items()}, fires
+        return fragment, {w: self.own(p) for w, p in parts.items()}
 
     def own(self, pg: ProofGraph) -> ProofGraph:
         """``pg`` as a view of the store; a residual from another graph is
         copied in once, and never one from the built-in steps."""
         return pg if pg.store is self.store else self.store.view(self.store.include(pg))
 
-    def key(self, value: tuple[ProofGraph, int]) -> Hashable:
-        pg, stage = value
-        return self.store.class_of(pg.root), stage
+    def key(self, pg: ProofGraph) -> Hashable:
+        return self.store.class_of(pg.root)
 
-    def check_value(self, value: tuple[ProofGraph, int], where: str) -> None:
-        report = check(self.source, value[0])
+    def check_value(self, pg: ProofGraph, where: str) -> None:
+        report = check(self.source, pg)
         if not report.ok:
             raise StepContractViolation(
                 2, f"residual at {where} is not a {self.source.name} proof", report
             )
 
-    def check_fragment(
-        self,
-        fragment: TreeNW,
-        leaf_sequents: Mapping[Word, Any],
-        where: str,
-        switched: bool,
-    ) -> None:
+    def check_fragment(self, fragment: TreeNW, leaf_sequents: Mapping[Word, Any], where: str) -> None:
         if self.store.passed(self.target, fragment, leaf_sequents):
             return
         report = check_proof_fragment(self.target, fragment, leaf_sequents, decided=self.decided)
-        if report.ok:
-            return
-        cls = CompatibilityViolation if switched else StepContractViolation
-        raise cls(1, f"fragment at {where} is not a {self.target.name} fragment", report)
+        if not report.ok:
+            raise StepContractViolation(
+                1, f"fragment at {where} is not a {self.target.name} fragment", report
+            )
 
 
 def extend(
@@ -189,49 +149,30 @@ def extend(
     :class:`Unfolding` of the translated proof, bounded by ``budget``.
     A ``max_states`` below 1 raises :class:`BudgetError`.
     """
-    return _run(_Engine(None, step), pg, budget, memo, max_states)
-
-
-def extend_staged(
-    staged: StagedStep,
-    pg: ProofGraph,
-    budget: UnfoldBudget,
-    memo: bool = True,
-    max_states: int = 512,
-) -> ProofGraph | Unfolding:
-    """Extend a staged step, tracking the stage alongside each residual."""
-    return _run(_Engine(staged, staged.first), pg, budget, memo, max_states)
-
-
-def _require_source_proof(step: TranslationStep, pg: ProofGraph) -> None:
-    report = check(step.source, pg)
-    if not report.ok:
-        raise NotASourceProof(f"input is not a {step.source.name} proof:\n{report}")
-
-
-def _run(engine, pg, budget, memo, max_states):
     if max_states < 1:
         raise BudgetError("budget bounds must be at least 1")
+    engine = _Engine(step)
     root = engine.own(pg)
-    _require_source_proof(engine.step, root)
-    root_value = (root, 0)
+    report = check(step.source, root)
+    if not report.ok:
+        raise NotASourceProof(f"input is not a {step.source.name} proof:\n{report}")
     if memo:
-        closed = _close(engine, root_value, max_states)
+        closed = _close(engine, root, max_states)
         if closed is not None:
             return closed
-    return _unfold(engine, root_value, budget)
+    return _unfold(engine, root, budget)
 
 
-def _close(engine, root_value, max_states) -> ProofGraph | None:
+def _close(engine, root, max_states) -> ProofGraph | None:
     """Memoized corecursion to a finite graph; None if the key space is
     exhausted before closing."""
-    memo: dict[Hashable, str] = {engine.key(root_value): "s0"}
-    queue: list[tuple[tuple, str]] = [(root_value, "s0")]
+    memo: dict[Hashable, str] = {engine.key(root): "s0"}
+    queue: list[tuple[ProofGraph, str]] = [(root, "s0")]
     emitted: dict[str, _Emitted] = {}
     while queue:
         value, sid = queue.pop(0)
-        fragment, parts, switched = engine.apply(value)
-        out = _Emitted(fragment, switched=switched)
+        fragment, parts = engine.apply(value)
+        out = _Emitted(fragment)
         for w in sorted(fragment.nw_leaves):
             succ = parts[w]
             key = engine.key(succ)
@@ -248,39 +189,39 @@ def _close(engine, root_value, max_states) -> ProofGraph | None:
         leaf_sequents = {
             w: emitted[t].fragment.label(EPSILON)[0] for w, t in out.links.items()
         }
-        engine.check_fragment(out.fragment, leaf_sequents, f"state {sid}", out.switched)
+        engine.check_fragment(out.fragment, leaf_sequents, f"state {sid}")
     graph = Coalgebra({sid: (out.fragment, out.links) for sid, out in emitted.items()})
     return ProofGraph(graph, "s0")
 
 
-def _unfold(engine, root_value, budget) -> Unfolding:
+def _unfold(engine, root, budget) -> Unfolding:
     """Layered translation without closure, through :func:`unfold_by`:
     each value but the root passes the source check before it is
     stepped, truncation marks are named ``t0, t1, ...`` in frontier
     order and carry the translated root labels, and each laid-out
     fragment is then checked against the labels behind its star leaves."""
-    stepped: dict[Word, tuple[TreeNW, bool]] = {}
+    stepped: dict[Word, TreeNW] = {}
 
     def destruct(value, at):
         if at != EPSILON:
             engine.check_value(value, f"position {format_word(at)}")
-        fragment, parts, switched = engine.apply(value)
-        stepped[at] = fragment, switched
+        fragment, parts = engine.apply(value)
+        stepped[at] = fragment
         return fragment, parts
 
     names = (f"t{i}" for i in itertools.count())
     try:
-        out = unfold_by(destruct, root_value, budget, lambda _: next(names))
+        out = unfold_by(destruct, root, budget, lambda _: next(names))
     except BudgetExceeded as err:
         raise BudgetExceeded(f"translated {err}") from None
-    for base, (fragment, switched) in stepped.items():
+    for base, fragment in stepped.items():
         if base in out.truncations:
             continue
         leaf_sequents = {}
         for w in fragment.nw_leaves:
             child = out.tree.label(base + w)
             leaf_sequents[w] = (child.label if isinstance(child, Truncation) else child)[0]
-        engine.check_fragment(fragment, leaf_sequents, f"position {format_word(base)}", switched)
+        engine.check_fragment(fragment, leaf_sequents, f"position {format_word(base)}")
     return out
 
 

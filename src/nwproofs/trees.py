@@ -205,18 +205,3 @@ class TreeNW:
     def __repr__(self) -> str:
         parts = ", ".join(f"{format_word(w)}:{lab!r}" for w, lab in self._key)
         return f"TreeNW({parts})"
-
-
-def validate_tree_nw(labels: Mapping[Word, Label]) -> TreeNW:
-    """Check a candidate node-to-label mapping and wrap it as a tree."""
-    return TreeNW(labels)
-
-
-def nw_leaves(tree: TreeNW) -> frozenset[Word]:
-    """Star-labelled leaves of the tree."""
-    return tree.nw_leaves
-
-
-def proper_nodes(tree: TreeNW) -> frozenset[Word]:
-    """Nodes of the tree that are not star leaves."""
-    return tree.proper_nodes

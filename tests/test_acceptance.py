@@ -20,31 +20,32 @@ from grzlib import (
     cut_above_loop_graph,
     weakening_part_cut_graph,
 )
-from nwproofs.calculus import (
-    NotAPreProof,
-    ProofGraph,
-    check_proof_fragment,
-    check_proof_graph,
-    compute_fragmentation,
-)
-from nwproofs.store import PLink, PNode, flatten, replace_subtree, subproof, subtree_at, to_nested
-from nwproofs.coalgebra import (
-    Coalgebra,
-    UnfoldBudget,
-    Unfolding,
+from nwproofs.calculus import ProofGraph, check_proof_fragment, check_proof_graph
+from nwproofs.store import (
+    PLink,
+    PNode,
     bisim_minimize,
-    fragment_at,
-    is_root_path,
-    subelement,
-    unfold,
+    flatten,
+    replace_subtree,
+    subproof,
+    subtree_at,
+    to_nested,
 )
+from nwproofs.coalgebra import Coalgebra, UnfoldBudget
 from nwproofs.fftree import (
     FFTree,
+    NotAPreProof,
+    Unfolding,
+    compute_fragmentation,
     construct,
     ff_fragment,
     ff_is_root_path,
     ff_root_paths,
     ff_subelement,
+    fragment_at,
+    is_root_path,
+    subelement,
+    unfold,
 )
 from nwproofs.grz import (
     GRZ,

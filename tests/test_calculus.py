@@ -7,17 +7,20 @@ from grzlib import P, Q, ax_graph, box_step_graph, graph, link, node, self_loop_
 from nwproofs.calculus import (
     CalculusError,
     Finding,
-    NotAPreProof,
     ProofGraph,
     UnknownNode,
-    check_pre_proof,
     check_proof_fragment,
     check_proof_graph,
+)
+from nwproofs.coalgebra import Coalgebra, UnfoldBudget, root_first_order
+from nwproofs.fftree import (
+    FFTree,
+    NotAPreProof,
+    check_pre_proof,
     compute_fragmentation,
     progressing,
+    unfold,
 )
-from nwproofs.coalgebra import Coalgebra, UnfoldBudget, root_first_order, unfold
-from nwproofs.fftree import FFTree
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, Box, Imp, local_height
 from nwproofs.store import flatten, subproof, to_nested

@@ -6,19 +6,13 @@ from conftest import random_coalgebra, random_root_path, unfold_by_gluing
 from nwproofs.coalgebra import (
     BudgetExceeded,
     Coalgebra,
-    NotARootPath,
     UnfoldBudget,
     UnknownState,
-    bisim_minimize,
-    canonical_form,
-    fragment_at,
-    is_root_path,
     reachable,
-    restrict,
     root_first_order,
-    subelement,
-    unfold,
 )
+from nwproofs.fftree import NotARootPath, fragment_at, is_root_path, subelement, unfold
+from nwproofs.store import bisim_minimize, canonical_form, restrict
 from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation, disjoint, word_of
 
 LOOP_FRAG = TreeNW({EPSILON: "a", (0,): STAR})

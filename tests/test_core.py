@@ -18,7 +18,6 @@ TRUSTED = {
     "nwproofs",
     "nwproofs.cli",
     "nwproofs.trees",
-    "nwproofs.fftree",
     "nwproofs.coalgebra",
     "nwproofs.calculus",
     "nwproofs.syntax",
@@ -44,16 +43,20 @@ import nwproofs.graphfile
 from nwproofs.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["check", "--all", sys.argv[1]])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "nwproofs")]))
+loaded = {m: sys.modules[m].__file__ for m in sys.modules if m.split(".")[0] == "nwproofs"}
+lines = sum(len(open(f).read().splitlines()) for f in loaded.values())
+print(json.dumps([code, sorted(loaded), lines]))
 """
 
 
 def test_check_loads_only_the_trusted_modules():
-    code, loaded = _run(CHECK_CORPUS, str(CORPUS))
+    code, loaded, lines = _run(CHECK_CORPUS, str(CORPUS))
     assert code == 0
     assert set(loaded) <= TRUSTED
-    for untrusted in ("store", "translate", "search", "grz.admissible", "grz.cutelim"):
+    for untrusted in ("fftree", "store", "translate", "search", "grz.admissible", "grz.cutelim"):
         assert f"nwproofs.{untrusted}" not in loaded
+    # the trusted base, counted as CI prints it; it may only shrink
+    assert lines <= 1_800
 
 
 NAMESPACES = """

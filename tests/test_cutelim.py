@@ -16,7 +16,8 @@ from grzlib import (
     weakening_part_cut_graph,
 )
 from nwproofs.calculus import check_proof_graph
-from nwproofs.coalgebra import UnfoldBudget, Unfolding, canonical_form, unfold
+from nwproofs.coalgebra import UnfoldBudget
+from nwproofs.fftree import Unfolding, unfold
 from nwproofs.grz import (
     GRZ,
     GRZ_CUT,
@@ -29,7 +30,7 @@ from nwproofs.grz import (
     reduce_cut,
 )
 from nwproofs.grz.rules import CUT
-from nwproofs.store import subproof, to_nested
+from nwproofs.store import canonical_form, subproof, to_nested
 from nwproofs.trees import Truncation
 
 

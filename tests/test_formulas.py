@@ -25,7 +25,6 @@ from nwproofs.grz.formulas import (
     madd,
     mcount,
     mdiff,
-    minter,
     mremove,
     mset,
     msubset,
@@ -174,7 +173,6 @@ def test_binary_operations(a, b):
     ca, cb = Counter(a), Counter(b)
     assert munion(mset(a), mset(b)) == model(ca + cb)
     assert mdiff(mset(a), mset(b)) == model(ca - cb)
-    assert minter(mset(a), mset(b)) == model(ca & cb)
     assert msubset(mset(a), mset(b)) == all(n <= cb[f] for f, n in ca.items())
 
 

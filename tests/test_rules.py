@@ -1,6 +1,6 @@
 from grzlib import P, Q, seq
 from nwproofs.grz import Bot, Box, Imp, rank
-from nwproofs.grz.formulas import mdiff, minter, mset, munion
+from nwproofs.grz.formulas import mdiff, mset, munion
 from nwproofs.grz.rules import (
     GRZ,
     GRZ_CUT,
@@ -109,7 +109,6 @@ def test_multiset_algebra():
     b = mset([P, Box(P)])
     assert munion(a, b) == mset([P, P, P, Q, Box(P)])
     assert mdiff(a, b) == mset([P, Q])
-    assert minter(a, b) == mset([P])
     # the weakening-part decomposition identity behind the residual cut
     big = munion(a, mdiff(b, a))
     assert big == munion(b, mdiff(a, b))

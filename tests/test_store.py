@@ -3,6 +3,7 @@ cache, and how much work one translation does per state."""
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
 from collections import Counter
@@ -17,14 +18,15 @@ from conftest import random_tree_nw
 from grzlib import P, Q, atomic_cut_graph, box_step_graph, node, seq
 from nwproofs import calculus, coalgebra, store, translate
 from nwproofs.calculus import LocalProgressCalculus, ProofGraph, check_proof_graph
-from nwproofs.coalgebra import Coalgebra, StateId, UnfoldBudget, Unfolding, canonical_form
+from nwproofs.coalgebra import Coalgebra, StateId, UnfoldBudget
+from nwproofs.fftree import Unfolding
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, cut_elim
 from nwproofs.grz.cutelim import cut_elimination_step
 from nwproofs.grz.formulas import Atom, Box, Imp, Sequent
 from nwproofs.grz.rules import BOX
 from nwproofs.search import SearchBudget, _plant_cut, search
-from nwproofs.store import Arena, PNode, check
+from nwproofs.store import Arena, PNode, canonical_form, check
 from nwproofs.translate import StepContractViolation, TranslationStep, extend, identity_step
 from nwproofs.trees import EPSILON, STAR, TreeNW
 
@@ -138,6 +140,21 @@ def test_calculus_forwards_the_store_names_the_benchmark_imports():
         from nwproofs.calculus import flatten  # noqa: F401
 
 
+def test_coalgebra_forwards_only_the_names_the_benchmark_reads():
+    from nwproofs import fftree
+
+    forwarded = {"Unfolding": fftree, "unfold": fftree, "bisim_minimize": store, "canonical_form": store}
+    for name, home in forwarded.items():
+        assert getattr(coalgebra, name) is getattr(home, name)
+    with pytest.raises(ImportError):
+        from nwproofs.coalgebra import restrict  # noqa: F401
+    # the kernel imports these names from their homes, never through the forwarder
+    for path in Path(store.__file__).parent.rglob("*.py"):
+        for imp in ast.walk(ast.parse(path.read_text())):
+            if isinstance(imp, ast.ImportFrom) and (imp.module or "").endswith("coalgebra"):
+                assert not {alias.name for alias in imp.names} & set(forwarded), path
+
+
 def _box_chain(n: int) -> Sequent:
     f = Imp(Atom(0), Atom(0))
     for _ in range(n):
@@ -202,8 +219,8 @@ def test_extend_works_once_per_state(n, monkeypatch):
     cut = _plant_cut(random.Random(n), pg)
     counts: Counter = Counter()
     _count_calls(monkeypatch, counts, calculus.check_proof_fragment, "check")
-    _count_calls(monkeypatch, counts, coalgebra.canonical_form, "canonical")
-    _count_calls(monkeypatch, counts, coalgebra.bisim_minimize, "minimize")
+    _count_calls(monkeypatch, counts, store.canonical_form, "canonical")
+    _count_calls(monkeypatch, counts, store.bisim_minimize, "minimize")
     add = Arena.add
 
     def counted_add(self, fragment, links):

@@ -15,18 +15,17 @@ from grzlib import (
     seq,
     weakening_part_cut_graph,
 )
-from nwproofs.calculus import check_proof_graph, compute_fragmentation
-from nwproofs.coalgebra import UnfoldBudget, Unfolding, canonical_form, reachable, unfold
+from nwproofs.calculus import check_proof_graph
+from nwproofs.coalgebra import UnfoldBudget, reachable
+from nwproofs.fftree import Unfolding, compute_fragmentation, unfold
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, cut_elimination_step
-from nwproofs.grz.rules import CALCULI, CUT
+from nwproofs.grz.rules import CALCULI
+from nwproofs.store import canonical_form
 from nwproofs.translate import (
-    CompatibilityViolation,
-    StagedStep,
     StepContractViolation,
     TranslationStep,
     extend,
-    extend_staged,
     identity_step,
     validate_step,
 )
@@ -34,12 +33,6 @@ from nwproofs.trees import Truncation
 
 BUDGET = UnfoldBudget(max_depth=4)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
-
-def cut_step_into_grz_cut():
-    """The cut-removal step retargeted at the wider calculus, for staging."""
-    base = cut_elimination_step()
-    return TranslationStep(GRZ_CUT, GRZ_CUT, base.apply, name="cut-elim-wide")
 
 
 def test_identity_extension_is_bisimilar():
@@ -186,55 +179,3 @@ def test_validate_step_reports_garbled_or_missing_residuals():
     for apply in (garbled, missing):
         report = validate_step(TranslationStep(GRZ, GRZ, apply), [ax_graph(), box_step_graph()])
         assert [(f.index, f.condition) for f in report.findings] == [(1, 2)], apply.__name__
-
-
-def test_staged_never_switching_equals_plain():
-    pg = self_loop_graph()
-    staged = StagedStep(identity_step(GRZ), identity_step(GRZ), switch=lambda _: False)
-    out = extend_staged(staged, pg, BUDGET)
-    plain = extend(identity_step(GRZ), pg, BUDGET)
-    assert canonical_form(out.graph, out.root) == canonical_form(plain.graph, plain.root)
-
-
-def test_staged_immediate_switch_same_step_equals_plain():
-    pg = self_loop_graph()
-    staged = StagedStep(identity_step(GRZ), identity_step(GRZ), switch=lambda _: True)
-    out = extend_staged(staged, pg, BUDGET)
-    plain = extend(identity_step(GRZ), pg, BUDGET)
-    assert canonical_form(out.graph, out.root) == canonical_form(plain.graph, plain.root)
-
-
-def test_staged_one_fragment_delay_keeps_root_cuts_only():
-    # identity first, cut removal after the first fragment: the root
-    # fragment may keep its cut, everything behind it comes out clean
-    pg = cut_above_loop_graph()
-    staged = StagedStep(
-        identity_step(GRZ_CUT), cut_step_into_grz_cut(), switch=lambda _: True
-    )
-    out = extend_staged(staged, pg, UnfoldBudget(max_depth=5))
-    assert not isinstance(out, Unfolding)
-    assert check_proof_graph(GRZ_CUT, out).ok
-    from nwproofs.store import to_nested
-
-    root_cuts = to_nested(out.fragment(out.root), out.links(out.root)).count(CUT)
-    assert root_cuts == 1
-    for s in out.states:
-        if s != out.root:
-            assert to_nested(out.fragment(s), out.links(s)).count(CUT) == 0
-
-
-def test_staged_mismatched_calculi_rejected():
-    with pytest.raises(ValueError):
-        StagedStep(identity_step(GRZ), identity_step(GRZ_CUT), switch=lambda _: True)
-
-
-def test_staged_compat_predicate_violation():
-    pg = box_step_graph()
-    staged = StagedStep(
-        identity_step(GRZ),
-        identity_step(GRZ),
-        switch=lambda _: True,
-        compat=lambda _: False,
-    )
-    with pytest.raises(CompatibilityViolation):
-        extend_staged(staged, pg, BUDGET)

@@ -14,11 +14,8 @@ from nwproofs.trees import (
     ViolatedRootLabel,
     disjoint,
     format_word,
-    nw_leaves,
     parse_word,
     prefix_le,
-    proper_nodes,
-    validate_tree_nw,
     word_of,
 )
 
@@ -63,44 +60,44 @@ def test_word_of_append(path, w):
 
 
 def test_validate_single_node():
-    t = validate_tree_nw({EPSILON: "a"})
+    t = TreeNW({EPSILON: "a"})
     assert t.nodes == {EPSILON}
     assert t.height == 0
 
 
 def test_validate_root_star_rejected():
     with pytest.raises(ViolatedRootLabel):
-        validate_tree_nw({EPSILON: STAR})
+        TreeNW({EPSILON: STAR})
 
 
 def test_validate_star_must_be_leaf():
     with pytest.raises(StarNotLeaf) as err:
-        validate_tree_nw({EPSILON: "a", (0,): STAR, (0, 0): "a"})
+        TreeNW({EPSILON: "a", (0,): STAR, (0, 0): "a"})
     assert err.value.node == (0,)
 
 
 def test_validate_prefix_closure():
     with pytest.raises(NotPrefixClosed):
-        validate_tree_nw({EPSILON: "a", (0, 0): "b"})
+        TreeNW({EPSILON: "a", (0, 0): "b"})
 
 
 def test_validate_gapped_children():
     with pytest.raises(GappedChildren):
-        validate_tree_nw({EPSILON: "a", (1,): "b"})
+        TreeNW({EPSILON: "a", (1,): "b"})
 
 
 def test_leaf_partition_examples():
-    t = validate_tree_nw({EPSILON: "a", (0,): STAR})
-    assert nw_leaves(t) == {(0,)}
-    assert proper_nodes(t) == {EPSILON}
+    t = TreeNW({EPSILON: "a", (0,): STAR})
+    assert t.nw_leaves == {(0,)}
+    assert t.proper_nodes == {EPSILON}
 
-    t2 = validate_tree_nw({EPSILON: "a"})
-    assert nw_leaves(t2) == frozenset()
-    assert proper_nodes(t2) == {EPSILON}
+    t2 = TreeNW({EPSILON: "a"})
+    assert t2.nw_leaves == frozenset()
+    assert t2.proper_nodes == {EPSILON}
 
-    t3 = validate_tree_nw({EPSILON: "a", (0,): STAR, (1,): "b"})
-    assert nw_leaves(t3) == {(0,)}
-    assert proper_nodes(t3) == {EPSILON, (1,)}
+    t3 = TreeNW({EPSILON: "a", (0,): STAR, (1,): "b"})
+    assert t3.nw_leaves == {(0,)}
+    assert t3.proper_nodes == {EPSILON, (1,)}
 
 
 def test_leaf_partition_is_a_partition():
