@@ -100,9 +100,6 @@ class Coalgebra:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Coalgebra) and self._dest == other._dest
 
-    def __hash__(self):
-        raise TypeError("use canonical_form for hashing coalgebras")
-
     def __repr__(self) -> str:
         return f"Coalgebra({sorted(self._dest)})"
 

@@ -66,14 +66,27 @@ def box_principal_body(node: PNode) -> Formula:
     return extra[0][0]
 
 
-# -- uniform context edits ---------------------------------------------
-
-
-def _edit(node: PNode, fn: Callable[[Sequent], Sequent]) -> PNode:
+def _invert(
+    node: PNode,
+    hit: Callable[[PNode], PNode | None],
+    edit: Callable[[Sequent], Sequent],
+) -> PNode:
+    """Apply ``edit`` to every sequent of the subtree at ``node``, but
+    replace a node by the proof that ``hit`` returns for it, if any."""
+    taken = hit(node)
+    if taken is not None:
+        return taken
     kids = tuple(
-        _edit(c, fn) if isinstance(c, PNode) else c for c in node.children
+        _invert(c, hit, edit) if isinstance(c, PNode) else c for c in node.children
     )
-    return PNode(fn(node.sequent), node.rule, kids)
+    return PNode(edit(node.sequent), node.rule, kids)
+
+
+def _no_hit(node: PNode) -> None:
+    return None
+
+
+# -- uniform context edits ---------------------------------------------
 
 
 def weakening(pg: ProofGraph, extra: Sequent) -> ProofGraph:
@@ -89,7 +102,7 @@ def weakening(pg: ProofGraph, extra: Sequent) -> ProofGraph:
 def weaken_tree(node: PNode, extra: Sequent) -> PNode:
     if extra == Sequent():
         return node
-    return _edit(node, lambda s: s.union(extra))
+    return _invert(node, _no_hit, lambda s: s.union(extra))
 
 
 def contr_atom_left(pg: ProofGraph, p: Formula) -> ProofGraph:
@@ -103,7 +116,7 @@ def contr_atom_left(pg: ProofGraph, p: Formula) -> ProofGraph:
 
 
 def contract_left_tree(node: PNode, p: Formula) -> PNode:
-    return _edit(node, lambda s: s.drop_left(p))
+    return _invert(node, _no_hit, lambda s: s.drop_left(p))
 
 
 def contr_atom_right(pg: ProofGraph, p: Formula) -> ProofGraph:
@@ -116,7 +129,7 @@ def contr_atom_right(pg: ProofGraph, p: Formula) -> ProofGraph:
 
 
 def contract_right_tree(node: PNode, p: Formula) -> PNode:
-    return _edit(node, lambda s: s.drop_right(p))
+    return _invert(node, _no_hit, lambda s: s.drop_right(p))
 
 
 def inv_bot_right(pg: ProofGraph) -> ProofGraph:
@@ -128,7 +141,7 @@ def inv_bot_right(pg: ProofGraph) -> ProofGraph:
 
 
 def drop_bot_tree(node: PNode) -> PNode:
-    return _edit(node, lambda s: s.drop_right(Bot()))
+    return _invert(node, _no_hit, lambda s: s.drop_right(Bot()))
 
 
 # -- inversions with a principal short-circuit --------------------------
@@ -136,20 +149,6 @@ def drop_bot_tree(node: PNode) -> PNode:
 # When the rewrite reaches a node whose principal formula is the one
 # being inverted, the wanted proof is one of its premises; otherwise the
 # occurrence is context and the edit recurses.
-
-
-def _invert(
-    node: PNode,
-    hit: Callable[[PNode], PNode | None],
-    edit: Callable[[Sequent], Sequent],
-) -> PNode:
-    taken = hit(node)
-    if taken is not None:
-        return taken
-    kids = tuple(
-        _invert(c, hit, edit) if isinstance(c, PNode) else c for c in node.children
-    )
-    return PNode(edit(node.sequent), node.rule, kids)
 
 
 def linv_imp_left(pg: ProofGraph, imp: Formula) -> ProofGraph:

@@ -141,14 +141,6 @@ def rank(f: Formula) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def size(f: Formula) -> int:
-    if isinstance(f, (Bot, Atom)):
-        return 1
-    if isinstance(f, Box):
-        return 1 + size(f.body)
-    return 1 + size(f.left) + size(f.right)
-
-
 def subformulas(f: Formula) -> set[Formula]:
     out = {f}
     if isinstance(f, Box):

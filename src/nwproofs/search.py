@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .calculus import LocalProgressCalculus, ProofGraph, check_proof_graph
-from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, reachable
+from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, root_first_order
 from .grz.formulas import (
     Atom,
     Bot,
@@ -57,7 +57,7 @@ from .grz.rules import (
     is_bot_axiom,
 )
 from .grz.admissible import weaken_tree
-from .store import PLink, PNode, flatten, replace_subtree, restrict, subtree_at, to_nested
+from .store import PLink, PNode, flatten, replace_subtree, subtree_at, to_nested
 
 
 @dataclass(frozen=True)
@@ -71,26 +71,6 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_fragment_height < 1 or self.max_states < 1:
             raise BudgetError("budget bounds must be at least 1")
-
-
-@dataclass(frozen=True)
-class _Pending:
-    """Placeholder leaf for a goal opened behind a box right premise."""
-
-    sequent: Sequent
-
-
-class _Tables:
-    """Goal bookkeeping, copied on entry so failed attempts roll back."""
-
-    __slots__ = ("ids", "frags")
-
-    def __init__(self, ids=None, frags=None):
-        self.ids: dict[Sequent, str] = dict(ids or {})
-        self.frags: dict[str, PNode | None] = dict(frags or {})
-
-    def copy(self) -> "_Tables":
-        return _Tables(self.ids, self.frags)
 
 
 class _Search:
@@ -116,60 +96,52 @@ class _Search:
         return items
 
     def run(self, goal: Sequent) -> ProofGraph | None:
-        tables = self._prove_state(goal, _Tables(), set())
-        if tables is None:
+        table = self._prove_state(goal, {}, set())
+        if table is None:
             return None
+        sid = {g: f"s{i}" for i, g in enumerate(table)}
         dest = {}
-        for sequent, sid in tables.ids.items():
-            nested = tables.frags[sid]
-            assert nested is not None
-            resolved = self._resolve(nested, tables)
-            frag, links = flatten(resolved)
-            dest[sid] = (frag, links)
-        return ProofGraph(Coalgebra(dest), tables.ids[goal])
+        for g, nested in table.items():
+            frag, pending = flatten(nested)
+            dest[sid[g]] = (frag, {w: sid[p] for w, p in pending.items()})
+        return ProofGraph(Coalgebra(dest), sid[goal])
 
-    def _resolve(self, node: PNode, tables: _Tables) -> PNode:
-        kids = []
-        for c in node.children:
-            if isinstance(c, _Pending):
-                kids.append(PLink(tables.ids[c.sequent]))
-            elif isinstance(c, PNode):
-                kids.append(self._resolve(c, tables))
-            else:
-                kids.append(c)
-        return PNode(node.sequent, node.rule, tuple(kids))
+    def _prove_state(
+        self, goal: Sequent, table: dict[Sequent, PNode | None], reads: set[Sequent]
+    ) -> dict[Sequent, PNode | None] | None:
+        """Prove ``goal`` as a state on top of ``table``, or fail.
 
-    def _prove_state(self, goal: Sequent, tables: _Tables, reads: set[Sequent]) -> _Tables | None:
-        """Prove ``goal`` as a state on top of ``tables``, or fail.
+        The table maps each goal opened so far to its fragment, or to
+        None while it is open, in the order the goals were opened: the
+        i-th goal becomes state ``s<i>``.  An attempt adds to a copy, so
+        a failed one leaves ``table`` as it was.
 
         Adds to ``reads`` every goal whose presence in the table the
         attempt tested, its sub-attempts included.  Without an ``rng``
         the attempt is a function of the table's size and those answers:
-        ids only grow, and each goal it adds follows from what it read
+        tables only grow, and each goal it adds follows from what it read
         before.  So a failure is remembered under (goal, size) with the
         answers it read, and recurs wherever they all read the same.
         With an ``rng`` a recurring failure is taken as such too, though
         other shuffles might have succeeded.
         """
         reads.add(goal)
-        if goal in tables.ids:
-            return tables  # open or finished goal: back link
-        size = len(tables.ids)
+        if goal in table:
+            return table  # open or finished goal: back link
+        size = len(table)
         if size >= self.budget.max_states:
             return None
         for answers in self._fail.get((goal, size), ()):
-            if all((g in tables.ids) == known for g, known in answers):
+            if all((g in table) == known for g, known in answers):
                 reads.update(g for g, _ in answers)
                 return None
         mine = {goal}
-        opened = tables.copy()
-        sid = f"s{size}"
-        opened.ids[goal] = sid
-        opened.frags[sid] = None
+        opened = dict(table)
+        opened[goal] = None
         for candidate, pendings in self._fragments(
             goal, self.budget.max_fragment_height, frozenset(), False
         ):
-            trial = opened.copy()
+            trial = dict(opened)
             ok = True
             for pending in pendings:
                 nxt = self._prove_state(pending, trial, mine)
@@ -178,10 +150,10 @@ class _Search:
                     break
                 trial = nxt
             if ok:
-                trial.frags[sid] = candidate
+                trial[goal] = candidate
                 reads |= mine
                 return trial
-        answers = tuple((g, g in tables.ids) for g in mine)
+        answers = tuple((g, g in table) for g in mine)
         self._fail.setdefault((goal, size), []).append(answers)
         reads |= mine
         return None
@@ -193,8 +165,9 @@ class _Search:
         reflected: frozenset[Formula],
         below_cut: bool,
     ) -> Iterator[tuple[PNode, tuple[Sequent, ...]]]:
-        """Candidate fragments for a goal, leaves possibly pending goals,
-        each with its pending goals in left-to-right order.
+        """Candidate fragments for a goal, each with its pending goals in
+        left-to-right order; a pending goal is a leaf ``PLink(goal)``,
+        which :meth:`run` points at the goal's state.
 
         Termination: every deterministic step strictly shrinks the pair
         (implication nodes, unreflected antecedent boxes), box steps
@@ -269,7 +242,7 @@ class _Search:
             left = goal.drop_right(f).with_right(f.body)
             pending = Sequent.of(boxes, [f.body])
             for sub, pendings in self._fragments(left, height - 1, reflected, below_cut):
-                out.append((PNode(goal, BOX, (sub, _Pending(pending))), pendings + (pending,)))
+                out.append((PNode(goal, BOX, (sub, PLink(pending))), pendings + (pending,)))
                 yield out[-1]
 
         # One cut per branch: its premises are searched cut free, which
@@ -375,10 +348,11 @@ def _plant_cut(rng: random.Random, pg: ProofGraph) -> ProofGraph:
     right = weaken_tree(target, Sequent.of([pp], []))
     planted = replace_subtree(nested, at, PNode(goal, CUT, (left, right)))
     assert isinstance(planted, PNode)
-    dest = pg.graph.destructors()
+    # the cut keeps every link of the subtree it replaces, so the
+    # planted proof reaches exactly the states that ``pg`` reaches
+    dest = {s: (pg.fragment(s), pg.links(s)) for s in root_first_order(pg.graph, pg.root)}
     dest[state] = flatten(planted)
-    graph = Coalgebra(dest)
-    return ProofGraph(restrict(graph, reachable(graph, pg.root)), pg.root)
+    return ProofGraph(Coalgebra(dest), pg.root)
 
 
 def generate_corpus(

@@ -23,13 +23,13 @@ Grz+cut check passed, and that holds no cut, is a lookup.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
 from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, UnknownNode
 from .calculus import _check_labels, _sequent_rule, check_proof_graph, recorded_pass
-from .coalgebra import Coalgebra, StateId, reachable, root_first_order, validated_destructor
+from .coalgebra import Coalgebra, StateId, root_first_order, validated_destructor
 from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
 # -- nested fragment views ------------------------------------------------
@@ -133,11 +133,6 @@ def subtree_at(node: PNode, at: Word) -> PNode | PLink:
 # -- bisimulation ----------------------------------------------------------
 
 
-def restrict(coalg: Coalgebra, states: Iterable[StateId]) -> Coalgebra:
-    keep = set(states)
-    return Coalgebra({s: d for s, d in coalg.destructors().items() if s in keep})
-
-
 def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]:
     """Quotient by the coarsest bisimulation.
 
@@ -181,7 +176,8 @@ def canonical_form(coalg: Coalgebra, state: StateId) -> tuple:
     a deterministic root-first order, so the key doubles as a memo key
     for corecursion and as an isomorphism test.
     """
-    small, renaming = bisim_minimize(restrict(coalg, reachable(coalg, state)))
+    part = Coalgebra({s: coalg._dest[s] for s in root_first_order(coalg, state)})
+    small, renaming = bisim_minimize(part)
     order = root_first_order(small, renaming[state])
     index = {s: i for i, s in enumerate(order)}
     return tuple(

@@ -46,13 +46,6 @@ def format_word(w: Word) -> str:
     return ".".join(str(i) for i in w) if w else "."
 
 
-def parse_word(text: str) -> Word:
-    text = text.strip()
-    if text in ("", "."):
-        return EPSILON
-    return tuple(int(part) for part in text.split("."))
-
-
 class _Star:
     __slots__ = ()
 
@@ -178,17 +171,6 @@ class TreeNW:
 
     def children(self, w: Word) -> list[Word]:
         return [w + (i,) for i in range(self._arity[w])]
-
-    @property
-    def leaves(self) -> frozenset[Word]:
-        return frozenset(w for w, k in self._arity.items() if k == 0)
-
-    def subtree_labels(self, w: Word) -> dict[Word, Label]:
-        """Labels of the subtree rooted at ``w``, re-based at the root."""
-        if w not in self._labels:
-            raise KeyError(w)
-        n = len(w)
-        return {v[n:]: lab for v, lab in self._labels.items() if prefix_le(w, v)}
 
     def __contains__(self, w: Word) -> bool:
         return w in self._labels

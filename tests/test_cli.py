@@ -49,6 +49,16 @@ def test_check_malformed_exits_two(tmp_path, capsys):
     assert main(["check", path]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "unfold", "cutelim", "translate", "render"])
+def test_non_utf8_file_exits_two_with_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "bytes.proof"
+    path.write_bytes(b"\xff\xfe")
+    argv = [command, str(path)] + (["--step", "identity"] if command == "translate" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_unfold_output(tmp_path, capsys):
     assert main(["unfold", str(CORPUS / "self_loop.proof"), "--depth", "2"]) == 0
     out = capsys.readouterr().out

@@ -12,7 +12,7 @@ from nwproofs.coalgebra import (
     root_first_order,
 )
 from nwproofs.fftree import NotARootPath, fragment_at, is_root_path, subelement, unfold
-from nwproofs.store import bisim_minimize, canonical_form, restrict
+from nwproofs.store import bisim_minimize, canonical_form
 from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation, disjoint, word_of
 
 LOOP_FRAG = TreeNW({EPSILON: "a", (0,): STAR})
@@ -217,8 +217,6 @@ def test_canonical_form_detects_bisimilarity():
 
 def test_reachable_restrict():
     assert reachable(CHAIN, "d") == {"d"}
-    small = restrict(CHAIN, {"d"})
-    assert small.states == {"d"}
 
 
 def test_root_first_order_is_breadth_first_in_leaf_order():

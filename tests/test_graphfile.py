@@ -9,12 +9,8 @@ from grzlib import (
     self_loop_graph,
     weakening_part_cut_graph,
 )
-from nwproofs.graphfile import (
-    GraphFileError,
-    parse_proof_file,
-    print_proof_file,
-    to_dot,
-)
+from nwproofs.commands import print_proof_file, to_dot
+from nwproofs.graphfile import GraphFileError, parse_proof_file
 from nwproofs.search import generate_corpus
 
 ALL = [

@@ -8,12 +8,12 @@ from pathlib import Path
 from grzlib import P, Q, criterion_8_goals, seq
 from nwproofs.calculus import check_proof_graph
 from nwproofs.coalgebra import reachable
-from nwproofs.graphfile import print_proof_file
+from nwproofs.commands import print_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, Atom, Bot, Box, Imp, Sequent
 from nwproofs.grz.formulas import formula_key, subformulas
 from nwproofs.grz.rules import AX, BOT_LEFT, BOX, CUT, IMP_LEFT, IMP_RIGHT, REFL, is_axiom, is_bot_axiom
-from nwproofs.search import SearchBudget, _Pending, _Search, generate_corpus, search
-from nwproofs.store import PNode, to_nested
+from nwproofs.search import SearchBudget, _Search, generate_corpus, search
+from nwproofs.store import PLink, PNode, to_nested
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -158,7 +158,7 @@ def _restarting_fragments(self, goal, height, reflected, cut_used):
         left = goal.drop_right(f).with_right(f.body)
         pending = Sequent.of(boxes, [f.body])
         for sub, pendings in _restarting_fragments(self, left, height - 1, reflected, cut_used):
-            yield PNode(goal, BOX, (sub, _Pending(pending))), pendings + (pending,)
+            yield PNode(goal, BOX, (sub, PLink(pending))), pendings + (pending,)
 
     if self.cuts and not cut_used:
         for f in self._order(sorted(self.budget.cut_formulas, key=formula_key)):
@@ -249,36 +249,34 @@ class _WholeTableSearch(_Search):
         super().__init__(budget, cuts, rng)
         self._whole_table_fail = set()
 
-    def _prove_state(self, goal, tables, reads=None):
-        if goal in tables.ids:
-            return tables
-        if len(tables.ids) >= self.budget.max_states:
+    def _prove_state(self, goal, table, reads=None):
+        if goal in table:
+            return table
+        if len(table) >= self.budget.max_states:
             return None
-        key = (goal, frozenset(tables.ids))
+        key = (goal, frozenset(table))
         if key in self._whole_table_fail:
             return None
-        opened = tables.copy()
-        sid = f"s{len(opened.ids)}"
-        opened.ids[goal] = sid
-        opened.frags[sid] = None
+        opened = dict(table)
+        opened[goal] = None
         for candidate, _ in self._fragments(
             goal, self.budget.max_fragment_height, frozenset(), frozenset()
         ):
-            trial = opened.copy()
+            trial = dict(opened)
             for pending in _pending_leaves(candidate):
                 trial = self._prove_state(pending, trial)
                 if trial is None:
                     break
             else:
-                trial.frags[sid] = candidate
+                trial[goal] = candidate
                 return trial
         self._whole_table_fail.add(key)
         return None
 
 
 def _pending_leaves(node):
-    if isinstance(node, _Pending):
-        return [node.sequent]
+    if isinstance(node, PLink):
+        return [node.target]
     if isinstance(node, PNode):
         return [p for c in node.children for p in _pending_leaves(c)]
     return []

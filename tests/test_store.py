@@ -155,6 +155,19 @@ def test_coalgebra_forwards_only_the_names_the_benchmark_reads():
                 assert not {alias.name for alias in imp.names} & set(forwarded), path
 
 
+def test_graphfile_forwards_only_the_printer_the_benchmark_reads():
+    from nwproofs import commands, graphfile
+
+    assert graphfile.print_proof_file is commands.print_proof_file
+    with pytest.raises(ImportError):
+        from nwproofs.graphfile import to_dot  # noqa: F401
+    # the kernel imports the printer from its home, never through the forwarder
+    for path in Path(store.__file__).parent.rglob("*.py"):
+        for imp in ast.walk(ast.parse(path.read_text())):
+            if isinstance(imp, ast.ImportFrom) and (imp.module or "").endswith("graphfile"):
+                assert "print_proof_file" not in {alias.name for alias in imp.names}, path
+
+
 def _box_chain(n: int) -> Sequent:
     f = Imp(Atom(0), Atom(0))
     for _ in range(n):

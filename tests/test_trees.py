@@ -13,8 +13,6 @@ from nwproofs.trees import (
     TreeNW,
     ViolatedRootLabel,
     disjoint,
-    format_word,
-    parse_word,
     prefix_le,
     word_of,
 )
@@ -115,13 +113,3 @@ def test_tree_equality_and_hash():
     b = TreeNW({(0,): STAR, EPSILON: "a"})
     assert a == b and hash(a) == hash(b)
     assert a != TreeNW({EPSILON: "a"})
-
-
-def test_subtree_labels():
-    t = TreeNW({EPSILON: "a", (0,): "b", (0, 0): STAR, (1,): "c"})
-    assert t.subtree_labels((0,)) == {EPSILON: "b", (0,): STAR}
-
-
-@given(words)
-def test_word_text_round_trip(w):
-    assert parse_word(format_word(w)) == w
