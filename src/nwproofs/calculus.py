@@ -261,7 +261,7 @@ def check_proof_fragment(
                         Finding(state, w + (i,), "progress", f"premise {i} must be {expect}")
                     )
     if not report.findings:
-        stars = decided.setdefault(tree, tuple(w for w, label in tree.key if label is STAR))
+        stars = decided.setdefault(tree, tree.leaf_order)
         decided[tree, tuple([leaf_sequents.get(w, _MISSING) for w in stars])] = True
     return report
 

@@ -132,8 +132,8 @@ def root_first_order(
     order = [state]
     seen = {state}
     for s in order:
-        links = coalg._dest[s][1]
-        for w in sorted(links):
+        frag, links = coalg._dest[s]
+        for w in frag.leaf_order:
             t = links[w]
             if t not in seen and t not in skip:
                 seen.add(t)

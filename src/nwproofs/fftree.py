@@ -330,7 +330,7 @@ def ff_root_paths(tree: FFTree) -> list[RootPath]:
     """All root paths, enumerated from the destructor side."""
     out: list[RootPath] = [()]
     frag, parts = tree.destruct()
-    for w in sorted(frag.nw_leaves):
+    for w in frag.leaf_order:
         out.extend((w,) + rest for rest in ff_root_paths(parts[w]))
     return out
 
@@ -412,7 +412,7 @@ def unfold_by(
                 root_of[base + u] = base
             if len(labels) > budget.max_nodes:
                 raise BudgetExceeded(f"unfolding exceeds {budget.max_nodes} nodes")
-            for w in sorted(frag.nw_leaves):
+            for w in frag.leaf_order:
                 next_frontier.append((base + w, succ[w]))
         frontier = next_frontier
     for base, x in frontier:

@@ -11,15 +11,14 @@ interned object.
 Multisets are kept as association lists sorted under that key, giving
 canonical, hashable sequents with linear-time union, difference, and
 intersection; adding or removing a formula is one scan by identity.
-Sequents are plain values that cache their hash.  They are not interned:
-a global sequent table keeps every explored sequent alive, which costs
-proof search more memory than the saved hashing is worth.
+Sequents are :class:`typing.NamedTuple` pairs, hashed and compared in C.
+They are not interned: a global sequent table keeps every explored
+sequent alive, which costs proof search more memory than hashing does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class Formula:
@@ -227,24 +226,15 @@ def msubset(a: Mset, b: Mset) -> bool:
     return all(n <= bmap.get(f, 0) for f, n in a)
 
 
-@dataclass(frozen=True, slots=True)
-class Sequent:
-    """An ordered pair of formula multisets (antecedent, succedent)."""
+class Sequent(NamedTuple):
+    """An ordered pair of formula multisets (antecedent, succedent): a
+    named tuple, so it hashes and compares in C, and it is not interned.
+    It equals, and hashes as, the bare ``(ante, succ)`` pair with the same
+    canonical multisets; the checker treats sequents as opaque values, so
+    it decides both the same way."""
 
     ante: Mset = EMPTY
     succ: Mset = EMPTY
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.ante, self.succ))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __reduce__(self) -> tuple:
-        return Sequent, (self.ante, self.succ)
 
     @staticmethod
     def of(ante: Iterable[Formula] = (), succ: Iterable[Formula] = ()) -> "Sequent":

@@ -84,7 +84,7 @@ class _Search:
 
     def __init__(self, budget: SearchBudget, cuts: bool, rng: random.Random | None):
         self.budget = budget
-        self.cuts = cuts and budget.cut_formulas
+        self.cuts = sorted(budget.cut_formulas or (), key=formula_key) if cuts else []
         self.rng = rng
         self._fail: dict[tuple[Sequent, int], list[tuple[tuple[Sequent, bool], ...]]] = {}
         self._done: dict[tuple, list[tuple[PNode, tuple[Sequent, ...]]]] = {}
@@ -249,7 +249,7 @@ class _Search:
         # keeps exhaustion of the cut space affordable while still
         # finding genuinely cut-carrying proofs.
         if self.cuts and not below_cut:
-            for f in self._order(sorted(self.budget.cut_formulas, key=formula_key)):
+            for f in self._order(self.cuts):
                 left, right = goal.with_right(f), goal.with_left(f)
                 rights = None
                 for sub_l, pend_l in self._fragments(left, height - 1, reflected, True):

@@ -138,7 +138,9 @@ def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]
 
     States are identified iff their fragments are equal and their links
     lead to pairwise identified states; the refinement is seeded by
-    fragment equality.  Returns the quotient and the renaming map.
+    fragment equality.  A block fixes its fragment, and so its leaf
+    words, so a signature keeps only block ids, in leaf order.  Returns
+    the quotient and the renaming map.
     """
     states = sorted(coalg.states)
     block: dict[StateId, int] = {}
@@ -151,7 +153,7 @@ def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]
         new_block: dict[StateId, int] = {}
         for s in states:
             frag, links = coalg._dest[s]
-            sig = (block[s], tuple((w, block[links[w]]) for w in sorted(links)))
+            sig = (block[s], tuple([block[links[w]] for w in frag.leaf_order]))
             new_block[s] = sigs.setdefault(sig, len(sigs))
         if new_block == block:
             break
@@ -181,8 +183,8 @@ def canonical_form(coalg: Coalgebra, state: StateId) -> tuple:
     order = root_first_order(small, renaming[state])
     index = {s: i for i, s in enumerate(order)}
     return tuple(
-        (small._dest[s][0].key, tuple((w, index[t]) for w, t in sorted(small._dest[s][1].items())))
-        for s in order
+        (frag.key, tuple((w, index[links[w]]) for w in frag.leaf_order))
+        for frag, links in (small._dest[s] for s in order)
     )
 
 
@@ -326,7 +328,7 @@ class Arena:
             self._table[self._signature(*self._states[self._reps[c]])] = c
 
     def _signature(self, fragment: TreeNW, links: Mapping[Word, StateId]) -> tuple:
-        return fragment, tuple(self._class[links[w]] for w in sorted(fragment.nw_leaves))
+        return fragment, tuple([self._class[links[w]] for w in fragment.leaf_order])
 
     def fresh(self) -> StateId:
         while True:
@@ -378,14 +380,16 @@ def _same_matchers(calc: LocalProgressCalculus, other: LocalProgressCalculus, fr
 
 def check(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:
     """The checker, skipping the states of a view whose proofs passed with
-    this calculus object before; a pass certifies the states it walked.
-
-    A store never changes a stored state, so a certified state reaches
-    only certified states, and the findings and their order are those of
-    a walk over everything.  A graph outside a store is checked whole."""
+    this calculus object before, so a certified root needs no walk; a pass
+    certifies the states it walked.  A store never changes a stored state,
+    so a certified state reaches only certified states, and the findings
+    and their order are those of a walk over everything.  A graph outside
+    a store is checked whole."""
     if pg.store is None:
         return check_proof_graph(calc, pg)
     certified = pg.store.certified(calc)
+    if pg.root in certified:
+        return CheckReport()
     report = check_proof_graph(calc, pg, certified, decided=pg.store.decided(calc))
     if report.ok:
         certified.update(report.states)

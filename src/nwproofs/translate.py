@@ -105,7 +105,7 @@ class _Engine:
 
     def apply(self, pg: ProofGraph) -> tuple[TreeNW, dict[Word, ProofGraph]]:
         fragment, parts = self.step.apply(pg)
-        for w in sorted(fragment.nw_leaves):
+        for w in fragment.leaf_order:
             if w not in parts:
                 raise StepContractViolation(2, f"no residual at leaf {format_word(w)}")
         return fragment, {w: self.own(p) for w, p in parts.items()}
@@ -173,7 +173,7 @@ def _close(engine, root, max_states) -> ProofGraph | None:
         value, sid = queue.pop(0)
         fragment, parts = engine.apply(value)
         out = _Emitted(fragment)
-        for w in sorted(fragment.nw_leaves):
+        for w in fragment.leaf_order:
             succ = parts[w]
             key = engine.key(succ)
             if key not in memo:

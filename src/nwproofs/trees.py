@@ -121,10 +121,11 @@ class TreeNW:
 
     Invariants checked at construction: the node set is prefix closed,
     every node has contiguously indexed children, the root is not a
-    star, and stars only occur at leaves.
+    star, and stars only occur at leaves.  ``leaf_order`` is the star
+    leaves in word order, computed once: walks in leaf order read it.
     """
 
-    __slots__ = ("_labels", "_arity", "_nwl", "_key", "_hash")
+    __slots__ = ("_labels", "_arity", "_nwl", "_key", "_hash", "_leaf_order")
 
     def __init__(self, labels: Mapping[Word, Label]):
         labels = dict(labels)
@@ -136,9 +137,10 @@ class TreeNW:
                 raise StarNotLeaf("star label on an inner node", w)
         self._labels = labels
         self._arity = arity
-        self._nwl = frozenset(w for w, lab in labels.items() if lab is STAR)
         self._key = tuple(sorted(labels.items(), key=lambda kv: kv[0]))
         self._hash = hash(self._key)
+        self._leaf_order = tuple(w for w, lab in self._key if lab is STAR)
+        self._nwl = frozenset(self._leaf_order)
 
     @property
     def nodes(self) -> frozenset[Word]:
@@ -147,6 +149,10 @@ class TreeNW:
     @property
     def nw_leaves(self) -> frozenset[Word]:
         return self._nwl
+
+    @property
+    def leaf_order(self) -> tuple[Word, ...]:
+        return self._leaf_order
 
     @property
     def proper_nodes(self) -> frozenset[Word]:

@@ -189,3 +189,28 @@ def test_sequents_compare_and_hash_by_value(a, b):
     assert hash(pickle.loads(pickle.dumps(s))) == hash(s)
     with pytest.raises(AttributeError):
         s.ante = ()
+
+
+@given(formula_lists, formula_lists, shapes)
+def test_sequents_built_any_way_are_equal_values(a, b, shape):
+    f = build(shape)
+    whole = Sequent.of([f, *a], b)
+    built = [whole, Sequent.of(a, b).with_left(f), Sequent.of([f, *a], [*b, f]).drop_right(f)]
+    for s in built:
+        assert s == whole and hash(s) == hash(whole)
+        # the bare pair of the same multisets is the same value
+        assert s == (whole.ante, whole.succ) and hash(s) == hash((whole.ante, whole.succ))
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert type(twin) is Sequent and twin == s and hash(twin) == hash(s)
+    with pytest.raises(AttributeError):
+        whole.extra = 1
+    with pytest.raises(AttributeError):
+        whole.succ = ()
+
+
+def test_sequent_repr_is_the_printed_sequent():
+    p, q = Atom(0), Atom(1)
+    assert repr(Sequent.of([Box(p), p, p], [Imp(p, q), BOT])) == "p0, p0, box p0 |- false, (p0 -> p1)"
+    assert repr(Sequent.of([], [q])) == "|- p1"
+    assert repr(Sequent.of([p], [])) == "p0 |-"
+    assert repr(Sequent()) == "|-"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tree_nw
+from conftest import random_coalgebra, random_tree_nw
 from grzlib import P, Q, atomic_cut_graph, box_step_graph, node, seq
 from nwproofs import calculus, coalgebra, store, translate
 from nwproofs.calculus import LocalProgressCalculus, ProofGraph, check_proof_graph
@@ -22,7 +22,7 @@ from nwproofs.coalgebra import Coalgebra, StateId, UnfoldBudget
 from nwproofs.fftree import Unfolding
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, cut_elim
-from nwproofs.grz.cutelim import cut_elimination_step
+from nwproofs.grz.cutelim import _require_proof, cut_elimination_step, cuts_up
 from nwproofs.grz.formulas import Atom, Box, Imp, Sequent
 from nwproofs.grz.rules import BOX
 from nwproofs.search import SearchBudget, _plant_cut, search
@@ -72,6 +72,36 @@ def test_store_classes_agree_with_canonical_form(rng):
     key = {s: canonical_form(g, s) for s in g.states}
     for a, b in combinations(sorted(g.states), 2):
         assert (arena.class_of(a) == arena.class_of(b)) == (key[a] == key[b])
+
+
+def _reference_partition(coalg: Coalgebra) -> set[frozenset[StateId]]:
+    """The coarsest bisimulation by a refinement seeded by fragment
+    equality whose signatures keep each leaf's word beside its block."""
+    block = {s: coalg.fragment(s) for s in coalg.states}
+    while True:
+        sig = {
+            s: (block[s], tuple((w, block[t]) for w, t in sorted(coalg.links(s).items())))
+            for s in coalg.states
+        }
+        if len(set(sig.values())) == len(set(block.values())):
+            break
+        block = sig
+    members: dict = {}
+    for s in coalg.states:
+        members.setdefault(block[s], set()).add(s)
+    return {frozenset(ms) for ms in members.values()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_minimization_needs_no_leaf_words(rng):
+    names = [f"s{i}" for i in range(rng.randint(1, 6))]
+    for coalg in (Coalgebra(_random_states(rng, names, names, len(names))), random_coalgebra(rng)):
+        _, renaming = store.bisim_minimize(coalg)
+        members: dict = {}
+        for s, rep in renaming.items():
+            members.setdefault(rep, set()).add(s)
+        assert {frozenset(ms) for ms in members.values()} == _reference_partition(coalg)
 
 
 # -- the check cache -------------------------------------------------------
@@ -253,6 +283,31 @@ def test_extend_works_once_per_state(n, monkeypatch):
         assert counts["check"] <= len(source.states) + counts["add"]
         assert counts["canonical"] == 0
         assert counts["minimize"] <= 1
+
+
+def test_identity_extend_runs_the_graph_checker_once(monkeypatch):
+    """Counts, not times: the input check certifies every state, so each
+    residual's source check is a lookup of its certified root."""
+    proofs = {n: _nested(n) for n in range(4, 13)}
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, counts, calculus.check_proof_graph, "graph")
+    for n, pg in proofs.items():
+        counts.clear()
+        out = extend(identity_step(GRZ), pg, UnfoldBudget(4), max_states=10_000)
+        assert isinstance(out, ProofGraph) and len(out.states) > 1
+        assert counts["graph"] == 1, n
+
+
+def test_a_certified_root_skips_the_graph_checker(monkeypatch):
+    arena = Arena()
+    pg = arena.view(arena.include(box_step_graph()))
+    assert check(GRZ_CUT, pg).ok and pg.root in arena.certified(GRZ_CUT)
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, counts, calculus.check_proof_graph, "graph")
+    _require_proof(pg)
+    assert cuts_up(pg) == pg
+    assert check(GRZ_CUT, pg).ok
+    assert counts["graph"] == 0
 
 
 def _walks_by_calculus(monkeypatch) -> list[tuple[LocalProgressCalculus, TreeNW]]:

@@ -1,9 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_tree_nw
+from nwproofs.graphfile import parse_proof_file
 from nwproofs.trees import (
     EPSILON,
     STAR,
@@ -113,3 +116,15 @@ def test_tree_equality_and_hash():
     b = TreeNW({(0,): STAR, EPSILON: "a"})
     assert a == b and hash(a) == hash(b)
     assert a != TreeNW({EPSILON: "a"})
+
+
+def test_leaf_order_is_the_sorted_star_leaves():
+    rng = random.Random(11)
+    trees = [random_tree_nw(rng, max_nodes=12, star_prob=0.5) for _ in range(200)]
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    for path in sorted(corpus.glob("*.proof")):
+        pg = parse_proof_file(path.read_text())[1]
+        trees.extend(pg.fragment(s) for s in pg.states)
+    assert any(len(t.nw_leaves) > 1 for t in trees)
+    for t in trees:
+        assert t.leaf_order == tuple(sorted(t.nw_leaves))
