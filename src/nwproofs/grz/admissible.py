@@ -1,10 +1,15 @@
 """Admissible transformations of proofs: weakening, atomic contraction,
 and the inversions of the logical rules.
 
-Each one rewrites only the root state's fragment, by recursion on its
-height: in every rule the surrounding context passes through unchanged,
-and the right premise of a box node is a link whose subproof is reused
-as is.  All of them keep the local height (:func:`local_height`) from
+Each one rewrites only the root state's fragment, on an explicit stack:
+in every rule the surrounding context passes through unchanged, and the
+right premise of a box node is a link whose subproof is reused as is.
+An inversion takes the premise of each node whose principal formula is
+the inverted one; :func:`principal` is the one reader of a nested node's
+principal formula.  Of the three shapes of a cut reduction (principal
+cut, permutation by the context rule's inversion, box-hard case; see
+:mod:`.cutelim`), the permutation carries a cut premise through these
+moves.  All of them keep the local height (:func:`local_height`) from
 growing and never insert a cut, so a cut-free root fragment stays
 cut-free.
 """
@@ -14,15 +19,17 @@ from __future__ import annotations
 from typing import Callable
 
 from ..calculus import CheckReport, ProofGraph
-from ..store import Arena, PNode, check, to_nested
+from ..store import Arena, PLink, PNode, check, to_nested
 from .formulas import Atom, Bot, Box, Formula, Imp, Sequent, mdiff
 from .rules import (
     BOX,
     GRZ_CUT,
     IMP_LEFT,
     IMP_RIGHT,
+    REFL,
     imp_left_principal,
     imp_right_principal,
+    refl_principal,
 )
 
 
@@ -57,13 +64,19 @@ def _root_nested(pg: ProofGraph) -> PNode:
     return to_nested(pg.fragment(pg.root), pg.links(pg.root))
 
 
-def box_principal_body(node: PNode) -> Formula:
-    """Principal body of a box node, read off conclusion and left premise."""
-    left = node.children[0]
-    assert isinstance(left, PNode)
-    extra = mdiff(left.sequent.succ, node.sequent.succ)
-    assert len(extra) == 1 and extra[0][1] == 1
-    return extra[0][0]
+_PRINCIPAL = {IMP_LEFT: imp_left_principal, IMP_RIGHT: imp_right_principal, REFL: refl_principal}
+
+
+def principal(node: PNode) -> Formula:
+    """The formula a logical rule node introduces: on the right for
+    ``impr`` and ``box`` (read off the conclusion and the left premise),
+    on the left for ``impl`` and ``refl``."""
+    if node.rule == BOX:
+        extra = mdiff(node.children[0].sequent.succ, node.sequent.succ)
+        assert len(extra) == 1 and extra[0][1] == 1
+        return Box(extra[0][0])
+    kids = tuple(c.sequent for c in node.children if isinstance(c, PNode))
+    return _PRINCIPAL[node.rule](kids, node.sequent)
 
 
 def _invert(
@@ -72,14 +85,33 @@ def _invert(
     edit: Callable[[Sequent], Sequent],
 ) -> PNode:
     """Apply ``edit`` to every sequent of the subtree at ``node``, but
-    replace a node by the proof that ``hit`` returns for it, if any."""
-    taken = hit(node)
-    if taken is not None:
-        return taken
-    kids = tuple(
-        _invert(c, hit, edit) if isinstance(c, PNode) else c for c in node.children
-    )
-    return PNode(edit(node.sequent), node.rule, kids)
+    replace a node by the proof that ``hit`` returns for it, if any.
+
+    The walk keeps its own stack, premises before conclusions and left
+    to right: ``hit`` sees a node before its premises, ``edit`` its
+    sequent after them."""
+    done: list[PNode | PLink] = []  # the finished subtrees, in that order
+    stack: list[tuple[PNode | PLink, bool]] = [(node, False)]  # True once the premises are pushed
+    while stack:
+        n, built = stack.pop()
+        if built:
+            k = len(n.children)
+            kids = tuple(done[len(done) - k :])
+            del done[len(done) - k :]
+            done.append(PNode(edit(n.sequent), n.rule, kids))
+        elif isinstance(n, PLink):
+            done.append(n)
+        else:
+            taken = hit(n)
+            if taken is not None:
+                done.append(taken)
+            elif not n.children:
+                done.append(PNode(edit(n.sequent), n.rule, ()))
+            else:
+                stack.append((n, True))
+                stack.extend([(c, False) for c in reversed(n.children)])
+    (top,) = done
+    return top
 
 
 def _no_hit(node: PNode) -> None:
@@ -145,10 +177,6 @@ def drop_bot_tree(node: PNode) -> PNode:
 
 
 # -- inversions with a principal short-circuit --------------------------
-#
-# When the rewrite reaches a node whose principal formula is the one
-# being inverted, the wanted proof is one of its premises; otherwise the
-# occurrence is context and the edit recurses.
 
 
 def linv_imp_left(pg: ProofGraph, imp: Formula) -> ProofGraph:
@@ -189,50 +217,34 @@ def _as_imp(pg: ProofGraph, imp: Formula, left: bool) -> Imp:
     return imp
 
 
-def linv_tree(node: PNode, imp: Imp) -> PNode:
+def _inversion(
+    node: PNode, rule: str, premise: int, f: Formula, edit: Callable[[Sequent], Sequent]
+) -> PNode:
+    """Invert ``rule`` on ``f``: a ``rule`` node whose principal formula
+    is ``f`` gives its premise ``premise``; elsewhere ``f`` is context,
+    and ``edit`` rewrites the sequent."""
+
     def hit(n: PNode) -> PNode | None:
-        if n.rule == IMP_LEFT:
-            c0, c1 = n.children
-            assert isinstance(c0, PNode) and isinstance(c1, PNode)
-            if imp_left_principal((c0.sequent, c1.sequent), n.sequent) == imp:
-                return c0
+        if n.rule == rule and principal(n) == f:
+            return n.children[premise]
         return None
 
-    return _invert(node, hit, lambda s: s.drop_left(imp).with_right(imp.left))
+    return _invert(node, hit, edit)
+
+
+def linv_tree(node: PNode, imp: Imp) -> PNode:
+    return _inversion(node, IMP_LEFT, 0, imp, lambda s: s.drop_left(imp).with_right(imp.left))
 
 
 def rinv_tree(node: PNode, imp: Imp) -> PNode:
-    def hit(n: PNode) -> PNode | None:
-        if n.rule == IMP_LEFT:
-            c0, c1 = n.children
-            assert isinstance(c0, PNode) and isinstance(c1, PNode)
-            if imp_left_principal((c0.sequent, c1.sequent), n.sequent) == imp:
-                return c1
-        return None
-
-    return _invert(node, hit, lambda s: s.drop_left(imp).with_left(imp.right))
+    return _inversion(node, IMP_LEFT, 1, imp, lambda s: s.drop_left(imp).with_left(imp.right))
 
 
 def inv_imp_right_tree(node: PNode, imp: Imp) -> PNode:
-    def hit(n: PNode) -> PNode | None:
-        if n.rule == IMP_RIGHT:
-            (c0,) = n.children
-            assert isinstance(c0, PNode)
-            if imp_right_principal((c0.sequent,), n.sequent) == imp:
-                return c0
-        return None
-
-    return _invert(
-        node, hit, lambda s: s.drop_right(imp).with_left(imp.left).with_right(imp.right)
+    return _inversion(
+        node, IMP_RIGHT, 0, imp, lambda s: s.drop_right(imp).with_left(imp.left).with_right(imp.right)
     )
 
 
 def inv_box_right_tree(node: PNode, boxed: Box) -> PNode:
-    def hit(n: PNode) -> PNode | None:
-        if n.rule == BOX and Box(box_principal_body(n)) == boxed:
-            c0 = n.children[0]
-            assert isinstance(c0, PNode)
-            return c0
-        return None
-
-    return _invert(node, hit, lambda s: s.drop_right(boxed).with_right(boxed.body))
+    return _inversion(node, BOX, 0, boxed, lambda s: s.drop_right(boxed).with_right(boxed.body))

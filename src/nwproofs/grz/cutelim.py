@@ -1,12 +1,20 @@
 """Pushing cuts out of the root fragment, and full cut elimination.
 
 ``reduce_cut`` removes one cut between two proofs whose root fragments
-are cut free, by case analysis on their last rules; every recursive
-call strictly decreases the (cut-formula rank, local-height sum) pair,
-which is asserted at runtime.  ``cuts_up`` applies it to the cuts of
-the root fragment in one post-order pass, premises before conclusions,
-so each cut meets cut-free premises; ``cut_elim`` extends that
-one-fragment move corecursively over the whole regular proof.
+are cut free.  Past the initial sequents a reduction has one of three
+shapes: a principal cut, where both premises introduce the cut formula
+(:func:`~.admissible.principal`, the one reader of a nested node's
+principal formula) and the cut moves to its parts; a permutation, where
+the cut formula is context in one premise's last rule, so the other
+premise is carried into each premise of that rule by the rule's
+inversion and the rule is re-applied; and the box-hard case, where a box
+carries the cut formula in its boxed context and a residual cut is left
+behind the progress edge.  Every recursive call strictly decreases the
+(cut-formula rank, local-height sum) pair, which is asserted at runtime.
+``cuts_up`` applies it to the cuts of the root fragment in one post-order
+pass, premises before conclusions, so each cut meets cut-free premises;
+``cut_elim`` extends that one-fragment move corecursively over the whole
+regular proof.
 """
 
 from __future__ import annotations
@@ -24,13 +32,13 @@ from ..trees import EPSILON, TreeNW
 from .admissible import (
     NotAProof,
     _require_proof,
-    box_principal_body,
     contract_left_tree,
     contract_right_tree,
     drop_bot_tree,
     inv_box_right_tree,
     inv_imp_right_tree,
     linv_tree,
+    principal,
     rinv_tree,
     weaken_tree,
 )
@@ -57,11 +65,8 @@ from .rules import (
     IMP_LEFT,
     IMP_RIGHT,
     REFL,
-    imp_left_principal,
-    imp_right_principal,
     is_axiom,
     is_bot_axiom,
-    refl_principal,
 )
 
 
@@ -91,18 +96,6 @@ def _derive_cut_formula(pa: Sequent, pb: Sequent) -> Formula:
     if pb != pa.drop_right(phi).with_left(phi):
         raise NotAProof("premise contexts do not match")
     return phi
-
-
-_PRINCIPAL = {IMP_LEFT: imp_left_principal, IMP_RIGHT: imp_right_principal, REFL: refl_principal}
-
-
-def _principal(node: PNode) -> Formula:
-    """The formula a logical rule node introduces: on the right for
-    ``impr`` and ``box``, on the left for ``impl`` and ``refl``."""
-    if node.rule == BOX:
-        return Box(box_principal_body(node))
-    kids = tuple(c.sequent for c in node.children if isinstance(c, PNode))
-    return _PRINCIPAL[node.rule](kids, node.sequent)
 
 
 def _reduce(
@@ -144,14 +137,19 @@ def _reduce(
 
     assert pa.rule != CUT and pb.rule != CUT, "root fragments must be cut free"
 
-    pa_principal = pa.rule in (IMP_RIGHT, BOX) and _principal(pa) == phi
-    pb_principal = pb.rule in (IMP_LEFT, REFL) and _principal(pb) == phi
+    pa_principal = pa.rule in (IMP_RIGHT, BOX) and principal(pa) == phi
+    pb_principal = pb.rule in (IMP_LEFT, REFL) and principal(pb) == phi
 
     if pa_principal and pb_principal:
         return _principal_cut(arena, pa, pb, phi, measure, on_step)
     if not pa_principal:
-        return _permute_left(arena, pa, pb, phi, measure, on_step)
-    return _permute_right(arena, pa, pb, phi, measure, on_step)
+        return _permute(arena, pa, pb, phi, measure, on_step, left=True)
+    # the box-hard case: pb's box carries phi in its boxed context
+    if pb.rule == BOX and mcount(pb.sequent.ante, phi) <= mcount(
+        _state_sequent(arena, pb.children[1].target).ante, phi
+    ):
+        return _box_hard_case(arena, pa, pb, phi, measure, on_step)
+    return _permute(arena, pb, pa, phi, measure, on_step, left=False)
 
 
 def _principal_cut(arena, pa, pb, phi, measure, on_step) -> PNode:
@@ -175,94 +173,56 @@ def _principal_cut(arena, pa, pb, phi, measure, on_step) -> PNode:
     return _reduce(arena, a0, half, phi.body, measure, on_step)
 
 
-def _permute_left(arena, pa, pb, phi, measure, on_step) -> PNode:
-    """The cut formula is context in ``pa``: push the cut into its premises."""
-    ctx = pa.sequent.drop_right(phi)
-    if pa.rule == IMP_LEFT:
-        imp = _principal(pa)
-        a0, a1 = pa.children
-        left = _reduce(arena, a0, linv_tree(pb, imp), phi, measure, on_step)
-        right = _reduce(arena, a1, rinv_tree(pb, imp), phi, measure, on_step)
-        return PNode(ctx, IMP_LEFT, (left, right))
-    if pa.rule == IMP_RIGHT:
-        imp = _principal(pa)
-        (a0,) = pa.children
-        inner = _reduce(arena, a0, inv_imp_right_tree(pb, imp), phi, measure, on_step)
-        return PNode(ctx, IMP_RIGHT, (inner,))
-    if pa.rule == REFL:
-        boxed = _principal(pa)
-        (a0,) = pa.children
-        inner = _reduce(
-            arena, a0, weaken_tree(pb, Sequent.of([boxed.body], [])), phi, measure, on_step
-        )
-        return PNode(ctx, REFL, (inner,))
-    assert pa.rule == BOX, f"unexpected rule {pa.rule} while permuting"
-    # the cut formula sits in the weakening part of pa's box
-    body = box_principal_body(pa)
-    a0, a_link = pa.children
-    assert isinstance(a0, PNode) and isinstance(a_link, PLink)
-    inverted = inv_box_right_tree(pb, Box(body))
-    inner = _reduce(arena, a0, inverted, phi, measure, on_step)
-    return PNode(ctx, BOX, (inner, a_link))
+def _carried(rule: str, proof: PNode, f: Formula) -> tuple[PNode, ...]:
+    """``proof``, the other cut premise, rewritten for each proper premise
+    of a ``rule`` node with principal formula ``f``, by that rule's move."""
+    if rule == IMP_LEFT:
+        return linv_tree(proof, f), rinv_tree(proof, f)
+    if rule == IMP_RIGHT:
+        return (inv_imp_right_tree(proof, f),)
+    if rule == REFL:
+        return (weaken_tree(proof, Sequent.of([f.body], [])),)
+    assert rule == BOX, f"unexpected rule {rule} while permuting"
+    return (inv_box_right_tree(proof, f),)
 
 
-def _permute_right(arena, pa, pb, phi, measure, on_step) -> PNode:
-    """The cut formula is context in ``pb``; ``pa`` is principal on it."""
-    ctx = pa.sequent.drop_right(phi)
-    if pb.rule == IMP_LEFT:
-        imp = _principal(pb)
-        b0, b1 = pb.children
-        left = _reduce(arena, linv_tree(pa, imp), b0, phi, measure, on_step)
-        right = _reduce(arena, rinv_tree(pa, imp), b1, phi, measure, on_step)
-        return PNode(ctx, IMP_LEFT, (left, right))
-    if pb.rule == IMP_RIGHT:
-        imp = _principal(pb)
-        (b0,) = pb.children
-        inner = _reduce(arena, inv_imp_right_tree(pa, imp), b0, phi, measure, on_step)
-        return PNode(ctx, IMP_RIGHT, (inner,))
-    if pb.rule == REFL:
-        boxed = _principal(pb)
-        (b0,) = pb.children
-        inner = _reduce(
-            arena, weaken_tree(pa, Sequent.of([boxed.body], [])), b0, phi, measure, on_step
-        )
-        return PNode(ctx, REFL, (inner,))
-    assert pb.rule == BOX, f"unexpected rule {pb.rule} while permuting"
-    psi = box_principal_body(pb)
+def _permute(arena, node, other, phi, measure, on_step, left: bool) -> PNode:
+    """The cut formula is context in ``node``'s last rule, and ``node`` is
+    the left cut premise if ``left``: cut each premise of that rule
+    against ``other`` carried into it, and re-apply the rule.  A box
+    keeps its link, since the cut formula sits in its weakening part."""
+    kids: list[PNode | PLink] = []
+    for premise, carried in zip(node.children, _carried(node.rule, other, principal(node))):
+        pair = (premise, carried) if left else (carried, premise)
+        kids.append(_reduce(arena, *pair, phi, measure, on_step))
+    kids.extend(node.children[len(kids) :])
+    ctx = (node if left else other).sequent.drop_right(phi)
+    return PNode(ctx, node.rule, tuple(kids))
+
+
+def _box_hard_case(arena, pa, pb, phi, measure, on_step) -> PNode:
+    """The cut formula is one of the boxed hypotheses carried by ``pb``'s
+    box, and ``pa`` ends a box on it.  A residual cut on the same formula
+    is assembled behind the progress edge, outside the root fragment,
+    where it will be dealt with on a later corecursion step."""
+    assert pa.rule == BOX and principal(pa) == phi
+    boxed = principal(pb)
+    psi = boxed.body
     b0, b_link = pb.children
-    assert isinstance(b0, PNode) and isinstance(b_link, PLink)
-    right_seq = _state_sequent(arena, b_link.target)
-    in_weakening = mcount(pb.sequent.ante, phi) > mcount(right_seq.ante, phi)
-    if in_weakening:
-        inverted = inv_box_right_tree(pa, Box(psi))
-        inner = _reduce(arena, inverted, b0, phi, measure, on_step)
-        return PNode(ctx, BOX, (inner, b_link))
-    # Hard case: the cut formula is one of the boxed hypotheses carried
-    # by pb's box.  Both sides end a box; a residual cut on the same
-    # formula is assembled behind the progress edge, outside the root
-    # fragment, where it will be dealt with on a later corecursion step.
-    assert pa.rule == BOX and Box(box_principal_body(pa)) == phi
-    a0, a_link = pa.children
-    assert isinstance(a0, PNode) and isinstance(a_link, PLink)
-    boxes_a = _state_sequent(arena, a_link.target).ante          # boxed context of pa
-    boxes_b = mdiff(right_seq.ante, mset([phi]))                 # pb's boxes minus the cut formula
+    a_link = pa.children[1]
+    assert isinstance(b0, PNode) and isinstance(b_link, PLink) and isinstance(a_link, PLink)
+    boxes_a = _state_sequent(arena, a_link.target).ante  # boxed context of pa
+    boxes_b = mdiff(_state_sequent(arena, b_link.target).ante, mset([phi]))  # pb's, but phi
     only_b = mdiff(boxes_b, boxes_a)
     only_a = mdiff(boxes_a, boxes_b)
-    inverted = inv_box_right_tree(pa, Box(psi))
-    main = _reduce(arena, inverted, b0, phi, measure, on_step)
+    main = _reduce(arena, inv_box_right_tree(pa, boxed), b0, phi, measure, on_step)
 
-    pa1 = arena.materialize(a_link.target)
-    pb1 = arena.materialize(b_link.target)
     shared = munion(boxes_a, only_b)
-    inner_left = weaken_tree(pa1, Sequent(only_b, mset([psi])))
-    inner_box = PNode(
-        Sequent(shared, mset([psi, phi])),
-        BOX,
-        (inner_left, PLink(a_link.target)),
-    )
-    residual_right = weaken_tree(pb1, Sequent(only_a, ()))
+    inner_left = weaken_tree(arena.materialize(a_link.target), Sequent(only_b, mset([psi])))
+    inner_box = PNode(Sequent(shared, mset([psi, phi])), BOX, (inner_left, PLink(a_link.target)))
+    residual_right = weaken_tree(arena.materialize(b_link.target), Sequent(only_a, ()))
     residual = PNode(Sequent(shared, mset([psi])), CUT, (inner_box, residual_right))
-    return PNode(ctx, BOX, (main, PLink(arena.intern(residual))))
+    return PNode(pa.sequent.drop_right(phi), BOX, (main, PLink(arena.intern(residual))))
 
 
 def _state_sequent(arena: Arena, state: str) -> Sequent:
@@ -349,15 +309,10 @@ def cuts_up(pg: ProofGraph, on_step: StepHook | None = None) -> ProofGraph:
 
 def cut_elimination_step():
     """One corecursion step: clear the root fragment, hand back the rest."""
-    from ..translate import TranslationStep
+    from ..translate import TranslationStep, identity_step
 
-    def apply(pg: ProofGraph):
-        clean = cuts_up(pg)
-        fragment = clean.fragment(clean.root)
-        links = clean.links(clean.root)
-        return fragment, {w: clean.at(links[w]) for w in fragment.nw_leaves}
-
-    return TranslationStep(GRZ_CUT, GRZ, apply, name="cut-elim")
+    split = identity_step(GRZ).apply
+    return TranslationStep(GRZ_CUT, GRZ, lambda pg: split(cuts_up(pg)), name="cut-elim")
 
 
 def cut_elim(

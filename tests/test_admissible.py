@@ -185,3 +185,23 @@ def test_formula_absent_errors():
         linv_imp_left(pg, Imp(P, Q))
     with pytest.raises(FormulaAbsent):
         contr_atom_right(pg, P)
+
+
+def refl_chain(depth, succ=()):
+    # box p0 |- p0 by a chain of `depth` nodes in one fragment: refl steps
+    # that each add p0 on the left, then ax; `succ` rides along on the right
+    top = node(seq([P] * (depth - 1) + [Box(P)], [P, *succ]), "ax")
+    for d in reversed(range(depth - 1)):
+        top = node(seq([P] * d + [Box(P)], [P, *succ]), "refl", top)
+    return graph("s0", s0=top)
+
+
+def test_moves_on_a_fragment_deeper_than_the_recursion_limit():
+    out = weakening(refl_chain(1100), Sequent.of([Q], []))
+    assert out.root_sequent == seq([Box(P), Q], [P])
+    assert local_height(out) == 1099
+    assert check_proof_graph(GRZ, out).ok
+    out = inv_bot_right(refl_chain(1100, [Bot()]))
+    assert out.root_sequent == seq([Box(P)], [P])
+    assert local_height(out) == 1099
+    assert check_proof_graph(GRZ, out).ok

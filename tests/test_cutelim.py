@@ -1,3 +1,9 @@
+import collections
+import functools
+import hashlib
+import random
+from pathlib import Path
+
 import pytest
 
 from grzlib import (
@@ -15,12 +21,13 @@ from grzlib import (
     seq,
     weakening_part_cut_graph,
 )
-from nwproofs.calculus import check_proof_graph
+from nwproofs.calculus import ProofGraph, check_proof_graph
 from nwproofs.coalgebra import UnfoldBudget
 from nwproofs.fftree import Unfolding, unfold
 from nwproofs.grz import (
     GRZ,
     GRZ_CUT,
+    Bot,
     Box,
     CutMeasure,
     Imp,
@@ -279,3 +286,87 @@ def test_cut_elim_memoized_and_unfolded_agree():
 
     assert strip(direct.tree) == strip(unfolded.tree)
     assert direct.tree.partition() == unfolded.tree.partition()
+
+
+# -- every cut reduction, pinned -----------------------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+@functools.lru_cache(maxsize=None)
+def reduction_inputs() -> tuple[str, ...]:
+    """The printed ``grz+cut`` corpus files, then 150 searched proof pairs
+    joined under a cut on a pool formula (built like perfbench's cut
+    pairs at seed 1), so that every reduction case fires."""
+    from nwproofs.commands import print_proof_file
+    from nwproofs.search import SearchBudget, _random_goal, search
+    from nwproofs.store import Arena, PNode
+
+    texts = [
+        text
+        for text in (path.read_text() for path in sorted(CORPUS.glob("*.proof")))
+        if text.startswith(f"calculus {GRZ_CUT.name}\n")
+    ]
+    pool = [P, Box(P), Imp(P, Q), Imp(P, P), Box(Imp(P, P)), Box(Box(P)), Bot(), Imp(Box(P), Q)]
+    budget = SearchBudget(8, 10)
+    rng = random.Random("cut-pairs:1")
+    for _ in range(150):
+        while True:
+            base = _random_goal(rng, 2, 3)
+            phi = rng.choice(pool)
+            left = search(GRZ, base.with_right(phi), budget)
+            right = None if left is None else search(GRZ, base.with_left(phi), budget)
+            if right is not None:
+                break
+        arena = Arena()
+        la, lb = arena.include(left), arena.include(right)
+        joined = arena.proof(PNode(base, CUT, (arena.materialize(la), arena.materialize(lb))))
+        texts.append(print_proof_file(joined, GRZ_CUT.name))
+    return tuple(texts)
+
+
+def eliminate_all(texts) -> str:
+    from nwproofs.commands import print_proof_file
+    from nwproofs.graphfile import parse_proof_file
+
+    digest = hashlib.sha256()
+    for text in texts:
+        _, pg = parse_proof_file(text)
+        out = cut_elim(pg)
+        assert isinstance(out, ProofGraph) and check_proof_graph(GRZ, out).ok
+        digest.update(text.encode())
+        digest.update(print_proof_file(out, GRZ.name).encode())
+    return digest.hexdigest()
+
+
+# SHA-256 over every input and its cut-free output, in order. A change to
+# what any cut reduction produces changes it, and must say so.
+REDUCTION_DIGEST = "bd402bc6a86be0ab0bffd2676494599b395a108dab6a54bb4362ae4bda53b819"
+
+
+def test_cut_elim_outputs_are_pinned():
+    assert eliminate_all(reduction_inputs()) == REDUCTION_DIGEST
+
+
+def test_cut_elim_inputs_reach_every_reduction_case(monkeypatch):
+    from nwproofs.grz import cutelim
+
+    fired = collections.Counter()
+
+    def counted(name, key):
+        original = getattr(cutelim, name)
+
+        def wrapper(*args, **kwargs):
+            fired[key(*args, **kwargs)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cutelim, name, wrapper)
+
+    counted("_principal_cut", lambda arena, pa, pb, phi, *rest: ("principal", type(phi).__name__))
+    counted("_permute", lambda arena, node, *rest, left: ("left" if left else "right", node.rule))
+    counted("_box_hard_case", lambda *args: ("box-hard",))
+    eliminate_all(reduction_inputs())
+    cases = {("principal", "Imp"), ("principal", "Box"), ("box-hard",)} | {
+        (side, rule) for side in ("left", "right") for rule in ("impl", "impr", "refl", "box")
+    }
+    assert set(fired) == cases, fired
