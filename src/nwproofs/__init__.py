@@ -19,8 +19,8 @@ _WHERE = {
     name: module
     for module, names in [
         ("trees", ["STAR", "TreeNW", "Truncation"]),
-        ("coalgebra", ["Coalgebra", "UnfoldBudget"]),
-        ("fftree", ["Unfolding", "unfold", "FFTree", "construct", "validate_fftree"]),
+        ("coalgebra", ["Coalgebra"]),
+        ("fftree", ["UnfoldBudget", "Unfolding", "unfold", "FFTree", "construct", "validate_fftree"]),
         ("fftree", ["check_pre_proof", "compute_fragmentation", "progressing"]),
         ("calculus", ["CheckReport", "LocalProgressCalculus", "ProofGraph"]),
         ("calculus", ["check_proof_fragment", "check_proof_graph"]),

@@ -10,15 +10,16 @@ walking states in the coalgebra's one root-first order
 (:func:`~nwproofs.coalgebra.root_first_order`).  One call decides each
 distinct ``(rule, premises, conclusion)`` instance once, however many
 nodes and states it labels, and each fragment once per leaf sequents it
-passes with; a walk validates each label once, straight from the word
-table.
+passes with.  A walk reads a fragment's preorder arrays by position,
+validates each label once, and forms a word only to name a finding, a
+missing leaf sequent or a star leaf's link.
 
 This module is the checker and nothing else: it never changes a proof
 and keeps nothing between calls.  Its ``decided`` table of instances
 and passed fragments (never a failing one) is valid for one calculus
 and belongs to one call or to its caller.  What rewrites proofs is in
-:mod:`nwproofs.store`; the paper's pre-proof definitions, read off the
-checker's helpers, are in :mod:`nwproofs.fftree`.
+:mod:`nwproofs.store`; the paper's pre-proof definitions are in
+:mod:`nwproofs.fftree`.
 
 Sequents are opaque here: anything hashable with equality works.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .coalgebra import Coalgebra, StateId, UnknownState, root_first_order
-from .trees import EPSILON, STAR, TreeNW, Truncation, Word, format_word
+from .trees import STAR, TreeNW, Truncation, Word, format_word
 
 if TYPE_CHECKING:
     from .store import Arena
@@ -87,24 +88,22 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.findings
 
-    def extend(self, other: "CheckReport") -> None:
-        self.findings.extend(other.findings)
-
     def __str__(self) -> str:
         return "\n".join(str(f) for f in self.findings) if self.findings else "ok"
 
 
-def _sequent_rule(label: Any, w: Word) -> tuple[Any, str]:
-    """``label``, read at proper node ``w``, once it has the shape (sequent, rule)."""
+def _sequent_rule(label: Any, tree: TreeNW, p: int = 0) -> tuple[Any, str]:
+    """``label``, read at position ``p`` of ``tree``, once it has the shape (sequent, rule)."""
     if not (isinstance(label, tuple) and len(label) == 2 and isinstance(label[1], str)):
-        raise CalculusError(f"node {format_word(w)} is not labelled with (sequent, rule)")
+        word = format_word(tree.words([p])[p])
+        raise CalculusError(f"node {word} is not labelled with (sequent, rule)")
     return label
 
 
 def _check_labels(frag: TreeNW) -> None:
-    for w, label in frag.key:
+    for p, label in enumerate(frag.key[0]):
         if label is not STAR:
-            _sequent_rule(label, w)
+            _sequent_rule(label, frag, p)
 
 
 class ProofGraph:
@@ -156,7 +155,8 @@ class ProofGraph:
         return self.graph.links(state)
 
     def state_sequent(self, state: StateId) -> Any:
-        return _sequent_rule(self.graph.fragment(state).label(EPSILON), EPSILON)[0]
+        frag = self.graph.fragment(state)
+        return _sequent_rule(frag.key[0][0], frag)[0]
 
     @property
     def root_sequent(self) -> Any:
@@ -181,25 +181,6 @@ class ProofGraph:
 
     def __repr__(self) -> str:
         return f"ProofGraph(root={self.root!r}, states={sorted(self.states)})"
-
-
-def _premises(tree: TreeNW, w: Word, leaf_sequents: Mapping[Word, Any]) -> tuple[tuple, list[int]]:
-    """The premise sequents of proper node ``w`` and the indices of its glue points."""
-    labels, premises, glue = tree._labels, [], []  # the table is read, never written
-    for i in range(tree._arity[w]):
-        child = w + (i,)
-        label = labels[child]
-        if label is STAR:
-            if child not in leaf_sequents:
-                raise CalculusError(f"no sequent supplied for leaf {format_word(child)}")
-            premises.append(leaf_sequents[child])
-            glue.append(i)
-        elif isinstance(label, Truncation):
-            premises.append(label.label[0])
-            glue.append(i)
-        else:
-            premises.append(_sequent_rule(label, child)[0])
-    return tuple(premises), glue
 
 
 def recorded_pass(decided: Mapping, tree: TreeNW, leaf_sequents: Mapping[Word, Any]) -> bool:
@@ -230,46 +211,78 @@ def check_proof_fragment(
         decided = {}
     elif recorded_pass(decided, tree, leaf_sequents):
         return CheckReport()
-    report = CheckReport()
-    truncated: set[Word] = set()  # a truncation's children are read as nodes only
-    for w, label in tree.key:
+    labels, arities = tree._labels, tree._arities  # read, never written
+    # end[p] is just past the subtree at p: the children of p are p + 1 and
+    # then, each, the end of the one before
+    end = list(range(1, len(labels) + 1))
+    for p, k in zip(range(len(end) - 1, -1, -1), reversed(arities)):
+        if k:
+            e = end[p + 1]
+            while k > 1:
+                e, k = end[e], k - 1
+            end[p] = e
+    leaf = {p: leaf_sequents.get(w, _MISSING) for p, w in zip(tree._stars, tree.leaf_order)}
+    found: list[tuple[int, str, str]] = []  # (position, condition, message)
+    own = {0}  # read where the walk reaches them: the root and a truncation's children
+    for p, label in enumerate(labels):
         if label is STAR:
             continue
+        c = p + 1
         if isinstance(label, Truncation):
-            truncated.add(w)
+            for _ in range(arities[p]):
+                own.add(c)
+                c = end[c]
             continue
-        if not w or (truncated and w[:-1] in truncated):
-            _sequent_rule(label, w)
+        if p in own:
+            _sequent_rule(label, tree, p)
         sequent, rule = label
-        premises, glue = _premises(tree, w, leaf_sequents)
-        instance = (rule, premises, sequent)
+        premises, glue = [], []
+        for i in range(arities[p]):
+            child = labels[c]
+            if child is STAR:
+                if leaf[c] is _MISSING:
+                    word = format_word(tree.words([c])[c])
+                    raise CalculusError(f"no sequent supplied for leaf {word}")
+                premises.append(leaf[c])
+                glue.append(i)
+            elif isinstance(child, Truncation):
+                premises.append(child.label[0])
+                glue.append(i)
+            elif isinstance(child, tuple) and len(child) == 2 and isinstance(child[1], str):
+                premises.append(child[0])
+            else:
+                _sequent_rule(child, tree, c)  # raises, naming the node
+            c = end[c]
+        instance = (rule, tuple(premises), sequent)
         try:
             prog = decided[instance]
         except KeyError:
             prog = decided[instance] = (
-                calc.progress_set(rule, premises, sequent)
-                if calc.is_instance(rule, premises, sequent)
+                calc.progress_set(rule, instance[1], sequent)
+                if calc.is_instance(rule, instance[1], sequent)
                 else None
             )
         if prog is None:
-            report.findings.append(Finding(state, w, "rule", f"not an instance of {rule}"))
+            found.append((p, "rule", f"not an instance of {rule}"))
         elif glue or prog:
+            c = p + 1
             for i in range(len(premises)):
                 if (i in glue) != (i in prog):
                     expect = "a glue point" if i in prog else "an ordinary premise"
-                    report.findings.append(
-                        Finding(state, w + (i,), "progress", f"premise {i} must be {expect}")
-                    )
-    if not report.findings:
-        stars = decided.setdefault(tree, tree.leaf_order)
-        decided[tree, tuple([leaf_sequents.get(w, _MISSING) for w in stars])] = True
-    return report
+                    found.append((c, "progress", f"premise {i} must be {expect}"))
+                c = end[c]
+    if found:
+        words = tree.words([q for q, _, _ in found])
+        return CheckReport([Finding(state, words[q], cond, msg) for q, cond, msg in found])
+    stars = decided.setdefault(tree, tree.leaf_order)
+    decided[tree, tuple([leaf_sequents.get(w, _MISSING) for w in stars])] = True
+    return CheckReport()
 
 
 def _leaf_sequents(dest: Mapping[StateId, tuple[TreeNW, Any]], state: StateId) -> dict[Word, Any]:
     """The root sequent of each state that ``state`` links to."""
     links = dest[state][1]
-    return {w: _sequent_rule(dest[links[w]][0].label(EPSILON), EPSILON)[0] for w in links}
+    return {w: _sequent_rule(dest[t][0]._labels[0], dest[t][0])[0] for w, t in links.items()}
 
 
 def check_proof_graph(
@@ -289,7 +302,8 @@ def check_proof_graph(
     dest = pg.graph._dest  # read, never written
     for state in report.states:
         leaves = _leaf_sequents(dest, state)
-        report.extend(check_proof_fragment(calc, dest[state][0], leaves, state, decided=decided))
+        found = check_proof_fragment(calc, dest[state][0], leaves, state, decided=decided)
+        report.findings += found.findings
     return report
 
 

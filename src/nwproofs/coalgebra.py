@@ -15,7 +15,6 @@ state store and the printed file format all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Container, Mapping
 
 from .trees import TreeNW, Word, format_word
@@ -38,18 +37,6 @@ class BudgetExceeded(RuntimeError):
 
 class BudgetError(ValueError):
     """A budget bound is out of range."""
-
-
-@dataclass(frozen=True)
-class UnfoldBudget:
-    """Bounds for unfolding: layers of fragments, and total tree nodes."""
-
-    max_depth: int
-    max_nodes: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.max_depth < 1 or self.max_nodes < 1:
-            raise BudgetError("budget bounds must be at least 1")
 
 
 class Coalgebra:
@@ -146,8 +133,8 @@ def reachable(coalg: Coalgebra, state: StateId) -> set[StateId]:
 
 
 def __getattr__(name: str) -> Any:
-    # The benchmark's workloads and tracer read these four names from here.
-    if name in ("Unfolding", "unfold"):
+    # The benchmark's workloads and tracer read these five names from here.
+    if name in ("Unfolding", "UnfoldBudget", "unfold"):
         from . import fftree
 
         return getattr(fftree, name)

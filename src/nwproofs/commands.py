@@ -1,16 +1,19 @@
 """Every command but ``check``, and the writers they emit with.
 
 It holds the bodies of ``unfold``, ``cutelim``, ``translate``,
-``render`` and ``search``, the unfolding printer, the proof-file
-printer :func:`print_proof_file` and the DOT writer :func:`to_dot`.
+``render`` and ``search``, the sequent and unfolding printers, the
+proof-file printer :func:`print_proof_file` and the DOT writer
+:func:`to_dot`.
 :func:`nwproofs.cli.main` imports this module only to run one of these
 commands, so ``nwproofs check`` never loads it and none of it is part
 of the trusted checking core.
 
 Printing orders states by the coalgebra's root-first walk
 (:func:`~nwproofs.coalgebra.root_first_order`), then any unreachable
-states by name, and formulas canonically, so printed files are
-diff-stable and re-printing a parsed file reproduces it byte for byte.
+states by name.  Formulas are printed with minimal parentheses and
+multiset members in the canonical structural order, so printed files
+are diff-stable and re-printing a parsed file reproduces it byte for
+byte.
 """
 
 from __future__ import annotations
@@ -21,11 +24,44 @@ from pathlib import Path
 
 from .calculus import ProofGraph
 from .cli import _load
-from .coalgebra import UnfoldBudget, root_first_order
+from .coalgebra import root_first_order
 from .graphfile import INDENT, GraphFileError
+from .grz.formulas import Atom, Bot, Box, Formula, Imp, Sequent, mexpand
 from .grz.rules import CALCULI, GRZ, GRZ_CUT
-from .syntax import parse_formula, parse_sequent, print_sequent
-from .trees import EPSILON, Truncation, format_word
+from .syntax import parse_formula, parse_sequent
+from .trees import EPSILON, STAR, Truncation, format_word
+
+
+def print_formula(f: Formula) -> str:
+    if isinstance(f, Bot):
+        return "false"
+    if isinstance(f, Atom):
+        return f"p{f.index}"
+    if isinstance(f, Box):
+        body = print_formula(f.body)
+        return f"box ({body})" if isinstance(f.body, Imp) else f"box {body}"
+    if isinstance(f, Imp):
+        left = print_formula(f.left)
+        if isinstance(f.left, Imp):
+            left = f"({left})"
+        return f"{left} -> {print_formula(f.right)}"
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def print_sequent(s: Sequent) -> str:
+    left = ", ".join(print_formula(f) for f in mexpand(s.ante))
+    right = ", ".join(print_formula(f) for f in mexpand(s.succ))
+    return f"{left} |- {right}".strip() if left else f"|- {right}".rstrip()
+
+
+def _depths(arities: tuple[int, ...]) -> list[int]:
+    """The depth of every node of a fragment, in preorder."""
+    depths: list[int] = []
+    upcoming = [0]  # the depths of the nodes still to come, next last
+    for k in arities:
+        depths.append(upcoming.pop())
+        upcoming.extend([depths[-1] + 1] * k)
+    return depths
 
 
 def print_proof_file(pg: ProofGraph, calculus_name: str) -> str:
@@ -36,13 +72,14 @@ def print_proof_file(pg: ProofGraph, calculus_name: str) -> str:
     # unreachable states still serialize, after the reachable ones
     for state in order + sorted(pg.states.difference(order)):
         lines.append(f"state {state}")
+        frag = pg.fragment(state)
         links = pg.links(state)
-        # the key lists words sorted, which is pre-order; each node is
-        # indented one level more than its depth
-        for w, label in pg.fragment(state).key:
-            pad = INDENT * (len(w) + 1)
-            if w in links:
-                lines.append(f"{pad}link {links[w]}")
+        targets = iter([links[w] for w in frag.leaf_order])
+        # nodes in preorder, each indented one level more than its depth
+        for label, depth in zip(frag.key[0], _depths(frag.key[1])):
+            pad = INDENT * (depth + 1)
+            if label is STAR:
+                lines.append(f"{pad}link {next(targets)}")
             else:
                 lines.append(f"{pad}{print_sequent(label[0])} : {label[1]}")
         lines.append("")
@@ -103,7 +140,7 @@ def _print_unfolding(res) -> str:
 
 
 def _unfold(args) -> int:
-    from .fftree import unfold
+    from .fftree import UnfoldBudget, unfold
 
     name, pg = _load(args.file)
     res = unfold(pg.graph, pg.root, UnfoldBudget(args.depth, args.max_nodes))
@@ -139,7 +176,7 @@ def _extend_and_emit(args, pg, step, target_name: str, print_bound: bool = False
     whether it closed and emit the proof file or the unfolding; with
     ``print_bound`` an open result also reports the state bound.  A broken
     step contract or an input that is no source proof exits 1."""
-    from .fftree import Unfolding
+    from .fftree import UnfoldBudget, Unfolding
     from .translate import NotASourceProof, StepContractViolation, extend
 
     budget = UnfoldBudget(args.depth, args.max_nodes)

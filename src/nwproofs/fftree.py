@@ -32,26 +32,37 @@ from .calculus import (
     LocalProgressCalculus,
     ProofGraph,
     _leaf_sequents,
-    _premises,
-    _sequent_rule,
     check_proof_graph,
 )
 from .calculus import UnknownNode as UnknownProofNode  # not this module's UnknownNode
-from .coalgebra import BudgetExceeded, Coalgebra, CoalgebraError, StateId, UnfoldBudget
-from .trees import (
-    EPSILON,
-    STAR,
-    Label,
-    TreeError,
-    TreeNW,
-    Truncation,
-    Word,
-    RootPath,
-    format_word,
-    prefix_le,
-    strip_prefix,
-    tree_arity,
-)
+from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, CoalgebraError, StateId
+from .trees import EPSILON, STAR, Label, TreeError, TreeNW, Truncation, Word, format_word, tree_arity
+
+RootPath = tuple[Word, ...]
+
+
+def prefix_le(w: Word, v: Word) -> bool:
+    """True iff ``w`` is a prefix of ``v`` (the tree ancestor order)."""
+    return len(w) <= len(v) and v[: len(w)] == w
+
+
+def disjoint(w: Word, v: Word) -> bool:
+    """True iff neither word is a prefix of the other."""
+    return not prefix_le(w, v) and not prefix_le(v, w)
+
+
+def strip_prefix(w: Word, v: Word) -> Word:
+    if not prefix_le(w, v):
+        raise ValueError(f"{w!r} is not a prefix of {v!r}")
+    return v[len(w) :]
+
+
+def word_of(path: RootPath) -> Word:
+    """Concatenate the words of a root path into a single tree address."""
+    out: list[int] = []
+    for w in path:
+        out.extend(w)
+    return tuple(out)
 
 
 class FFTreeError(TreeError):
@@ -367,6 +378,18 @@ def fragment_at(coalg: Coalgebra, state: StateId, path: RootPath) -> TreeNW:
 
 
 @dataclass(frozen=True)
+class UnfoldBudget:
+    """Bounds for unfolding: layers of fragments, and total tree nodes."""
+
+    max_depth: int
+    max_nodes: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        if self.max_depth < 1 or self.max_nodes < 1:
+            raise BudgetError("budget bounds must be at least 1")
+
+
+@dataclass(frozen=True)
 class Unfolding:
     """A depth-truncated unfolding plus where it was cut off."""
 
@@ -407,9 +430,10 @@ def unfold_by(
         next_frontier: list[tuple[Word, Any]] = []
         for base, x in frontier:
             frag, succ = destruct(x, base)
-            for u in frag.proper_nodes:
-                labels[base + u] = frag.label(u)
-                root_of[base + u] = base
+            for u, label in frag.labels().items():
+                if label is not STAR:
+                    labels[base + u] = label
+                    root_of[base + u] = base
             if len(labels) > budget.max_nodes:
                 raise BudgetExceeded(f"unfolding exceeds {budget.max_nodes} nodes")
             for w in frag.leaf_order:
@@ -424,7 +448,7 @@ def unfold_by(
     return Unfolding(FFTree(labels, root_of, allow_truncation=True), truncations)
 
 
-# -- pre-proofs: the paper's definitions, read off the checker's helpers --
+# -- pre-proofs: the paper's definitions, over words ------------------------
 
 
 class NotAPreProof(CalculusError):
@@ -438,6 +462,30 @@ def check_pre_proof(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:
     return CheckReport([f for f in report.findings if f.condition == "rule"])
 
 
+def _sequent_rule(label: Any, w: Word) -> tuple[Any, str]:
+    """``label``, read at node ``w``, once it has the shape (sequent, rule)."""
+    if not (isinstance(label, tuple) and len(label) == 2 and isinstance(label[1], str)):
+        raise CalculusError(f"node {format_word(w)} is not labelled with (sequent, rule)")
+    return label
+
+
+def _premises(tree: TreeNW, w: Word, leaf_sequents: Mapping[Word, Any]) -> tuple:
+    """The premise sequents of proper node ``w``: a star leaf's from
+    ``leaf_sequents``, a truncation's recorded one, else the child's own."""
+    premises = []
+    for child in tree.children(w):
+        label = tree.label(child)
+        if label is STAR:
+            if child not in leaf_sequents:
+                raise CalculusError(f"no sequent supplied for leaf {format_word(child)}")
+            premises.append(leaf_sequents[child])
+        elif isinstance(label, Truncation):
+            premises.append(label.label[0])
+        else:
+            premises.append(_sequent_rule(label, child)[0])
+    return tuple(premises)
+
+
 def progressing(calc: LocalProgressCalculus, pg: ProofGraph, state: StateId, node: Word) -> bool:
     """Is ``node`` a progressing premise of its parent in this fragment?"""
     frag = pg.fragment(state)
@@ -446,7 +494,7 @@ def progressing(calc: LocalProgressCalculus, pg: ProofGraph, state: StateId, nod
     if node == EPSILON:
         return False
     sequent, rule = _sequent_rule(frag.label(node[:-1]), node[:-1])
-    premises = _premises(frag, node[:-1], _leaf_sequents(pg.graph._dest, state))[0]
+    premises = _premises(frag, node[:-1], _leaf_sequents(pg.graph._dest, state))
     return node[-1] in calc.progress_set(rule, premises, sequent)
 
 
@@ -467,7 +515,7 @@ def compute_fragmentation(
         if isinstance(label, Truncation):
             continue
         sequent, rule = _sequent_rule(label, w)
-        premises = _premises(tree, w, {})[0]
+        premises = _premises(tree, w, {})
         if not calc.is_instance(rule, premises, sequent):
             raise NotAPreProof(f"node {format_word(w)} is not an instance of {rule}")
         prog = calc.progress_set(rule, premises, sequent)

@@ -3,10 +3,10 @@
 A file names its calculus and root state and lists one block per state;
 inside a block the fragment is written as an indented tree of
 ``sequent : rule`` lines, with ``link NAME`` leaves for glue points.
-Parsing writes each line straight into its state's word-indexed label
-and link tables.  Only parsing is part of the trusted checking core:
-the printer :func:`~nwproofs.commands.print_proof_file` and the DOT
-writer live in :mod:`nwproofs.commands`.
+Parsing appends each line to its state's preorder arrays of labels and
+arities.  Only parsing is part of the trusted checking core: the
+printer :func:`~nwproofs.commands.print_proof_file` and the DOT writer
+live in :mod:`nwproofs.commands`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .calculus import ProofGraph
 from .coalgebra import Coalgebra
 from .grz.rules import CALCULI
 from .syntax import ParseError, parse_sequent
-from .trees import EPSILON, STAR, TreeNW, Word
+from .trees import STAR, TreeNW, Word
 
 INDENT = "  "
 
@@ -33,10 +33,10 @@ def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
     root: str | None = None
     dest: dict[str, tuple[TreeNW, dict[Word, str]]] = {}
     current: str | None = None
-    labels: dict[Word, Any] = {}
-    links: dict[Word, str] = {}
-    kids: dict[Word, int] = {}  # children read so far, per node
-    path: list[Word] = []  # the words of the open nodes, one per depth
+    labels: list[Any] = []  # the state's nodes in line order, which is preorder
+    arities: list[int] = []
+    targets: list[str] = []  # the link leaves' states, in line order
+    path: list[int] = []  # the positions of the open nodes, one per depth
 
     def close_state(line_no: int) -> None:
         nonlocal current
@@ -44,13 +44,12 @@ def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
             return
         if not labels:
             raise GraphFileError(f"state {current} has no fragment", line_no)
-        if EPSILON in links:
+        if labels[0] is STAR:
             raise GraphFileError(f"state {current} is just a link", line_no)
-        dest[current] = (TreeNW(labels), dict(links))
-        labels.clear()
-        links.clear()
-        kids.clear()
-        path.clear()
+        tree = TreeNW(labels, arities)
+        dest[current] = (tree, dict(zip(tree.leaf_order, targets)))
+        for table in (labels, arities, targets, path):
+            table.clear()
         current = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -64,8 +63,12 @@ def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
         if depth == 0:
             parts = body.split()
             if parts[0] == "calculus" and len(parts) == 2:
+                if calculus_name is not None:
+                    raise GraphFileError("duplicate calculus header", line_no)
                 calculus_name = parts[1]
             elif parts[0] == "root" and len(parts) == 2:
+                if root is not None:
+                    raise GraphFileError("duplicate root header", line_no)
                 root = parts[1]
             elif parts[0] == "state" and len(parts) == 2:
                 close_state(line_no)
@@ -82,21 +85,18 @@ def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
         if depth == 1:
             if labels:
                 raise GraphFileError("a state block may hold only one tree", line_no)
-            word = EPSILON
         else:
             if len(path) != depth - 1:
                 raise GraphFileError("child without a parent at the right depth", line_no)
-            parent = path[-1]
-            if parent in links:
+            if labels[path[-1]] is STAR:
                 raise GraphFileError("links cannot have children", line_no)
-            word = parent + (kids.get(parent, 0),)
-            kids[parent] = word[-1] + 1
+            arities[path[-1]] += 1
         if isinstance(label, str):
-            labels[word] = STAR
-            links[word] = label
-        else:
-            labels[word] = label
-        path.append(word)
+            targets.append(label)
+            label = STAR
+        path.append(len(labels))
+        labels.append(label)
+        arities.append(0)
     close_state(len(text.splitlines()))
 
     if calculus_name is None:

@@ -25,10 +25,10 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 from ..calculus import ProofGraph
-from ..coalgebra import BudgetExceeded, UnfoldBudget
-from ..fftree import Unfolding
+from ..coalgebra import BudgetExceeded
+from ..fftree import UnfoldBudget, Unfolding
 from ..store import Arena, PLink, PNode, to_nested
-from ..trees import EPSILON, TreeNW
+from ..trees import EPSILON, STAR, TreeNW
 from .admissible import (
     NotAProof,
     _require_proof,
@@ -265,7 +265,7 @@ def _recursion_budget():
 
 
 def _has_cut(fragment: TreeNW) -> bool:
-    return any(fragment.label(w)[1] == CUT for w in fragment.proper_nodes)
+    return any(label is not STAR and label[1] == CUT for label in fragment.key[0])
 
 
 def _cut_free(arena: Arena, state: str, on_step: StepHook | None) -> PNode:

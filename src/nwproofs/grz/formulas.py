@@ -276,5 +276,3 @@ class Sequent(NamedTuple):
         right = ", ".join(repr(f) for f in mexpand(self.succ))
         return f"{left} |- {right}".strip()
 
-
-EMPTY_SEQUENT = Sequent()

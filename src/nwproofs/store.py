@@ -1,7 +1,8 @@
 """The rewriting side of the kernel; nothing in it is needed to check a proof.
 
 It holds the nested view of a fragment (:class:`PNode` with
-:class:`PLink` leaves) and its conversions to and from word tables,
+:class:`PLink` leaves) and its conversions to and from the fragment's
+preorder arrays,
 bisimulation (:func:`bisim_minimize`, and :func:`canonical_form` built
 on it), and :class:`Arena`, the hash-consed store in which ``extend``,
 ``cuts_up`` and the admissible moves keep the proofs they make, and
@@ -28,14 +29,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, UnknownNode
-from .calculus import _check_labels, _sequent_rule, check_proof_graph, recorded_pass
+from .calculus import _check_labels, check_proof_graph, recorded_pass
 from .coalgebra import Coalgebra, StateId, root_first_order, validated_destructor
 from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
 # -- nested fragment views ------------------------------------------------
 #
 # Rewrites of a single fragment are much easier over a recursive view
-# than over word-indexed label tables; links stay symbolic leaves.
+# than over preorder arrays; links stay symbolic leaves.
 
 
 @dataclass(frozen=True)
@@ -69,46 +70,48 @@ def to_nested(
     links: Mapping[Word, StateId],
     node: Callable[[Any, str, tuple], PNode] = PNode,
 ) -> PNode:
-    """The nested view of a fragment, built on an explicit stack, premises
-    before conclusions and left to right; ``node(sequent, rule, premises)``
-    makes each proper node, so a rewrite can act on every node as it is
-    built."""
+    """The nested view of a fragment, built from its preorder arrays,
+    premises before conclusions and left to right; ``node(sequent, rule,
+    premises)`` makes each proper node, so a rewrite can act on every node
+    as it is built."""
+    labels, arities = fragment.key
+    targets = iter([links[w] for w in fragment.leaf_order])
     done: list[PNode | PLink] = []  # the finished subtrees, in that order
-    stack: list[tuple[Word, int]] = [(EPSILON, -1)]  # -1 until the premises are pushed
-    while stack:
-        w, k = stack.pop()
-        if k >= 0:
-            sequent, rule = _sequent_rule(fragment.label(w), w)
-            premises = tuple(done[len(done) - k :])
-            del done[len(done) - k :]
-            done.append(node(sequent, rule, premises))
-        elif w in fragment.nw_leaves:
-            done.append(PLink(links[w]))
-        else:
-            k = fragment.arity(w)
-            stack.append((w, k))
-            stack.extend((w + (i,), -1) for i in reversed(range(k)))
+    open_: list[tuple[int, int]] = []  # (position, len(done) before its premises)
+    for p, label in enumerate(labels):
+        if arities[p]:
+            open_.append((p, len(done)))
+            continue
+        done.append(PLink(next(targets)) if label is STAR else node(*label, ()))
+        while open_ and len(done) - open_[-1][1] == arities[open_[-1][0]]:
+            q, base = open_.pop()
+            premises = tuple(done[base:])
+            del done[base:]
+            done.append(node(*labels[q], premises))
     (top,) = done
     assert isinstance(top, PNode)
     return top
 
 
 def flatten(node: PNode) -> tuple[TreeNW, dict[Word, StateId]]:
-    """The word-indexed fragment and links of a nested view, laid out in
-    pre-order on an explicit stack."""
-    labels: dict[Word, Any] = {}
-    links: dict[Word, StateId] = {}
-    stack: list[tuple[PNode | PLink, Word]] = [(node, EPSILON)]
+    """The fragment and links of a nested view: its nodes laid out in
+    preorder on an explicit stack, straight into a fragment's arrays."""
+    labels: list[Any] = []
+    arities: list[int] = []
+    targets: list[StateId] = []  # of the links, in preorder
+    stack: list[PNode | PLink] = [node]
     while stack:
-        n, at = stack.pop()
+        n = stack.pop()
         if isinstance(n, PLink):
-            labels[at] = STAR
-            links[at] = n.target
-            continue
-        labels[at] = (n.sequent, n.rule)
-        for i in reversed(range(len(n.children))):
-            stack.append((n.children[i], at + (i,)))
-    return TreeNW(labels), links
+            labels.append(STAR)
+            arities.append(0)
+            targets.append(n.target)
+        else:
+            labels.append((n.sequent, n.rule))
+            arities.append(len(n.children))
+            stack.extend(reversed(n.children))
+    fragment = TreeNW(labels, arities)
+    return fragment, dict(zip(fragment.leaf_order, targets))
 
 
 def replace_subtree(node: PNode, at: Word, new: PNode | PLink) -> PNode | PLink:
@@ -168,7 +171,8 @@ def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]
         rep = min(ms)
         frag, links = coalg._dest[rep]
         dest[name[b]] = (frag, {w: renaming[t] for w, t in links.items()})
-    return Coalgebra(dest), renaming
+    # each block's fragment and links come from a state of ``coalg``
+    return Coalgebra.view(dest), renaming
 
 
 def canonical_form(coalg: Coalgebra, state: StateId) -> tuple:
@@ -370,11 +374,10 @@ def _same_matchers(calc: LocalProgressCalculus, other: LocalProgressCalculus, fr
     objects: progress function and the matcher of the node's rule?"""
     if type(other) is not type(calc) or other.progress is not calc.progress:
         return False
-    for _, label in fragment.key:
-        if isinstance(label, tuple):  # a proper node's (sequent, rule)
-            matcher = other.rules.get(label[1])
-            if matcher is None or calc.rules.get(label[1]) is not matcher:
-                return False
+    for rule in {label[1] for label in fragment.key[0] if isinstance(label, tuple)}:
+        matcher = other.rules.get(rule)
+        if matcher is None or calc.rules.get(rule) is not matcher:
+            return False
     return True
 
 
@@ -403,7 +406,7 @@ def subproof(pg: ProofGraph, node: Word) -> ProofGraph:
     a fresh state carrying the carved-out part of the fragment.
     """
     frag = pg.fragment(pg.root)
-    if node not in frag.nodes:
+    if node not in frag:
         raise UnknownNode(f"node {format_word(node)} not in root fragment")
     links = pg.links(pg.root)
     if node in frag.nw_leaves:

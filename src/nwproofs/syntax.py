@@ -5,15 +5,16 @@ Grammar: atoms ``p0 p1 ...``, the constant ``false``, right-associative
 Formulas nest at most :data:`MAX_DEPTH` levels deep, each ``box``,
 opening parenthesis and right operand of ``->`` counting one level;
 deeper input is a :class:`ParseError`, not a recursion failure.
-Printing emits minimal parentheses and lists multiset members in the
-canonical structural order, so printing is a canonical form.
+The printers :func:`~nwproofs.commands.print_formula` and
+:func:`~nwproofs.commands.print_sequent` live with the other writers.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Any
 
-from .grz.formulas import BOT, Atom, Bot, Box, Formula, Imp, Sequent, mexpand
+from .grz.formulas import BOT, Atom, Box, Formula, Imp, Sequent
 
 
 class ParseError(ValueError):
@@ -123,23 +124,10 @@ def parse_sequent(text: str) -> Sequent:
     return out
 
 
-def print_formula(f: Formula) -> str:
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, Atom):
-        return f"p{f.index}"
-    if isinstance(f, Box):
-        body = print_formula(f.body)
-        return f"box ({body})" if isinstance(f.body, Imp) else f"box {body}"
-    if isinstance(f, Imp):
-        left = print_formula(f.left)
-        if isinstance(f.left, Imp):
-            left = f"({left})"
-        return f"{left} -> {print_formula(f.right)}"
-    raise TypeError(f"not a formula: {f!r}")
+def __getattr__(name: str) -> Any:
+    # The printers are writers, kept out of the checking core with the others.
+    if name in ("print_formula", "print_sequent"):
+        from . import commands
 
-
-def print_sequent(s: Sequent) -> str:
-    left = ", ".join(print_formula(f) for f in mexpand(s.ante))
-    right = ", ".join(print_formula(f) for f in mexpand(s.succ))
-    return f"{left} |- {right}".strip() if left else f"|- {right}".rstrip()
+        return getattr(commands, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, check_proof_fragment
-from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, UnfoldBudget
-from .fftree import Unfolding, unfold_by
+from .coalgebra import BudgetError, BudgetExceeded, Coalgebra
+from .fftree import UnfoldBudget, Unfolding, unfold_by
 from .store import Arena, check
 from .trees import EPSILON, TreeNW, Truncation, Word, format_word
 
@@ -190,8 +190,10 @@ def _close(engine, root, max_states) -> ProofGraph | None:
             w: emitted[t].fragment.label(EPSILON)[0] for w, t in out.links.items()
         }
         engine.check_fragment(out.fragment, leaf_sequents, f"state {sid}")
-    graph = Coalgebra({sid: (out.fragment, out.links) for sid, out in emitted.items()})
-    return ProofGraph(graph, "s0")
+    # every fragment passed its target check and its links cover its star
+    # leaves exactly, so the graph needs no second validation
+    graph = Coalgebra.view({sid: (out.fragment, out.links) for sid, out in emitted.items()})
+    return ProofGraph._view(graph, "s0", None)
 
 
 def _unfold(engine, root, budget) -> Unfolding:

@@ -1,45 +1,23 @@
-"""Words over naturals and finite trees whose leaves may mark glue points.
+"""Finite trees whose leaves may mark glue points, kept as preorder arrays.
 
-Tree nodes are addressed by words (tuples of naturals): the root is the
-empty word and the i-th child of ``w`` is ``w + (i,)``.  A leaf labelled
-``STAR`` is a gluing point where another tree will be attached later;
-everything here is immutable and safe to share.
+A tree is one label and one arity per node, in preorder, so walks read
+integer positions.  Nodes also have words (tuples of naturals): the root
+is the empty word and the i-th child of ``w`` is ``w + (i,)``; the word
+API reads an index built on first use.  A leaf labelled ``STAR`` is a
+gluing point where another tree will be attached later; everything here
+is immutable and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping, Sequence
 
 Word = tuple[int, ...]
-RootPath = tuple[Word, ...]
 Label = Any
+Labels = Mapping[Word, Label] | Sequence[Label]  # a word table, or labels in preorder
 
 EPSILON: Word = ()
-
-
-def prefix_le(w: Word, v: Word) -> bool:
-    """True iff ``w`` is a prefix of ``v`` (the tree ancestor order)."""
-    return len(w) <= len(v) and v[: len(w)] == w
-
-
-def disjoint(w: Word, v: Word) -> bool:
-    """True iff neither word is a prefix of the other."""
-    return not prefix_le(w, v) and not prefix_le(v, w)
-
-
-def strip_prefix(w: Word, v: Word) -> Word:
-    if not prefix_le(w, v):
-        raise ValueError(f"{w!r} is not a prefix of {v!r}")
-    return v[len(w) :]
-
-
-def word_of(path: RootPath) -> Word:
-    """Concatenate the words of a root path into a single tree address."""
-    out: list[int] = []
-    for w in path:
-        out.extend(w)
-    return tuple(out)
 
 
 def format_word(w: Word) -> str:
@@ -116,35 +94,72 @@ def tree_arity(labels: Mapping[Word, Label]) -> dict[Word, int]:
     return arity
 
 
+def preorder_words(arities: Sequence[int], wanted: Collection[int] | None = None) -> dict[int, Word]:
+    """The word of each position in ``wanted`` (of every node if None), from
+    one walk in preorder that checks the arities describe one tree."""
+    words: dict[int, Word] = {}
+    path: list[int] = []  # the word of the node at hand, after a 0 for the root
+    upcoming = [(0, 0)]  # (depth, child index) of the nodes still to come, next last
+    for p, k in enumerate(arities):
+        if not upcoming or k < 0:
+            raise TreeError(f"arity {k} at position {p} does not continue the tree")
+        depth, i = upcoming.pop()
+        del path[depth:]
+        path.append(i)
+        if wanted is None or p in wanted:
+            words[p] = tuple(path[1:])
+        upcoming.extend([(depth + 1, j) for j in range(k - 1, -1, -1)])
+    if upcoming:
+        raise TreeError("the arities end inside the tree")
+    return words
+
+
 class TreeNW:
-    """A finite tree with labels and possibly star-marked leaves.
+    """A finite tree with labels and possibly star-marked leaves, built from
+    a word table or from preorder arrays: one label and one arity per node.
 
-    Invariants checked at construction: the node set is prefix closed,
-    every node has contiguously indexed children, the root is not a
-    star, and stars only occur at leaves.  ``leaf_order`` is the star
-    leaves in word order, computed once: walks in leaf order read it.
-    """
+    Checked at construction: the nodes form one tree, the root is not a
+    star, and stars only occur at leaves.  ``leaf_order``, the star
+    leaves' words in preorder (word order), is computed once, and walks
+    in leaf order read it; ``_stars`` holds their positions."""
 
-    __slots__ = ("_labels", "_arity", "_nwl", "_key", "_hash", "_leaf_order")
+    __slots__ = ("_labels", "_arities", "_stars", "_leaf_order", "_nwl", "_hash", "_index")
 
-    def __init__(self, labels: Mapping[Word, Label]):
-        labels = dict(labels)
-        arity = tree_arity(labels)
-        if labels[EPSILON] is STAR:
+    def __init__(self, labels: Labels, arities: Sequence[int] | None = None):
+        words: Sequence[Word] | Mapping[int, Word] | None = None
+        if arities is None:  # a word table, sorted into preorder, which is word order
+            arity = tree_arity(labels)
+            words = sorted(arity)
+            labels, arities = [labels[w] for w in words], [arity[w] for w in words]
+        if not labels or len(labels) != len(arities):
+            raise TreeError("a tree needs a root, and one label and one arity per node")
+        if labels[0] is STAR:
             raise ViolatedRootLabel("root may not be a star", EPSILON)
-        for w, lab in labels.items():
-            if lab is STAR and arity[w]:
+        self._labels, self._arities = tuple(labels), tuple(arities)
+        self._stars = tuple([p for p, lab in enumerate(labels) if lab is STAR])
+        if words is None:
+            words = preorder_words(arities, set(self._stars))
+        self._leaf_order = tuple([words[p] for p in self._stars])
+        for p, w in zip(self._stars, self._leaf_order):
+            if arities[p]:
                 raise StarNotLeaf("star label on an inner node", w)
-        self._labels = labels
-        self._arity = arity
-        self._key = tuple(sorted(labels.items(), key=lambda kv: kv[0]))
-        self._hash = hash(self._key)
-        self._leaf_order = tuple(w for w, lab in self._key if lab is STAR)
         self._nwl = frozenset(self._leaf_order)
+        self._hash = hash((self._labels, self._arities))
+        self._index: dict[Word, int] | None = None  # word -> position, built on first use
+
+    def _positions(self) -> dict[Word, int]:
+        if self._index is None:
+            self._index = {w: p for p, w in preorder_words(self._arities).items()}
+        return self._index
+
+    @property
+    def key(self) -> tuple[tuple, tuple]:
+        """The preorder arrays (labels, arities)."""
+        return self._labels, self._arities
 
     @property
     def nodes(self) -> frozenset[Word]:
-        return frozenset(self._labels)
+        return frozenset(self._positions())
 
     @property
     def nw_leaves(self) -> frozenset[Word]:
@@ -156,40 +171,41 @@ class TreeNW:
 
     @property
     def proper_nodes(self) -> frozenset[Word]:
-        return frozenset(w for w in self._labels if w not in self._nwl)
+        return frozenset(w for w, p in self._positions().items() if self._labels[p] is not STAR)
 
     @property
     def height(self) -> int:
-        return max(len(w) for w in self._labels)
+        return max(map(len, self._positions()))
 
-    @property
-    def key(self) -> tuple:
-        return self._key
+    def words(self, positions: Collection[int]) -> dict[int, Word]:
+        return preorder_words(self._arities, set(positions))
 
     def label(self, w: Word) -> Label:
-        return self._labels[w]
+        return self._labels[self._positions()[w] if w else 0]
 
     def labels(self) -> dict[Word, Label]:
-        return dict(self._labels)
+        return dict(zip(self._positions(), self._labels))
 
     def arity(self, w: Word) -> int:
-        return self._arity[w]
+        return self._arities[self._positions()[w]]
 
     def children(self, w: Word) -> list[Word]:
-        return [w + (i,) for i in range(self._arity[w])]
+        return [w + (i,) for i in range(self.arity(w))]
 
     def __contains__(self, w: Word) -> bool:
-        return w in self._labels
+        return w in self._positions()
 
     def __len__(self) -> int:
         return len(self._labels)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, TreeNW) and self._key == other._key
+        return self is other or (
+            isinstance(other, TreeNW) and self._hash == other._hash and self.key == other.key
+        )
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"{format_word(w)}:{lab!r}" for w, lab in self._key)
+        parts = ", ".join(f"{format_word(w)}:{lab!r}" for w, lab in self.labels().items())
         return f"TreeNW({parts})"

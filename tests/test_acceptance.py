@@ -38,14 +38,17 @@ from nwproofs.fftree import (
     Unfolding,
     compute_fragmentation,
     construct,
+    disjoint,
     ff_fragment,
     ff_is_root_path,
     ff_root_paths,
     ff_subelement,
     fragment_at,
     is_root_path,
+    prefix_le,
     subelement,
     unfold,
+    word_of,
 )
 from nwproofs.grz import (
     GRZ,
@@ -71,7 +74,7 @@ from nwproofs.grz import (
 from nwproofs.grz.formulas import subformulas
 from nwproofs.grz.rules import CUT
 from nwproofs.search import SearchBudget, generate_corpus, search
-from nwproofs.trees import EPSILON, Truncation, Word, disjoint, prefix_le, word_of
+from nwproofs.trees import EPSILON, Truncation, Word
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 

@@ -49,6 +49,14 @@ def test_check_malformed_exits_two(tmp_path, capsys):
     assert main(["check", path]) == 2
 
 
+def test_check_duplicate_header_exits_two(tmp_path, capsys):
+    # a cut proof must not pass as grz+cut because a later line says so
+    text = (CORPUS / "atomic_cut.proof").read_text()
+    text = text.replace("calculus grz+cut", "calculus grz\ncalculus grz+cut")
+    assert main(["check", write(tmp_path, "twice.proof", text)]) == 2
+    assert capsys.readouterr().err == "error: line 2: duplicate calculus header\n"
+
+
 @pytest.mark.parametrize("command", ["check", "unfold", "cutelim", "translate", "render"])
 def test_non_utf8_file_exits_two_with_one_error_line(tmp_path, capsys, command):
     path = tmp_path / "bytes.proof"

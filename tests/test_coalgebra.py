@@ -11,9 +11,9 @@ from nwproofs.coalgebra import (
     reachable,
     root_first_order,
 )
-from nwproofs.fftree import NotARootPath, fragment_at, is_root_path, subelement, unfold
+from nwproofs.fftree import NotARootPath, disjoint, fragment_at, is_root_path, subelement, unfold, word_of
 from nwproofs.store import bisim_minimize, canonical_form
-from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation, disjoint, word_of
+from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation
 
 LOOP_FRAG = TreeNW({EPSILON: "a", (0,): STAR})
 G1 = Coalgebra({"c": (LOOP_FRAG, {(0,): "c"})})
@@ -138,7 +138,7 @@ def test_root_path_words_disjoint_or_ordered():
             for s in paths:
                 if len(r) == len(s) and r != s:
                     assert disjoint(word_of(r), word_of(s))
-                from nwproofs.trees import prefix_le
+                from nwproofs.fftree import prefix_le
 
                 if prefix_le(word_of(r), word_of(s)):
                     assert s[: len(r)] == r

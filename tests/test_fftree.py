@@ -16,8 +16,9 @@ from nwproofs.fftree import (
     ff_root_paths,
     ff_subelement,
     validate_fftree,
+    word_of,
 )
-from nwproofs.trees import EPSILON, STAR, GappedChildren, TreeError, TreeNW, Truncation, word_of
+from nwproofs.trees import EPSILON, STAR, GappedChildren, TreeError, TreeNW, Truncation
 
 # three stacked single-node blocks: . -> 0 -> 0.0
 PI2 = FFTree(

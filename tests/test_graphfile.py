@@ -89,6 +89,9 @@ def test_parse_error_messages_and_lines():
         ("  p0 |- p0 : ax\n", "line 3: fragment line outside a state block"),
         ("state s0\n  p0 |- p0 : ax\nstate s0\n  p0 |- p0 : ax\n", "line 5: duplicate state s0"),
         ("state s0\n  p0 |- p0 : impr\n    link s1\n", "state s0 links to unknown state s1"),
+        # a second header line is an error, not an override of the first
+        ("calculus grz+cut\nstate s0\n  p0 |- p0 : ax\n", "line 3: duplicate calculus header"),
+        ("state s0\n  p0 |- p0 : ax\nroot s0\n", "line 5: duplicate root header"),
     ]
     for body, message in cases:
         with pytest.raises(GraphFileError) as err:

@@ -1,0 +1,189 @@
+"""The kernel's checker against the independent reference checker.
+
+Every input is checked under Grz and Grz+cut by both, and their
+findings must be equal, in order: the golden corpus files, generated
+proofs, random mutants of both (not filtered by either checker), the
+outputs of cut elimination, of identity extensions and of proof search,
+and fragments holding truncations, inner ones included.
+"""
+
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+import pytest
+
+from reference_checker import GRZ_CUT_RULES, GRZ_RULES, Unlabelled, fragment_findings, proof_findings
+
+from nwproofs.calculus import CalculusError, ProofGraph, check_proof_fragment, check_proof_graph
+from nwproofs.coalgebra import Coalgebra, UnfoldBudget
+from nwproofs.fftree import Unfolding
+from nwproofs.graphfile import parse_proof_file
+from nwproofs.grz import GRZ, GRZ_CUT, Atom, Box, Imp, Sequent, cut_elim
+from nwproofs.search import SearchBudget, generate_corpus, search
+from nwproofs.store import PLink, PNode, flatten, replace_subtree, subtree_at, to_nested
+from nwproofs.translate import extend, identity_step
+from nwproofs.trees import EPSILON, TreeNW, Truncation
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CALCULI = ((GRZ, GRZ_RULES), (GRZ_CUT, GRZ_CUT_RULES))
+
+
+def _as_tuples(findings) -> list[tuple]:
+    return [(f.state, f.node, f.condition, f.message) for f in findings]
+
+
+def _disagreements(pg: ProofGraph) -> list[str]:
+    out = []
+    for calc, rules in CALCULI:
+        kernel = _as_tuples(check_proof_graph(calc, pg).findings)
+        reference = proof_findings(pg, rules)
+        if kernel != reference:
+            out.append(f"{calc.name} on {pg!r}: {kernel} != {reference}")
+    return out
+
+
+def _fragment_disagreements(frag: TreeNW, leaves: dict) -> list[str]:
+    out = []
+    for calc, rules in CALCULI:
+        try:
+            reference = fragment_findings(frag, leaves, rules)
+        except Unlabelled:
+            # the kernel must raise too, naming one of the unlabelled nodes
+            with pytest.raises(CalculusError, match="is not labelled"):
+                check_proof_fragment(calc, frag, leaves)
+            continue
+        kernel = _as_tuples(check_proof_fragment(calc, frag, leaves).findings)
+        if kernel != reference:
+            out.append(f"{calc.name} on {frag!r}: {kernel} != {reference}")
+    return out
+
+
+def _mutant(rng: random.Random, pg: ProofGraph) -> ProofGraph | None:
+    """One random corruption of one state's fragment, whatever either
+    checker makes of it; None if the corruption is no coalgebra."""
+    state = rng.choice(sorted(pg.states))
+    nested = to_nested(pg.fragment(state), pg.links(state))
+    spots = []
+    stack = [(nested, EPSILON)]
+    while stack:
+        n, at = stack.pop()
+        if isinstance(n, PNode):
+            spots.append(at)
+            stack.extend((c, at + (i,)) for i, c in enumerate(n.children))
+    at = rng.choice(sorted(spots))
+    target = subtree_at(nested, at)
+    kids = list(target.children)
+    kind = rng.randrange(5)
+    if kind == 0:  # another rule name
+        new = PNode(target.sequent, rng.choice(GRZ_CUT_RULES + ("nope",)), target.children)
+    elif kind == 1:  # another sequent
+        new = PNode(target.sequent.with_left(Atom(7)), target.rule, target.children)
+    elif kind == 2 and len(kids) == 2:  # swapped premises
+        new = PNode(target.sequent, target.rule, (kids[1], kids[0]))
+    elif kind == 3 and kids:  # a premise becomes a glue point, or a glue point a premise
+        i = rng.randrange(len(kids))
+        if isinstance(kids[i], PLink):
+            kids[i] = PNode(pg.state_sequent(kids[i].target), "ax")
+        else:
+            kids[i] = PLink(rng.choice(sorted(pg.states)))
+        new = PNode(target.sequent, target.rule, tuple(kids))
+    elif kind == 4 and any(isinstance(c, PLink) for c in kids):  # relinked
+        i = next(i for i, c in enumerate(kids) if isinstance(c, PLink))
+        kids[i] = PLink(rng.choice(sorted(pg.states)))
+        new = PNode(target.sequent, target.rule, tuple(kids))
+    else:
+        return None
+    dest = pg.graph.destructors()
+    dest[state] = flatten(replace_subtree(nested, at, new))
+    return ProofGraph(Coalgebra(dest), pg.root)
+
+
+def _truncated(rng: random.Random, frag: TreeNW) -> list[tuple[TreeNW, dict]]:
+    """Copies of a fragment in which one node, inner or leaf, is a
+    truncation carrying its label, star leaves stay glue points with their
+    own sequents, and one copy has a node under the truncation relabelled
+    or unlabelled."""
+    labels = frag.labels()
+    leaves = {w: Sequent.of([Box(Atom(0))], [Atom(0)]) for w in frag.nw_leaves}
+    out = []
+    for w in sorted(frag.proper_nodes):
+        if rng.random() < 0.5:
+            continue
+        cut_off = dict(labels)
+        cut_off[w] = Truncation("t", labels[w])
+        out.append((TreeNW(cut_off), leaves))
+        below = [v for v in sorted(frag.proper_nodes) if len(v) > len(w) and v[: len(w)] == w]
+        if below:
+            v = rng.choice(below)
+            wrong = dict(cut_off)
+            wrong[v] = (labels[v][0], "ax") if rng.random() < 0.5 else 3
+            out.append((TreeNW(wrong), leaves))
+    return out
+
+
+def _inputs() -> list[ProofGraph]:
+    golden = [parse_proof_file(p.read_text())[1] for p in sorted(CORPUS.glob("*.proof"))]
+    generated = generate_corpus(5, 24)
+    return golden + generated
+
+
+def test_reference_checker_agrees_with_the_kernel():
+    rng = random.Random(18)
+    base = _inputs()
+    cases = list(base)
+    # unfiltered mutants
+    for pg in base:
+        for _ in range(6):
+            mutant = _mutant(rng, pg)
+            if mutant is not None:
+                cases.append(mutant)
+    # translation and search outputs
+    unfoldings: list[Unfolding] = []
+    for pg in base:
+        if check_proof_graph(GRZ_CUT, pg).ok:
+            for out in (cut_elim(pg), cut_elim(pg, UnfoldBudget(2), memo=False)):
+                (unfoldings if isinstance(out, Unfolding) else cases).append(out)
+            calc = GRZ if check_proof_graph(GRZ, pg).ok else GRZ_CUT
+            cases.append(extend(identity_step(calc), pg, UnfoldBudget(3)))
+    p, q = Atom(0), Atom(1)
+    goals = [
+        Sequent.of([Box(Imp(Box(Imp(p, Box(p))), p))], [p]),
+        Sequent.of([Box(q), Imp(q, Box(p))], [Box(Imp(q, p))]),
+        Sequent.of([], [Imp(Box(p), Box(Box(p)))]),
+    ]
+    for goal in goals:
+        found = search(GRZ, goal, SearchBudget(8, 12))
+        assert found is not None
+        cases.append(found)
+    cut_pool = SearchBudget(8, 12, cut_formulas=frozenset({q, Box(q), Imp(q, p)}))
+    cases.append(search(GRZ_CUT, goals[1], cut_pool))
+    disagreements = []
+    failing = 0
+    for pg in cases:
+        disagreements += _disagreements(pg)
+        failing += not check_proof_graph(GRZ_CUT, pg).ok
+    # fragments with truncations: unfoldings, and hand-made inner ones
+    fragments = 0
+    for res in unfoldings:
+        tree = res.tree
+        for root in sorted(tree.roots()):
+            if isinstance(tree.label(root), Truncation):
+                continue
+            frag = tree.tree_fragment(root)
+            leaves = {}
+            for w in frag.nw_leaves:
+                child = tree.label(root + w)
+                leaves[w] = (child.label if isinstance(child, Truncation) else child)[0]
+            disagreements += _fragment_disagreements(frag, leaves)
+            fragments += 1
+    for pg in base[:12]:
+        for state in sorted(pg.states):
+            for frag, leaves in _truncated(rng, pg.fragment(state)):
+                disagreements += _fragment_disagreements(frag, leaves)
+                fragments += 1
+    assert disagreements == []
+    # the inputs reach both verdicts and every kind of fragment
+    assert len(cases) > 200 and 50 < failing < len(cases) - 50
+    assert unfoldings and fragments > 100

@@ -439,7 +439,7 @@ _VARIANTS = {
 
 
 def _rules_of(tree: TreeNW) -> set[str]:
-    return {label[1] for _, label in tree.key if label is not STAR}
+    return {label[1] for label in tree.key[0] if label is not STAR}
 
 
 def _cut_elim_into(target: LocalProgressCalculus, pg: ProofGraph, **kwargs):

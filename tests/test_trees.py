@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_tree_nw
+from nwproofs.fftree import disjoint, prefix_le, word_of
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.trees import (
     EPSILON,
@@ -13,11 +14,9 @@ from nwproofs.trees import (
     GappedChildren,
     NotPrefixClosed,
     StarNotLeaf,
+    TreeError,
     TreeNW,
     ViolatedRootLabel,
-    disjoint,
-    prefix_le,
-    word_of,
 )
 
 words = st.lists(st.integers(min_value=0, max_value=5), max_size=6).map(tuple)
@@ -128,3 +127,31 @@ def test_leaf_order_is_the_sorted_star_leaves():
     assert any(len(t.nw_leaves) > 1 for t in trees)
     for t in trees:
         assert t.leaf_order == tuple(sorted(t.nw_leaves))
+
+
+def test_preorder_arrays_build_the_same_tree_as_the_word_table():
+    rng = random.Random(18)
+    for _ in range(200):
+        t = random_tree_nw(rng, max_nodes=12, star_prob=0.4)
+        u = TreeNW(*t.key)
+        assert u == t and hash(u) == hash(t)
+        assert u.labels() == t.labels() and u.leaf_order == t.leaf_order
+        assert [u.arity(w) for w in sorted(u.nodes)] == [t.arity(w) for w in sorted(t.nodes)]
+        assert u.height == t.height
+
+
+def test_preorder_arrays_are_checked_in_one_walk():
+    with pytest.raises(ViolatedRootLabel):
+        TreeNW([STAR], [0])
+    with pytest.raises(StarNotLeaf) as err:
+        TreeNW(["a", "b", STAR, "c"], [2, 0, 1, 0])
+    assert err.value.node == (1,)
+    for labels, arities in [
+        ([], []),  # no root
+        (["a", "b"], [1]),  # one arity short
+        (["a", "b"], [0, 0]),  # a second root
+        (["a", "b"], [2, 0]),  # a child missing at the end
+        (["a", "b"], [1, -1]),  # a negative arity
+    ]:
+        with pytest.raises(TreeError):
+            TreeNW(labels, arities)
