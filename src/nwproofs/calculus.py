@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .coalgebra import Coalgebra, StateId, UnknownState, root_first_order
-from .trees import STAR, TreeNW, Truncation, Word, format_word
+from .trees import EPSILON, STAR, TreeNW, Truncation, Word, format_word
 
 if TYPE_CHECKING:
     from .store import Arena
@@ -92,18 +92,21 @@ class CheckReport:
         return "\n".join(str(f) for f in self.findings) if self.findings else "ok"
 
 
-def _sequent_rule(label: Any, tree: TreeNW, p: int = 0) -> tuple[Any, str]:
-    """``label``, read at position ``p`` of ``tree``, once it has the shape (sequent, rule)."""
-    if not (isinstance(label, tuple) and len(label) == 2 and isinstance(label[1], str)):
-        word = format_word(tree.words([p])[p])
-        raise CalculusError(f"node {word} is not labelled with (sequent, rule)")
+def _is_sequent_rule(label: Any) -> bool:
+    return isinstance(label, tuple) and len(label) == 2 and isinstance(label[1], str)
+
+
+def _sequent_rule(label: Any, node: Word = EPSILON) -> tuple[Any, str]:
+    """``label``, read at proper node ``node``, once it has the shape (sequent, rule)."""
+    if not _is_sequent_rule(label):
+        raise CalculusError(f"node {format_word(node)} is not labelled with (sequent, rule)")
     return label
 
 
 def _check_labels(frag: TreeNW) -> None:
     for p, label in enumerate(frag.key[0]):
-        if label is not STAR:
-            _sequent_rule(label, frag, p)
+        if label is not STAR and not _is_sequent_rule(label):
+            _sequent_rule(label, frag.words([p])[p])
 
 
 class ProofGraph:
@@ -155,8 +158,7 @@ class ProofGraph:
         return self.graph.links(state)
 
     def state_sequent(self, state: StateId) -> Any:
-        frag = self.graph.fragment(state)
-        return _sequent_rule(frag.key[0][0], frag)[0]
+        return _sequent_rule(self.graph.fragment(state).label(EPSILON))[0]
 
     @property
     def root_sequent(self) -> Any:
@@ -233,8 +235,8 @@ def check_proof_fragment(
                 own.add(c)
                 c = end[c]
             continue
-        if p in own:
-            _sequent_rule(label, tree, p)
+        if p in own and not _is_sequent_rule(label):
+            _sequent_rule(label, tree.words([p])[p])  # raises, naming the node
         sequent, rule = label
         premises, glue = [], []
         for i in range(arities[p]):
@@ -248,10 +250,10 @@ def check_proof_fragment(
             elif isinstance(child, Truncation):
                 premises.append(child.label[0])
                 glue.append(i)
-            elif isinstance(child, tuple) and len(child) == 2 and isinstance(child[1], str):
+            elif _is_sequent_rule(child):
                 premises.append(child[0])
             else:
-                _sequent_rule(child, tree, c)  # raises, naming the node
+                _sequent_rule(child, tree.words([c])[c])  # raises, naming the node
             c = end[c]
         instance = (rule, tuple(premises), sequent)
         try:
@@ -282,7 +284,7 @@ def check_proof_fragment(
 def _leaf_sequents(dest: Mapping[StateId, tuple[TreeNW, Any]], state: StateId) -> dict[Word, Any]:
     """The root sequent of each state that ``state`` links to."""
     links = dest[state][1]
-    return {w: _sequent_rule(dest[t][0]._labels[0], dest[t][0])[0] for w, t in links.items()}
+    return {w: _sequent_rule(dest[t][0]._labels[0])[0] for w, t in links.items()}
 
 
 def check_proof_graph(

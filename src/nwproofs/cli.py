@@ -67,19 +67,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=100_000)
     p.add_argument("-o", "--output")
 
-    for name, text in [
-        ("cutelim", "translate a proof with cuts into a cut-free one"),
-        ("translate", "extend a named translation step"),
-    ]:
-        p = sub.add_parser(name, help=text)
-        p.add_argument("file")
-        if name == "translate":
-            p.add_argument("--step", required=True, choices=["identity", "cut-elim"])
-        p.add_argument("--max-states", type=int, default=256)
-        p.add_argument("--depth", type=int, default=6)
-        p.add_argument("--max-nodes", type=int, default=200_000)
-        p.add_argument("--no-memo", action="store_true")
-        p.add_argument("-o", "--output")
+    p = sub.add_parser("cutelim", help="translate a proof with cuts into a cut-free one")
+    p.add_argument("file")
+    p.add_argument("--max-states", type=int, default=256)
+    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--max-nodes", type=int, default=200_000)
+    p.add_argument("--no-memo", action="store_true")
+    p.add_argument("-o", "--output")
+
+    p = sub.add_parser("translate", help="extend a named translation step")
+    p.add_argument("file")
+    p.add_argument("--step", required=True, choices=["identity", "cut-elim"])
+    p.add_argument("--max-states", type=int, default=256)
+    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--max-nodes", type=int, default=200_000)
+    p.add_argument("--no-memo", action="store_true")
+    p.add_argument("-o", "--output")
 
     p = sub.add_parser("render", help="emit a DOT rendering")
     p.add_argument("file")

@@ -32,6 +32,7 @@ from .calculus import (
     LocalProgressCalculus,
     ProofGraph,
     _leaf_sequents,
+    _sequent_rule,
     check_proof_graph,
 )
 from .calculus import UnknownNode as UnknownProofNode  # not this module's UnknownNode
@@ -460,13 +461,6 @@ def check_pre_proof(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:
     is every proper node a rule instance, wherever its glue points sit?"""
     report = check_proof_graph(calc, pg)
     return CheckReport([f for f in report.findings if f.condition == "rule"])
-
-
-def _sequent_rule(label: Any, w: Word) -> tuple[Any, str]:
-    """``label``, read at node ``w``, once it has the shape (sequent, rule)."""
-    if not (isinstance(label, tuple) and len(label) == 2 and isinstance(label[1], str)):
-        raise CalculusError(f"node {format_word(w)} is not labelled with (sequent, rule)")
-    return label
 
 
 def _premises(tree: TreeNW, w: Word, leaf_sequents: Mapping[Word, Any]) -> tuple:

@@ -12,13 +12,13 @@ from .. import _resolve
 _WHERE = {
     name: module
     for module, names in [
-        ("formulas", ["Atom", "Bot", "Box", "Formula", "Imp", "Sequent", "rank"]),
+        ("formulas", ["Atom", "Bot", "Box", "Formula", "Imp", "Sequent"]),
         ("rules", ["GRZ", "GRZ_CUT"]),
         ("admissible", ["FormulaAbsent", "NotAProof", "weakening", "contr_atom_left"]),
         ("admissible", ["contr_atom_right", "inv_bot_right", "linv_imp_left", "rinv_imp_left"]),
         ("admissible", ["inv_imp_right", "inv_box_right", "local_height"]),
         ("cutelim", ["CutMeasure", "MeasureViolation", "reduce_cut", "cuts_up", "cut_elim"]),
-        ("cutelim", ["cut_elimination_step"]),
+        ("cutelim", ["cut_elimination_step", "rank"]),
     ]
     for name in names
 }

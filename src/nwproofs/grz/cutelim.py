@@ -53,7 +53,6 @@ from .formulas import (
     mdiff,
     mset,
     munion,
-    rank,
 )
 from .rules import (
     AX,
@@ -72,6 +71,17 @@ from .rules import (
 
 class MeasureViolation(AssertionError):
     pass
+
+
+def rank(f: Formula) -> int:
+    """Connective count; strictly drops from a box or implication to its parts."""
+    if isinstance(f, (Bot, Atom)):
+        return 0
+    if isinstance(f, Box):
+        return 1 + rank(f.body)
+    if isinstance(f, Imp):
+        return 1 + rank(f.left) + rank(f.right)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 class CutMeasure(NamedTuple):

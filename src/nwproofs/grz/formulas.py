@@ -129,17 +129,6 @@ def formula_key(f: Formula) -> tuple:
     return f._key
 
 
-def rank(f: Formula) -> int:
-    """Connective count; strictly drops from a box or implication to its parts."""
-    if isinstance(f, (Bot, Atom)):
-        return 0
-    if isinstance(f, Box):
-        return 1 + rank(f.body)
-    if isinstance(f, Imp):
-        return 1 + rank(f.left) + rank(f.right)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def subformulas(f: Formula) -> set[Formula]:
     out = {f}
     if isinstance(f, Box):
@@ -172,10 +161,6 @@ def mcount(m: Mset, f: Formula) -> int:
         if g is f:
             return n
     return 0
-
-
-def mtotal(m: Mset) -> int:
-    return sum(n for _, n in m)
 
 
 def mexpand(m: Mset) -> list[Formula]:
@@ -269,7 +254,7 @@ class Sequent(NamedTuple):
 
     @property
     def total(self) -> int:
-        return mtotal(self.ante) + mtotal(self.succ)
+        return sum(n for _, n in self.ante) + sum(n for _, n in self.succ)
 
     def __repr__(self) -> str:
         left = ", ".join(repr(f) for f in mexpand(self.ante))

@@ -20,7 +20,9 @@ Both conditions a step must satisfy are checked while extending, and
 only there, in ``_Engine``: every glue point must get a residual that
 passes the source checker (condition 2), and every emitted fragment,
 paired with the root sequents of its translated residuals, must pass
-the target fragment check (condition 1).  Source checks go through the
+the target fragment check and hold no truncation mark (condition 1).
+Closed outputs are views of the emitted fragments, so this is the
+only check they get.  Source checks go through the
 store's cached check, :func:`~nwproofs.store.check`, so each state's
 fragment is checked against the source once.  Target checks use the
 store's table of what the checker decided with the target calculus, so
@@ -105,6 +107,10 @@ class _Engine:
 
     def apply(self, pg: ProofGraph) -> tuple[TreeNW, dict[Word, ProofGraph]]:
         fragment, parts = self.step.apply(pg)
+        # the fragment checker reads a truncation as a glue premise, but
+        # nothing continues the proof there
+        if any(isinstance(label, Truncation) for label in fragment.key[0]):
+            raise StepContractViolation(1, "fragment holds a truncation mark, not a proof node")
         for w in fragment.leaf_order:
             if w not in parts:
                 raise StepContractViolation(2, f"no residual at leaf {format_word(w)}")
@@ -190,8 +196,8 @@ def _close(engine, root, max_states) -> ProofGraph | None:
             w: emitted[t].fragment.label(EPSILON)[0] for w, t in out.links.items()
         }
         engine.check_fragment(out.fragment, leaf_sequents, f"state {sid}")
-    # every fragment passed its target check and its links cover its star
-    # leaves exactly, so the graph needs no second validation
+    # every fragment holds no truncation, passed its target check and has
+    # links covering its star leaves exactly, so it needs no second validation
     graph = Coalgebra.view({sid: (out.fragment, out.links) for sid, out in emitted.items()})
     return ProofGraph._view(graph, "s0", None)
 

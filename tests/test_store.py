@@ -173,7 +173,13 @@ def test_calculus_forwards_the_store_names_the_benchmark_imports():
 def test_coalgebra_forwards_only_the_names_the_benchmark_reads():
     from nwproofs import fftree
 
-    forwarded = {"Unfolding": fftree, "unfold": fftree, "bisim_minimize": store, "canonical_form": store}
+    forwarded = {
+        "Unfolding": fftree,
+        "UnfoldBudget": fftree,
+        "unfold": fftree,
+        "bisim_minimize": store,
+        "canonical_form": store,
+    }
     for name, home in forwarded.items():
         assert getattr(coalgebra, name) is getattr(home, name)
     with pytest.raises(ImportError):
@@ -196,6 +202,21 @@ def test_graphfile_forwards_only_the_printer_the_benchmark_reads():
         for imp in ast.walk(ast.parse(path.read_text())):
             if isinstance(imp, ast.ImportFrom) and (imp.module or "").endswith("graphfile"):
                 assert "print_proof_file" not in {alias.name for alias in imp.names}, path
+
+
+def test_syntax_forwards_only_the_printers_the_benchmark_reads():
+    from nwproofs import commands, syntax
+
+    forwarded = ("print_formula", "print_sequent")
+    for name in forwarded:
+        assert getattr(syntax, name) is getattr(commands, name)
+    with pytest.raises(ImportError):
+        from nwproofs.syntax import print_proof_file  # noqa: F401
+    # the kernel imports the printers from their home, never through the forwarder
+    for path in Path(store.__file__).parent.rglob("*.py"):
+        for imp in ast.walk(ast.parse(path.read_text())):
+            if isinstance(imp, ast.ImportFrom) and (imp.module or "").endswith("syntax"):
+                assert not {alias.name for alias in imp.names} & set(forwarded), path
 
 
 def _box_chain(n: int) -> Sequent:

@@ -29,7 +29,7 @@ from nwproofs.translate import (
     identity_step,
     validate_step,
 )
-from nwproofs.trees import Truncation
+from nwproofs.trees import EPSILON, TreeNW, Truncation
 
 BUDGET = UnfoldBudget(max_depth=4)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -121,6 +121,25 @@ def test_step_contract_violation_condition_one():
     with pytest.raises(StepContractViolation) as err:
         extend(bad, ax_graph(), BUDGET)
     assert err.value.condition == 1
+
+
+def test_step_contract_violation_truncation_in_place_of_a_link():
+    # the fragment checker reads a truncation leaf as a glue premise with
+    # its recorded sequent; emitted in place of a link, it is a hole
+    base = identity_step(GRZ)
+
+    def holed_apply(pg):
+        frag, parts = base.apply(pg)
+        labels = frag.labels()
+        for w in frag.nw_leaves:
+            labels[w] = Truncation("hole", parts[w].fragment(parts[w].root).label(EPSILON))
+        return TreeNW(labels), {}
+
+    holed = TranslationStep(GRZ, GRZ, holed_apply, name="holed")
+    for memo in (True, False):
+        with pytest.raises(StepContractViolation) as err:
+            extend(holed, box_step_graph(), BUDGET, memo=memo)
+        assert err.value.condition == 1
 
 
 def test_validate_step_identity_over_corpus():
