@@ -34,18 +34,20 @@ _WHERE = {
 __all__ = list(_WHERE)
 
 
-def _resolve(package: ModuleType, where: dict[str, str], name: str) -> Any:
-    """The public ``name`` of ``package``, imported from its submodule on
-    first access, so that loading one submodule loads only what it uses."""
+def _resolve(namespace: dict[str, Any], where: dict[str, str], name: str) -> Any:
+    """The ``name`` of a module whose globals are ``namespace``, imported on
+    first access from the module ``where`` names, relative to its package,
+    and kept in ``namespace``, so that loading one module loads only what
+    it uses and each later access is a plain global read."""
     if name not in where:
-        raise AttributeError(f"module {package.__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{package.__name__}.{where[name]}"), name)
-    vars(package)[name] = value
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{where[name]}", namespace["__package__"]), name)
+    namespace[name] = value
     return value
 
 
 def __getattr__(name: str) -> Any:
-    return _resolve(sys.modules[__name__], _WHERE, name)
+    return _resolve(globals(), _WHERE, name)
 
 
 class _Package(ModuleType):

@@ -12,7 +12,9 @@ distinct ``(rule, premises, conclusion)`` instance once, however many
 nodes and states it labels, and each fragment once per leaf sequents it
 passes with.  A walk reads a fragment's preorder arrays by position,
 validates each label once, and forms a word only to name a finding, a
-missing leaf sequent or a star leaf's link.
+missing leaf sequent or a star leaf's link.  A fragment holds (sequent,
+rule) labels and stars only: anything else, an unfolding's truncation
+mark included, raises :class:`CalculusError`, however the graph was built.
 
 This module is the checker and nothing else: it never changes a proof
 and keeps nothing between calls.  Its ``decided`` table of instances
@@ -30,8 +32,9 @@ from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from . import _resolve
 from .coalgebra import Coalgebra, StateId, UnknownState, root_first_order
-from .trees import EPSILON, STAR, TreeNW, Truncation, Word, format_word
+from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
 if TYPE_CHECKING:
     from .store import Arena
@@ -225,20 +228,13 @@ def check_proof_fragment(
             end[p] = e
     leaf = {p: leaf_sequents.get(w, _MISSING) for p, w in zip(tree._stars, tree.leaf_order)}
     found: list[tuple[int, str, str]] = []  # (position, condition, message)
-    own = {0}  # read where the walk reaches them: the root and a truncation's children
+    _sequent_rule(labels[0])  # the root; every other label is read as a premise
     for p, label in enumerate(labels):
         if label is STAR:
             continue
-        c = p + 1
-        if isinstance(label, Truncation):
-            for _ in range(arities[p]):
-                own.add(c)
-                c = end[c]
-            continue
-        if p in own and not _is_sequent_rule(label):
-            _sequent_rule(label, tree.words([p])[p])  # raises, naming the node
         sequent, rule = label
         premises, glue = [], []
+        c = p + 1
         for i in range(arities[p]):
             child = labels[c]
             if child is STAR:
@@ -246,9 +242,6 @@ def check_proof_fragment(
                     word = format_word(tree.words([c])[c])
                     raise CalculusError(f"no sequent supplied for leaf {word}")
                 premises.append(leaf[c])
-                glue.append(i)
-            elif isinstance(child, Truncation):
-                premises.append(child.label[0])
                 glue.append(i)
             elif _is_sequent_rule(child):
                 premises.append(child[0])
@@ -311,8 +304,4 @@ def check_proof_graph(
 
 def __getattr__(name: str) -> Any:
     # The benchmark's workloads import these two store names from here.
-    if name in ("Arena", "PNode"):
-        from . import store
-
-        return getattr(store, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _resolve(globals(), {"Arena": "store", "PNode": "store"}, name)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Container, Mapping
 
+from . import _resolve
 from .trees import TreeNW, Word, format_word
 
 StateId = str
@@ -132,14 +133,12 @@ def reachable(coalg: Coalgebra, state: StateId) -> set[StateId]:
     return set(root_first_order(coalg, state))
 
 
+# The benchmark's workloads and tracer read these five names from here.
+_FORWARDED = {
+    "Unfolding": "fftree", "UnfoldBudget": "fftree", "unfold": "fftree",
+    "bisim_minimize": "store", "canonical_form": "store",
+}
+
+
 def __getattr__(name: str) -> Any:
-    # The benchmark's workloads and tracer read these five names from here.
-    if name in ("Unfolding", "UnfoldBudget", "unfold"):
-        from . import fftree
-
-        return getattr(fftree, name)
-    if name in ("bisim_minimize", "canonical_form"):
-        from . import store
-
-        return getattr(store, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _resolve(globals(), _FORWARDED, name)

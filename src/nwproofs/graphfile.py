@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from . import _resolve
 from .calculus import ProofGraph
 from .coalgebra import Coalgebra
 from .grz.rules import CALCULI
@@ -136,8 +137,4 @@ def _parse_node_line(body: str, line_no: int) -> str | tuple[Any, str]:
 
 def __getattr__(name: str) -> Any:
     # The benchmark's workloads and tracer read the printer from here.
-    if name == "print_proof_file":
-        from . import commands
-
-        return commands.print_proof_file
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _resolve(globals(), {"print_proof_file": "commands"}, name)

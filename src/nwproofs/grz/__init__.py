@@ -3,7 +3,6 @@ and cut elimination over regular non-wellfounded proofs."""
 
 from __future__ import annotations
 
-import sys
 from typing import Any
 
 from .. import _resolve
@@ -26,4 +25,4 @@ __all__ = list(_WHERE)
 
 
 def __getattr__(name: str) -> Any:
-    return _resolve(sys.modules[__name__], _WHERE, name)
+    return _resolve(globals(), _WHERE, name)

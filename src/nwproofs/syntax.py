@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
+from . import _resolve
 from .grz.formulas import BOT, Atom, Box, Formula, Imp, Sequent
 
 
@@ -126,8 +127,4 @@ def parse_sequent(text: str) -> Sequent:
 
 def __getattr__(name: str) -> Any:
     # The printers are writers, kept out of the checking core with the others.
-    if name in ("print_formula", "print_sequent"):
-        from . import commands
-
-        return getattr(commands, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _resolve(globals(), {"print_formula": "commands", "print_sequent": "commands"}, name)

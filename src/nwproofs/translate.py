@@ -20,13 +20,15 @@ Both conditions a step must satisfy are checked while extending, and
 only there, in ``_Engine``: every glue point must get a residual that
 passes the source checker (condition 2), and every emitted fragment,
 paired with the root sequents of its translated residuals, must pass
-the target fragment check and hold no truncation mark (condition 1).
-Closed outputs are views of the emitted fragments, so this is the
-only check they get.  Source checks go through the
-store's cached check, :func:`~nwproofs.store.check`, so each state's
-fragment is checked against the source once.  Target checks use the
-store's table of what the checker decided with the target calculus, so
-a rule instance that repeats across emitted fragments is matched once.
+the target fragment check (condition 1), which admits (sequent, rule)
+labels and stars only, so a truncation mark or any other foreign label
+in a step's fragment breaks it.  Closed outputs are views of the
+emitted fragments, so this is the only check they get.  Source checks
+go through the store's cached check, :func:`~nwproofs.store.check`, so
+each state's fragment is checked against the source once.  Target
+checks use the store's table of what the checker decided with the
+target calculus, so a rule instance that repeats across emitted
+fragments is matched once.
 A fragment that a step hands back unchanged, over the same leaf
 sequents, is looked up rather than walked again
 (:meth:`~nwproofs.store.Arena.passed`) when the source check passed it
@@ -46,9 +48,10 @@ from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, check_proof_fragment
+from .calculus import CalculusError, CheckReport, LocalProgressCalculus, ProofGraph
+from .calculus import _is_sequent_rule, check_proof_fragment
 from .coalgebra import BudgetError, BudgetExceeded, Coalgebra
-from .fftree import UnfoldBudget, Unfolding, unfold_by
+from .fftree import TruncationNotAllowed, UnfoldBudget, Unfolding, unfold_by
 from .store import Arena, check
 from .trees import EPSILON, TreeNW, Truncation, Word, format_word
 
@@ -96,7 +99,9 @@ class _Emitted:
 
 
 class _Engine:
-    """The worker of one extension; its values are views of ``store``."""
+    """The worker of one extension; its values are views of ``store``.
+    A check's ``where`` gives the place its error names, and is called
+    only on failure."""
 
     def __init__(self, step: TranslationStep):
         self.step = step
@@ -107,10 +112,9 @@ class _Engine:
 
     def apply(self, pg: ProofGraph) -> tuple[TreeNW, dict[Word, ProofGraph]]:
         fragment, parts = self.step.apply(pg)
-        # the fragment checker reads a truncation as a glue premise, but
-        # nothing continues the proof there
-        if any(isinstance(label, Truncation) for label in fragment.key[0]):
-            raise StepContractViolation(1, "fragment holds a truncation mark, not a proof node")
+        # the root's sequent is read, as a leaf sequent, before the target check
+        if not _is_sequent_rule(fragment.label(EPSILON)):
+            raise StepContractViolation(1, "fragment root is not labelled with (sequent, rule)")
         for w in fragment.leaf_order:
             if w not in parts:
                 raise StepContractViolation(2, f"no residual at leaf {format_word(w)}")
@@ -124,20 +128,28 @@ class _Engine:
     def key(self, pg: ProofGraph) -> Hashable:
         return self.store.class_of(pg.root)
 
-    def check_value(self, pg: ProofGraph, where: str) -> None:
-        report = check(self.source, pg)
+    def check_value(self, pg: ProofGraph, where: Callable[[], str]) -> None:
+        try:
+            report = check(self.source, pg)
+        except CalculusError as err:
+            raise StepContractViolation(2, f"residual at {where()}: {err}") from None
         if not report.ok:
             raise StepContractViolation(
-                2, f"residual at {where} is not a {self.source.name} proof", report
+                2, f"residual at {where()} is not a {self.source.name} proof", report
             )
 
-    def check_fragment(self, fragment: TreeNW, leaf_sequents: Mapping[Word, Any], where: str) -> None:
+    def check_fragment(
+        self, fragment: TreeNW, leaf_sequents: Mapping[Word, Any], where: Callable[[], str]
+    ) -> None:
         if self.store.passed(self.target, fragment, leaf_sequents):
             return
-        report = check_proof_fragment(self.target, fragment, leaf_sequents, decided=self.decided)
+        try:
+            report = check_proof_fragment(self.target, fragment, leaf_sequents, decided=self.decided)
+        except CalculusError as err:
+            raise StepContractViolation(1, f"fragment at {where()}: {err}") from None
         if not report.ok:
             raise StepContractViolation(
-                1, f"fragment at {where} is not a {self.target.name} fragment", report
+                1, f"fragment at {where()} is not a {self.target.name} fragment", report
             )
 
 
@@ -159,7 +171,10 @@ def extend(
         raise BudgetError("budget bounds must be at least 1")
     engine = _Engine(step)
     root = engine.own(pg)
-    report = check(step.source, root)
+    try:
+        report = check(step.source, root)
+    except CalculusError as err:
+        raise NotASourceProof(f"input is not a {step.source.name} proof:\n{err}") from None
     if not report.ok:
         raise NotASourceProof(f"input is not a {step.source.name} proof:\n{report}")
     if memo:
@@ -187,7 +202,7 @@ def _close(engine, root, max_states) -> ProofGraph | None:
                     return None
                 name = f"s{len(memo)}"
                 memo[key] = name
-                engine.check_value(succ, f"state {sid} leaf {format_word(w)}")
+                engine.check_value(succ, lambda: f"state {sid} leaf {format_word(w)}")
                 queue.append((succ, name))
             out.links[w] = memo[key]
         emitted[sid] = out
@@ -195,9 +210,10 @@ def _close(engine, root, max_states) -> ProofGraph | None:
         leaf_sequents = {
             w: emitted[t].fragment.label(EPSILON)[0] for w, t in out.links.items()
         }
-        engine.check_fragment(out.fragment, leaf_sequents, f"state {sid}")
-    # every fragment holds no truncation, passed its target check and has
-    # links covering its star leaves exactly, so it needs no second validation
+        engine.check_fragment(out.fragment, leaf_sequents, lambda: f"state {sid}")
+    # every fragment passed its target check, which admits (sequent, rule)
+    # labels and stars only, and has links covering its star leaves exactly,
+    # so it needs no second validation
     graph = Coalgebra.view({sid: (out.fragment, out.links) for sid, out in emitted.items()})
     return ProofGraph._view(graph, "s0", None)
 
@@ -212,7 +228,7 @@ def _unfold(engine, root, budget) -> Unfolding:
 
     def destruct(value, at):
         if at != EPSILON:
-            engine.check_value(value, f"position {format_word(at)}")
+            engine.check_value(value, lambda: f"position {format_word(at)}")
         fragment, parts = engine.apply(value)
         stepped[at] = fragment
         return fragment, parts
@@ -222,6 +238,8 @@ def _unfold(engine, root, budget) -> Unfolding:
         out = unfold_by(destruct, root, budget, lambda _: next(names))
     except BudgetExceeded as err:
         raise BudgetExceeded(f"translated {err}") from None
+    except TruncationNotAllowed as err:  # a step fragment holds one on an inner node
+        raise StepContractViolation(1, str(err)) from None
     for base, fragment in stepped.items():
         if base in out.truncations:
             continue
@@ -229,7 +247,7 @@ def _unfold(engine, root, budget) -> Unfolding:
         for w in fragment.nw_leaves:
             child = out.tree.label(base + w)
             leaf_sequents[w] = (child.label if isinstance(child, Truncation) else child)[0]
-        engine.check_fragment(fragment, leaf_sequents, f"position {format_word(base)}")
+        engine.check_fragment(fragment, leaf_sequents, lambda: f"position {format_word(base)}")
     return out
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 
 from nwproofs.grz.formulas import Atom, Bot, Box, Imp
-from nwproofs.trees import STAR, Truncation
+from nwproofs.trees import STAR
 
 GRZ_RULES = ("ax", "bot", "impl", "impr", "refl", "box")
 GRZ_CUT_RULES = GRZ_RULES + ("cut",)
@@ -121,14 +121,14 @@ def _sequent_rule(label, w):
 
 def fragment_findings(frag, leaf_sequents, rules, state=None) -> list[tuple]:
     """The findings of one fragment: each proper node in word order is an
-    instance of one of ``rules``, and its glue points (star and
-    truncation leaves) are exactly premise 1 of a box.  Raises
+    instance of one of ``rules``, and its glue points (star leaves) are
+    exactly premise 1 of a box.  Raises
     :class:`Unlabelled` for a proper node without a (sequent, rule)
     label, and KeyError for a star leaf without a sequent."""
     findings = []
     for w in sorted(frag.nodes):
         label = frag.label(w)
-        if label is STAR or isinstance(label, Truncation):
+        if label is STAR:
             continue
         sequent, rule = _sequent_rule(label, w)
         premises, glue = [], []
@@ -137,9 +137,6 @@ def fragment_findings(frag, leaf_sequents, rules, state=None) -> list[tuple]:
             lab = frag.label(child)
             if lab is STAR:
                 premises.append(leaf_sequents[child])
-                glue.append(i)
-            elif isinstance(lab, Truncation):
-                premises.append(lab.label[0])
                 glue.append(i)
             else:
                 premises.append(_sequent_rule(lab, child)[0])

@@ -304,6 +304,21 @@ def test_a_repeated_non_instance_is_reported_in_every_state():
         ]
 
 
+def test_a_truncation_mark_is_no_proof_node_however_the_graph_is_built():
+    # a box whose premise 1 is an unfolding's truncation mark, not a glue point
+    ok_refl = (seq([Box(P)], [P]), "refl")
+    box = (seq([Box(P)], [Box(P)]), "box")
+    ok_ax = (seq([P, Box(P)], [P]), "ax")
+    holed = TreeNW({EPSILON: box, (0,): ok_refl, (0, 0): ok_ax, (1,): Truncation("s1", ok_refl)})
+    for calc in (GRZ, GRZ_CUT):
+        with pytest.raises(CalculusError, match="node 1 is not labelled"):
+            check_proof_fragment(calc, holed, {})
+    # a view is never label-checked on construction; the checker refuses it
+    pg = ProofGraph._view(Coalgebra.view({"s0": (holed, {})}), "s0", None)
+    for calc in (GRZ, GRZ_CUT):
+        with pytest.raises(CalculusError, match="node 1 is not labelled"):
+            check_proof_graph(calc, pg)
+
 def test_checker_errors_name_the_label_the_walk_reads_first():
     ok_refl = (seq([Box(P)], [P]), "refl")
     ok_ax = (seq([P, Box(P)], [P]), "ax")
@@ -313,8 +328,8 @@ def test_checker_errors_name_the_label_the_walk_reads_first():
     cases = [
         ({EPSILON: None}, unlabelled.format(".")),
         ({EPSILON: ok_refl, (0,): ("p0",)}, unlabelled.format("0")),
-        # below a truncation, a node's label is read when the walk reaches it
-        ({EPSILON: Truncation("s1", ok_refl), (0,): 3}, unlabelled.format("0")),
+        # a truncation mark is a foreign label, the root's is read first
+        ({EPSILON: Truncation("s1", ok_refl), (0,): 3}, unlabelled.format(".")),
         # a bad child of the root is read before the bad node 0.0 that precedes it
         ({**glued, (0, 0): "ax", (1,): (ok_refl[0], 7)}, unlabelled.format("1")),
         (glued, "no sequent supplied for leaf 1"),
@@ -328,9 +343,7 @@ def test_checker_errors_name_the_label_the_walk_reads_first():
     assert check_proof_fragment(GRZ, TreeNW(glued), {(1,): ok_refl[0]}, decided=decided).ok
     with pytest.raises(CalculusError, match="no sequent supplied for leaf 1"):
         check_proof_fragment(GRZ, TreeNW(glued), {}, decided=decided)
-    # a truncation leaf is a premise carrying its recorded sequent, and a glue point
-    cut_short = {**glued, (1,): Truncation("s1", ok_refl)}
-    assert check_proof_fragment(GRZ, TreeNW(cut_short), {}).ok
-    wrong = {**glued, (1,): Truncation("s1", (seq([Box(P)], [Q]), "refl"))}
-    findings = check_proof_fragment(GRZ, TreeNW(wrong), {}).findings
+    # a star leaf is a glue point carrying the sequent supplied for it
+    assert check_proof_fragment(GRZ, TreeNW(glued), {(1,): ok_refl[0]}).ok
+    findings = check_proof_fragment(GRZ, TreeNW(glued), {(1,): seq([Box(P)], [Q])}).findings
     assert [(f.node, f.condition) for f in findings] == [(EPSILON, "rule")]

@@ -4,7 +4,8 @@ Every input is checked under Grz and Grz+cut by both, and their
 findings must be equal, in order: the golden corpus files, generated
 proofs, random mutants of both (not filtered by either checker), the
 outputs of cut elimination, of identity extensions and of proof search,
-and fragments holding truncations, inner ones included.
+the fragments of unfoldings, fragments cut off to a star leaf at any
+node, and fragments with a truncation mark or another foreign label.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from nwproofs.grz import GRZ, GRZ_CUT, Atom, Box, Imp, Sequent, cut_elim
 from nwproofs.search import SearchBudget, generate_corpus, search
 from nwproofs.store import PLink, PNode, flatten, replace_subtree, subtree_at, to_nested
 from nwproofs.translate import extend, identity_step
-from nwproofs.trees import EPSILON, TreeNW, Truncation
+from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CALCULI = ((GRZ, GRZ_RULES), (GRZ_CUT, GRZ_CUT_RULES))
@@ -100,26 +101,25 @@ def _mutant(rng: random.Random, pg: ProofGraph) -> ProofGraph | None:
     return ProofGraph(Coalgebra(dest), pg.root)
 
 
-def _truncated(rng: random.Random, frag: TreeNW) -> list[tuple[TreeNW, dict]]:
-    """Copies of a fragment in which one node, inner or leaf, is a
-    truncation carrying its label, star leaves stay glue points with their
-    own sequents, and one copy has a node under the truncation relabelled
-    or unlabelled."""
+def _cut_short(rng: random.Random, frag: TreeNW) -> list[tuple[TreeNW, dict]]:
+    """Copies of a fragment in which one proper node below the root, inner
+    or leaf, is cut off to a star leaf, a glue point wherever it sits,
+    with its own sequent supplied; and copies in which one proper node,
+    the root included, carries a foreign label: a truncation mark or a
+    pair whose rule is no name.  Star leaves keep one supplied sequent."""
     labels = frag.labels()
     leaves = {w: Sequent.of([Box(Atom(0))], [Atom(0)]) for w in frag.nw_leaves}
     out = []
     for w in sorted(frag.proper_nodes):
         if rng.random() < 0.5:
             continue
-        cut_off = dict(labels)
-        cut_off[w] = Truncation("t", labels[w])
-        out.append((TreeNW(cut_off), leaves))
-        below = [v for v in sorted(frag.proper_nodes) if len(v) > len(w) and v[: len(w)] == w]
-        if below:
-            v = rng.choice(below)
-            wrong = dict(cut_off)
-            wrong[v] = (labels[v][0], "ax") if rng.random() < 0.5 else 3
-            out.append((TreeNW(wrong), leaves))
+        if w != EPSILON:
+            cut_off = {v: label for v, label in labels.items() if v[: len(w)] != w}
+            cut_off[w] = STAR
+            out.append((TreeNW(cut_off), {**leaves, w: labels[w][0]}))
+        foreign = dict(labels)
+        foreign[w] = Truncation("t", labels[w]) if rng.random() < 0.5 else (labels[w][0], 7)
+        out.append((TreeNW(foreign), leaves))
     return out
 
 
@@ -164,7 +164,7 @@ def test_reference_checker_agrees_with_the_kernel():
     for pg in cases:
         disagreements += _disagreements(pg)
         failing += not check_proof_graph(GRZ_CUT, pg).ok
-    # fragments with truncations: unfoldings, and hand-made inner ones
+    # fragments of unfoldings, and hand-made cut-off and foreign-labelled ones
     fragments = 0
     for res in unfoldings:
         tree = res.tree
@@ -180,7 +180,7 @@ def test_reference_checker_agrees_with_the_kernel():
             fragments += 1
     for pg in base[:12]:
         for state in sorted(pg.states):
-            for frag, leaves in _truncated(rng, pg.fragment(state)):
+            for frag, leaves in _cut_short(rng, pg.fragment(state)):
                 disagreements += _fragment_disagreements(frag, leaves)
                 fragments += 1
     assert disagreements == []

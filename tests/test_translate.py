@@ -15,14 +15,15 @@ from grzlib import (
     seq,
     weakening_part_cut_graph,
 )
-from nwproofs.calculus import check_proof_graph
-from nwproofs.coalgebra import UnfoldBudget, reachable
+from nwproofs.calculus import ProofGraph, check_proof_graph
+from nwproofs.coalgebra import Coalgebra, UnfoldBudget, reachable
 from nwproofs.fftree import Unfolding, compute_fragmentation, unfold
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, cut_elimination_step
 from nwproofs.grz.rules import CALCULI
 from nwproofs.store import canonical_form
 from nwproofs.translate import (
+    NotASourceProof,
     StepContractViolation,
     TranslationStep,
     extend,
@@ -124,8 +125,9 @@ def test_step_contract_violation_condition_one():
 
 
 def test_step_contract_violation_truncation_in_place_of_a_link():
-    # the fragment checker reads a truncation leaf as a glue premise with
-    # its recorded sequent; emitted in place of a link, it is a hole
+    # a truncation leaf emitted in place of a link would be a hole; the
+    # target check refuses it as it refuses any label but a star or a
+    # (sequent, rule) pair
     base = identity_step(GRZ)
 
     def holed_apply(pg):
@@ -141,6 +143,50 @@ def test_step_contract_violation_truncation_in_place_of_a_link():
             extend(holed, box_step_graph(), BUDGET, memo=memo)
         assert err.value.condition == 1
 
+
+def test_step_contract_violation_foreign_label_anywhere():
+    # the target check admits (sequent, rule) labels and stars only: a
+    # truncation mark or any other label at the root, an inner node or a
+    # leaf breaks condition 1, with and without memoization
+    base = identity_step(GRZ)
+    marks = (lambda label: Truncation("t", label), lambda label: None)
+    for at in (EPSILON, (0,), (0, 0)):
+        for mark in marks:
+
+            def apply(pg, at=at, mark=mark):
+                frag, parts = base.apply(pg)
+                labels = frag.labels()
+                if at in labels:
+                    labels[at] = mark(labels[at])
+                return TreeNW(labels), parts
+
+            step = TranslationStep(GRZ, GRZ, apply, name="foreign")
+            for memo in (True, False):
+                with pytest.raises(StepContractViolation) as err:
+                    extend(step, box_step_graph(), BUDGET, memo=memo)
+                assert err.value.condition == 1, (at, memo)
+
+def test_a_truncation_mark_in_a_view_is_no_source_proof():
+    # a view is never label-checked on construction; here the box's
+    # premise 1 is a truncation mark, not a link
+    pg = box_step_graph()
+    frag = pg.fragment("s0")
+    labels = frag.labels()
+    labels[(1,)] = Truncation("t", pg.fragment("s1").label(EPSILON))
+    holed = ProofGraph._view(Coalgebra.view({"s0": (TreeNW(labels), {})}), "s0", None)
+    base = identity_step(GRZ)
+
+    def apply(value):
+        fragment, parts = base.apply(value)
+        return fragment, {w: holed for w in parts}
+
+    step = TranslationStep(GRZ, GRZ, apply, name="holed residual")
+    for memo in (True, False):
+        with pytest.raises(NotASourceProof, match="node 1 is not labelled"):
+            extend(base, holed, BUDGET, memo=memo)
+        with pytest.raises(StepContractViolation) as err:
+            extend(step, box_step_graph(), BUDGET, memo=memo)
+        assert err.value.condition == 2
 
 def test_validate_step_identity_over_corpus():
     corpus = [ax_graph(), box_step_graph(), self_loop_graph()]
