@@ -183,14 +183,9 @@ def madd(m: Mset, f: Formula, n: int = 1) -> Mset:
 
 def mremove(m: Mset, f: Formula, n: int = 1) -> Mset:
     for i, (g, k) in enumerate(m):
-        if g is f:
-            break
-    else:
-        i, k = len(m), 0
-    if k < n:
-        raise KeyError(f"{f!r} occurs {k} times, cannot remove {n}")
-    rest = m[i + 1 :]
-    return m[:i] + ((f, k - n),) + rest if k > n else m[:i] + rest
+        if g is f and k >= n:
+            return m[:i] + ((f, k - n),) + m[i + 1 :] if k > n else m[:i] + m[i + 1 :]
+    raise KeyError(f"{f!r} occurs {mcount(m, f)} times, cannot remove {n}")
 
 
 def munion(a: Mset, b: Mset) -> Mset:
@@ -216,7 +211,8 @@ class Sequent(NamedTuple):
     named tuple, so it hashes and compares in C, and it is not interned.
     It equals, and hashes as, the bare ``(ante, succ)`` pair with the same
     canonical multisets; the checker treats sequents as opaque values, so
-    it decides both the same way."""
+    it decides both the same way.  The one-formula builders make the pair
+    with ``tuple.__new__``, skipping the named tuple's Python ``__new__``."""
 
     ante: Mset = EMPTY
     succ: Mset = EMPTY
@@ -226,16 +222,16 @@ class Sequent(NamedTuple):
         return Sequent(mset(ante), mset(succ))
 
     def with_left(self, f: Formula, n: int = 1) -> "Sequent":
-        return Sequent(madd(self.ante, f, n), self.succ)
+        return tuple.__new__(Sequent, (madd(self.ante, f, n), self.succ))
 
     def with_right(self, f: Formula, n: int = 1) -> "Sequent":
-        return Sequent(self.ante, madd(self.succ, f, n))
+        return tuple.__new__(Sequent, (self.ante, madd(self.succ, f, n)))
 
     def drop_left(self, f: Formula, n: int = 1) -> "Sequent":
-        return Sequent(mremove(self.ante, f, n), self.succ)
+        return tuple.__new__(Sequent, (mremove(self.ante, f, n), self.succ))
 
     def drop_right(self, f: Formula, n: int = 1) -> "Sequent":
-        return Sequent(self.ante, mremove(self.succ, f, n))
+        return tuple.__new__(Sequent, (self.ante, mremove(self.succ, f, n)))
 
     def left_count(self, f: Formula) -> int:
         return mcount(self.ante, f)
@@ -248,9 +244,6 @@ class Sequent(NamedTuple):
 
     def diff(self, other: "Sequent") -> "Sequent":
         return Sequent(mdiff(self.ante, other.ante), mdiff(self.succ, other.succ))
-
-    def contains(self, other: "Sequent") -> bool:
-        return msubset(other.ante, self.ante) and msubset(other.succ, self.succ)
 
     @property
     def total(self) -> int:

@@ -18,6 +18,7 @@ from .formulas import (
     Mset,
     Sequent,
     mdiff,
+    msubset,
 )
 
 AX = "ax"
@@ -37,11 +38,17 @@ def _single(m: Mset) -> Formula | None:
 
 
 def is_axiom(s: Sequent) -> bool:
-    return any(isinstance(f, Atom) and s.right_count(f) > 0 for f, _ in s.ante)
+    for f, _ in s.ante:
+        if isinstance(f, Atom):
+            for g, _ in s.succ:
+                if g is f:
+                    return True
+    return False
 
 
 def is_bot_axiom(s: Sequent) -> bool:
-    return s.left_count(BOT) > 0
+    # false has the least order key, so it leads a canonical antecedent
+    return bool(s.ante) and s.ante[0][0] is BOT
 
 
 def match_ax(premises: tuple, concl: Sequent) -> bool:
@@ -76,7 +83,7 @@ def match_box(premises: tuple, concl: Sequent) -> bool:
     boxed = Box(f)
     if concl.right_count(boxed) == 0:
         return False
-    if not concl.contains(Sequent(p1.ante, ())):
+    if not msubset(p1.ante, concl.ante):
         return False
     return p0 == concl.drop_right(boxed).with_right(f)
 

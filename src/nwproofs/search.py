@@ -15,6 +15,16 @@ goal already in the table?" tests that the failed attempt made.  A
 later attempt at the same goal, over a table of the same size that
 answers those tests the same way, fails without being explored again.
 
+An attempt proves each candidate's pending goals left to right, each
+over the table its predecessors left.  When one fails, the pending
+goals up to it form a failed prefix, and the attempt skips every later
+candidate whose pending goals begin with a failed prefix.  Without an
+``rng`` that is exact: the prefix would be proved again from the same
+table, and the memos only shortcut identical results, so it would fail
+again in the same place.  With an ``rng`` a failed prefix is taken to
+fail again, as a remembered failure is, though another shuffle might
+have proved it.
+
 An ``impl`` or ``cut`` node enumerates its right premise once, when its
 left premise yields a first candidate, and pairs that list with every
 left candidate in the order of a nested loop; a node whose right
@@ -124,6 +134,13 @@ class _Search:
         answers it read, and recurs wherever they all read the same.
         With an ``rng`` a recurring failure is taken as such too, though
         other shuffles might have succeeded.
+
+        Within the attempt, once ``pendings[i]`` fails over the table that
+        ``pendings[:i]`` built, the prefix ``pendings[:i + 1]`` is dead, and
+        every later candidate that begins with a dead prefix is skipped:
+        without an ``rng`` it would rebuild that table and fail at the
+        same goal again, and with one the skip takes the failure to recur,
+        as the failure memo does.
         """
         reads.add(goal)
         if goal in table:
@@ -138,18 +155,20 @@ class _Search:
         mine = {goal}
         opened = dict(table)
         opened[goal] = None
+        dead: set[tuple[Sequent, ...]] = set()
         for candidate, pendings in self._fragments(
             goal, self.budget.max_fragment_height, frozenset(), False
         ):
+            if dead and any(pendings[:i] in dead for i in range(1, len(pendings) + 1)):
+                continue
             trial = dict(opened)
-            ok = True
-            for pending in pendings:
+            for i, pending in enumerate(pendings):
                 nxt = self._prove_state(pending, trial, mine)
                 if nxt is None:
-                    ok = False
+                    dead.add(pendings[: i + 1])
                     break
                 trial = nxt
-            if ok:
+            else:
                 trial[goal] = candidate
                 reads |= mine
                 return trial

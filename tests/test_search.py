@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -14,6 +15,7 @@ from nwproofs.grz.formulas import formula_key, subformulas
 from nwproofs.grz.rules import AX, BOT_LEFT, BOX, CUT, IMP_LEFT, IMP_RIGHT, REFL, is_axiom, is_bot_axiom
 from nwproofs.search import SearchBudget, _Search, generate_corpus, search
 from nwproofs.store import PLink, PNode, to_nested
+from nwproofs.syntax import parse_formula, parse_sequent
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -340,10 +342,12 @@ def test_failure_memo_agrees_with_whole_table_memo():
 
 
 def test_grz_axiom_search_ends_within_a_call_bound(monkeypatch):
-    # 18,659 state calls and 10,160 fragment calls; keyed by the whole
-    # table, the memo let this search run for more than 300 s, restarting
-    # each right premise made 76,691 fragment calls, and building every
-    # enumeration afresh 13,402
+    # 2,151 state calls and 1,344 fragment calls, bounded with about a
+    # sixth to spare.  Re-proving each candidate whose pending goals begin
+    # with a failed prefix made 18,659 and 10,160; restarting each right
+    # premise made 76,691 fragment calls, and building every enumeration
+    # afresh 13,402; keyed by the whole table, the memo let this search
+    # run for more than 300 s
     calls = {"_prove_state": 0, "_fragments": 0}
 
     def counting(name):
@@ -358,8 +362,37 @@ def test_grz_axiom_search_ends_within_a_call_bound(monkeypatch):
     counting("_prove_state")
     counting("_fragments")
     assert search(GRZ, GRZ_AXIOM_BOXED, SearchBudget(12, 20)) is None
-    assert 0 < calls["_prove_state"] <= 20_000
-    assert 0 < calls["_fragments"] <= 12_000
+    assert 0 < calls["_prove_state"] <= 2_500
+    assert 0 < calls["_fragments"] <= 1_600
+
+
+# SHA-256 over the printed outputs, "none" where no proof is found, of
+# _pinned_searches in order.  A change to any search output must be made
+# here on purpose.
+PINNED_SEARCH_OUTPUTS = "891ca31d5944d6d8a9e87051f8939e06363aeb9c8dab18849b7322bf1364f936"
+
+
+def _pinned_searches():
+    """The criterion-8 searches, plain and with the subformula cut pool;
+    the boxed Grz axiom at (10,12) and (12,20); and CI's seeded cut-pool
+    search at seeds 0-9."""
+    for goal in criterion_8_goals():
+        yield GRZ, goal, SearchBudget(10, 12), None
+        yield GRZ_CUT, goal, SearchBudget(10, 12, cut_formulas=_subformula_pool(goal)), None
+    for height, states in ((10, 12), (12, 20)):
+        yield GRZ, GRZ_AXIOM_BOXED, SearchBudget(height, states), None
+    goal = parse_sequent("box p1, p1 -> box p0 |- box (p1 -> p0)")
+    pool = frozenset(map(parse_formula, ("p1", "box p1", "p1 -> p0", "box p0")))
+    for seed in range(10):
+        yield GRZ_CUT, goal, SearchBudget(8, 16, cut_formulas=pool), random.Random(seed)
+
+
+def test_search_outputs_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for calc, goal, budget, rng in _pinned_searches():
+        out = search(calc, goal, budget, rng)
+        digest.update(("none\n" if out is None else print_proof_file(out, calc.name)).encode())
+    assert digest.hexdigest() == PINNED_SEARCH_OUTPUTS
 
 
 def test_search_reaches_an_implication_chain_600_levels_deep():
