@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from importlib import import_module
 from types import ModuleType
-from typing import Any
+from typing import Any, Callable
 
 # the public names, by the submodule that defines them, in ``__all__`` order
 _WHERE = {
@@ -34,20 +34,24 @@ _WHERE = {
 __all__ = list(_WHERE)
 
 
-def _resolve(namespace: dict[str, Any], where: dict[str, str], name: str) -> Any:
-    """The ``name`` of a module whose globals are ``namespace``, imported on
-    first access from the module ``where`` names, relative to its package,
-    and kept in ``namespace``, so that loading one module loads only what
-    it uses and each later access is a plain global read."""
-    if name not in where:
-        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{where[name]}", namespace["__package__"]), name)
-    namespace[name] = value
-    return value
+def _forwarder(namespace: dict[str, Any], where: dict[str, str]) -> Callable[[str], Any]:
+    """The ``__getattr__`` of the module whose globals are ``namespace``: it
+    imports each name in ``where`` on first access from the module named
+    there and keeps it, so loading one module loads only what it uses.  A
+    dunder such as ``__path__``, which every ``from`` import probes for, fails fast."""
+
+    def __getattr__(name: str) -> Any:
+        if name not in where:
+            if name[:2] == "__":
+                raise AttributeError(name)
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        namespace[name] = getattr(import_module(f".{where[name]}", namespace["__package__"]), name)
+        return namespace[name]
+
+    return __getattr__
 
 
-def __getattr__(name: str) -> Any:
-    return _resolve(globals(), _WHERE, name)
+__getattr__ = _forwarder(globals(), _WHERE)
 
 
 class _Package(ModuleType):

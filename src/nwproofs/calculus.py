@@ -10,11 +10,13 @@ walking states in the coalgebra's one root-first order
 (:func:`~nwproofs.coalgebra.root_first_order`).  One call decides each
 distinct ``(rule, premises, conclusion)`` instance once, however many
 nodes and states it labels, and each fragment once per leaf sequents it
-passes with.  A walk reads a fragment's preorder arrays by position,
-validates each label once, and forms a word only to name a finding, a
-missing leaf sequent or a star leaf's link.  A fragment holds (sequent,
-rule) labels and stars only: anything else, an unfolding's truncation
-mark included, raises :class:`CalculusError`, however the graph was built.
+passes with: a pass is keyed ``(tree, leaves)``, the leaf sequents going
+by position, as a tuple in leaf order.  A walk reads a fragment's
+preorder arrays backwards, validates each label once, decides a node's
+glue points with one comparison, and forms a word only to name a finding
+or an error.  A fragment holds (sequent, rule) labels and stars only:
+anything else, an unfolding's truncation mark included, raises
+:class:`CalculusError`, however the graph was built.
 
 This module is the checker and nothing else: it never changes a proof
 and keeps nothing between calls.  Its ``decided`` table of instances
@@ -32,7 +34,7 @@ from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from . import _resolve
+from . import _forwarder
 from .coalgebra import Coalgebra, StateId, UnknownState, root_first_order
 from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
@@ -138,7 +140,7 @@ class ProofGraph:
 
     @staticmethod
     def _view(graph: Coalgebra, root: StateId, store: "Arena | None") -> "ProofGraph":
-        if root not in graph:
+        if root not in graph._dest:
             raise UnknownState(f"root {root!r} is not a state")
         pg = object.__new__(ProofGraph)
         pg.graph, pg.root, pg.store, pg._states = graph, root, store, None
@@ -189,95 +191,91 @@ class ProofGraph:
 
 
 def recorded_pass(decided: Mapping, tree: TreeNW, leaf_sequents: Mapping[Word, Any]) -> bool:
-    """Does ``decided`` hold a pass of ``tree`` over these leaf sequents, keyed by its star leaves?"""
-    return (tree, tuple([leaf_sequents.get(w, _MISSING) for w in decided.get(tree, ())])) in decided
+    """Does ``decided`` hold a pass of ``tree`` over these leaf sequents?"""
+    return (tree, tuple([leaf_sequents.get(w, _MISSING) for w in tree.leaf_order])) in decided
 
 
 def check_proof_fragment(
-    calc: LocalProgressCalculus,
-    tree: TreeNW,
-    leaf_sequents: Mapping[Word, Any],
-    state: StateId | None = None,
-    *,
-    decided: dict | None = None,
+    calc: LocalProgressCalculus, tree: TreeNW, leaf_sequents: Mapping[Word, Any] | tuple,
+    state: StateId | None = None, *, decided: dict | None = None,
 ) -> CheckReport:
     """Check one fragment: every proper node is a rule instance and its
     star leaves sit exactly at the progressing premises.
 
-    ``decided`` maps each ``(rule, premises, conclusion)`` instance
-    already decided with this ``calc`` to its progress set, or to None
-    for a non-instance; it is valid for one calculus only.  The matcher
-    runs on instances missing from it, and they are added.  Glue points
-    are tested at every node, and a failing instance is reported at
-    every node it labels.  A fragment that passes is recorded too, with
-    its leaf sequents in leaf-word order, and that pair passes again
-    without a walk; a failing one is walked, and reported, every time."""
+    ``leaf_sequents`` gives the sequent at each star leaf, by its word or
+    as a tuple in leaf order.  ``decided`` maps each ``(rule, premises,
+    conclusion)`` instance already decided with this ``calc`` to a flag
+    per premise, set where it progresses, or to None for a non-instance;
+    it is valid for one calculus only.  The matcher runs on instances
+    missing from it, and they are added.  Glue points are tested at every
+    node, and a failing instance is reported at every node it labels.  A
+    fragment that passes is recorded, keyed ``(tree, leaves)``, and passes
+    again without a walk; a failing one is walked every time."""
+    leaves = leaf_sequents
+    if not isinstance(leaves, tuple):
+        leaves = tuple([leaf_sequents.get(w, _MISSING) for w in tree.leaf_order])
+    elif len(leaves) != len(tree.leaf_order):
+        raise CalculusError("a fragment needs one sequent per star leaf")
     if decided is None:
         decided = {}
-    elif recorded_pass(decided, tree, leaf_sequents):
+    elif (tree, leaves) in decided:
         return CheckReport()
     labels, arities = tree._labels, tree._arities  # read, never written
-    # end[p] is just past the subtree at p: the children of p are p + 1 and
-    # then, each, the end of the one before
-    end = list(range(1, len(labels) + 1))
-    for p, k in zip(range(len(end) - 1, -1, -1), reversed(arities)):
-        if k:
-            e = end[p + 1]
-            while k > 1:
-                e, k = end[e], k - 1
-            end[p] = e
-    leaf = {p: leaf_sequents.get(w, _MISSING) for p, w in zip(tree._stars, tree.leaf_order)}
-    found: list[tuple[int, str, str]] = []  # (position, condition, message)
     _sequent_rule(labels[0])  # the root; every other label is read as a premise
-    for p, label in enumerate(labels):
+    # in reverse preorder, a node's premises are the subtrees finished last,
+    # the first premise last, and star leaves come in reverse leaf order
+    below, glued = [], []  # each finished subtree's sequent, and whether it is a star
+    j, unread = len(leaves), _MISSING in leaves  # unread: some sequent may be _MISSING
+    found: list[tuple[int, Word, str, str]] = []  # (node, word from it, condition, message)
+    broken = None  # (node, premise, is a star) of the first unreadable premise in preorder
+    for p in range(len(labels) - 1, -1, -1):
+        label, k = labels[p], arities[p]
         if label is STAR:
+            j -= 1
+            below.append(leaves[j])
+            glued.append(True)
+            continue
+        premises, glue = tuple(below[:~k:-1]), glued[:~k:-1]
+        if k:
+            del below[-k:], glued[-k:]
+        glued.append(False)
+        if not (isinstance(label, tuple) and len(label) == 2 and isinstance(label[1], str)):
+            below.append(_MISSING)
+            unread = True
             continue
         sequent, rule = label
-        premises, glue = [], []
-        c = p + 1
-        for i in range(arities[p]):
-            child = labels[c]
-            if child is STAR:
-                if leaf[c] is _MISSING:
-                    word = format_word(tree.words([c])[c])
-                    raise CalculusError(f"no sequent supplied for leaf {word}")
-                premises.append(leaf[c])
-                glue.append(i)
-            elif _is_sequent_rule(child):
-                premises.append(child[0])
-            else:
-                _sequent_rule(child, tree.words([c])[c])  # raises, naming the node
-            c = end[c]
-        instance = (rule, tuple(premises), sequent)
+        below.append(sequent)
+        if unread and any(q is _MISSING for q in premises):
+            i = [q is _MISSING for q in premises].index(True)
+            broken = p, i, glue[i]
+            continue
+        instance = (rule, premises, sequent)
         try:
             prog = decided[instance]
         except KeyError:
-            prog = decided[instance] = (
-                calc.progress_set(rule, instance[1], sequent)
-                if calc.is_instance(rule, instance[1], sequent)
-                else None
-            )
+            if calc.is_instance(rule, premises, sequent):
+                progress = calc.progress_set(rule, premises, sequent)
+                prog = decided[instance] = [i in progress for i in range(k)]
+            else:
+                prog = decided[instance] = None
         if prog is None:
-            found.append((p, "rule", f"not an instance of {rule}"))
-        elif glue or prog:
-            c = p + 1
-            for i in range(len(premises)):
-                if (i in glue) != (i in prog):
-                    expect = "a glue point" if i in prog else "an ordinary premise"
-                    found.append((c, "progress", f"premise {i} must be {expect}"))
-                c = end[c]
-    if found:
-        words = tree.words([q for q, _, _ in found])
-        return CheckReport([Finding(state, words[q], cond, msg) for q, cond, msg in found])
-    stars = decided.setdefault(tree, tree.leaf_order)
-    decided[tree, tuple([leaf_sequents.get(w, _MISSING) for w in stars])] = True
-    return CheckReport()
-
-
-def _leaf_sequents(dest: Mapping[StateId, tuple[TreeNW, Any]], state: StateId) -> dict[Word, Any]:
-    """The root sequent of each state that ``state`` links to."""
-    links = dest[state][1]
-    return {w: _sequent_rule(dest[t][0]._labels[0])[0] for w, t in links.items()}
+            found.append((p, EPSILON, "rule", f"not an instance of {rule}"))
+        elif prog != glue:
+            for i in range(k):
+                if glue[i] != prog[i]:
+                    expect = "a glue point" if prog[i] else "an ordinary premise"
+                    found.append((p, (i,), "progress", f"premise {i} must be {expect}"))
+    if broken is not None:
+        p, i, star = broken
+        word = tree.words([p])[p] + (i,)
+        if star:
+            raise CalculusError(f"no sequent supplied for leaf {format_word(word)}")
+        _sequent_rule(_MISSING, word)  # raises, naming the node
+    if not found:
+        decided[tree, leaves] = True
+        return CheckReport()
+    words = tree.words([q for q, *_ in found])
+    return CheckReport([Finding(state, words[q] + w, cond, msg) for q, w, cond, msg in sorted(found)])
 
 
 def check_proof_graph(
@@ -290,18 +288,23 @@ def check_proof_graph(
     States in ``skip`` are neither checked nor entered: a caller passes
     the states whose proofs it has already seen pass with ``calc``.
     One ``decided`` table, the caller's or a fresh one, serves every
-    fragment check; the report lists the states checked.
+    fragment check, whose leaf sequents, the root sequents of the linked
+    states, go as a tuple in leaf order; the report lists the states checked.
     """
     report = CheckReport(states=root_first_order(pg.graph, pg.root, skip))
     decided = {} if decided is None else decided
     dest = pg.graph._dest  # read, never written
+    roots: dict[StateId, Any] = {}  # the root sequent of each linked state, read once
     for state in report.states:
-        leaves = _leaf_sequents(dest, state)
-        found = check_proof_fragment(calc, dest[state][0], leaves, state, decided=decided)
+        tree, links = dest[state]
+        for t in links.values():
+            if t not in roots:
+                roots[t] = _sequent_rule(dest[t][0]._labels[0])[0]
+        leaves = tuple([roots[links[w]] for w in tree.leaf_order])
+        found = check_proof_fragment(calc, tree, leaves, state, decided=decided)
         report.findings += found.findings
     return report
 
 
-def __getattr__(name: str) -> Any:
-    # The benchmark's workloads import these two store names from here.
-    return _resolve(globals(), {"Arena": "store", "PNode": "store"}, name)
+# The benchmark's workloads import these two store names from here.
+__getattr__ = _forwarder(globals(), {"Arena": "store", "PNode": "store"})

@@ -15,9 +15,9 @@ state store and the printed file format all read it.
 
 from __future__ import annotations
 
-from typing import Any, Container, Mapping
+from typing import Container, Mapping
 
-from . import _resolve
+from . import _forwarder
 from .trees import TreeNW, Word, format_word
 
 StateId = str
@@ -140,5 +140,4 @@ _FORWARDED = {
 }
 
 
-def __getattr__(name: str) -> Any:
-    return _resolve(globals(), _FORWARDED, name)
+__getattr__ = _forwarder(globals(), _FORWARDED)

@@ -31,7 +31,6 @@ from .calculus import (
     CheckReport,
     LocalProgressCalculus,
     ProofGraph,
-    _leaf_sequents,
     _sequent_rule,
     check_proof_graph,
 )
@@ -488,7 +487,8 @@ def progressing(calc: LocalProgressCalculus, pg: ProofGraph, state: StateId, nod
     if node == EPSILON:
         return False
     sequent, rule = _sequent_rule(frag.label(node[:-1]), node[:-1])
-    premises = _premises(frag, node[:-1], _leaf_sequents(pg.graph._dest, state))
+    leaf_sequents = {w: pg.state_sequent(t) for w, t in pg.links(state).items()}
+    premises = _premises(frag, node[:-1], leaf_sequents)
     return node[-1] in calc.progress_set(rule, premises, sequent)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from . import _resolve
+from . import _forwarder
 from .calculus import ProofGraph
 from .coalgebra import Coalgebra
 from .grz.rules import CALCULI
@@ -135,6 +135,5 @@ def _parse_node_line(body: str, line_no: int) -> str | tuple[Any, str]:
     return sequent, rule
 
 
-def __getattr__(name: str) -> Any:
-    # The benchmark's workloads and tracer read the printer from here.
-    return _resolve(globals(), {"print_proof_file": "commands"}, name)
+# The benchmark's workloads and tracer read the printer from here.
+__getattr__ = _forwarder(globals(), {"print_proof_file": "commands"})

@@ -3,9 +3,7 @@ and cut elimination over regular non-wellfounded proofs."""
 
 from __future__ import annotations
 
-from typing import Any
-
-from .. import _resolve
+from .. import _forwarder
 
 # the public names, by the submodule that defines them, in ``__all__`` order
 _WHERE = {
@@ -24,5 +22,4 @@ _WHERE = {
 __all__ = list(_WHERE)
 
 
-def __getattr__(name: str) -> Any:
-    return _resolve(globals(), _WHERE, name)
+__getattr__ = _forwarder(globals(), _WHERE)

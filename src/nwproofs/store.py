@@ -20,6 +20,8 @@ same progress function and the same matcher object for every rule
 labelling the fragment, since the checker then decides each of its
 instances the same way.  So a Grz target check of a fragment that the
 Grz+cut check passed, and that holds no cut, is a lookup.
+A pass is keyed ``(tree, leaves)``, the leaf sequents in leaf order.  A
+copied-in state shares its links unless an id is renamed; none is written.
 """
 
 from __future__ import annotations
@@ -267,7 +269,7 @@ class Arena:
         root's id in this store."""
         if pg.store is self:
             return pg.root
-        part = {s: (pg.fragment(s), pg.links(s)) for s in root_first_order(pg.graph, pg.root)}
+        part = {s: pg.graph._dest[s] for s in root_first_order(pg.graph, pg.root)}
         rename, new = self._merge(part)
         self._classify(new)
         return rename.get(pg.root, pg.root)
@@ -278,7 +280,7 @@ class Arena:
         conflicted = {
             s
             for s, (frag, links) in extra.items()
-            if s in self._states and self._states[s] != (frag, dict(links))
+            if s in self._states and self._states[s] != (frag, links)
         }
         changed = True
         while changed:
@@ -298,7 +300,7 @@ class Arena:
         new: list[StateId] = []
         for s, (frag, links) in extra.items():
             new_id = rename.get(s, s)
-            new_links = {w: rename.get(t, t) for w, t in links.items()}
+            new_links = {w: rename.get(t, t) for w, t in links.items()} if rename else links
             if new_id in self._states:
                 assert self._states[new_id] == (frag, new_links)
             else:
@@ -320,7 +322,9 @@ class Arena:
         joint = {}
         for s in self._reps + new:
             frag, links = self._states[s]
-            joint[s] = (frag, {w: rep(t) for w, t in links.items()})
+            if not fresh.issuperset(links.values()) and any(rep(t) != t for t in links.values()):
+                links = {w: rep(t) for w, t in links.items()}
+            joint[s] = (frag, links)
         _, block = bisim_minimize(Coalgebra.view(joint))
         class_of_block = {block[r]: c for c, r in enumerate(self._reps)}
         for s in new:

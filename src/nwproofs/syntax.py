@@ -12,9 +12,8 @@ The printers :func:`~nwproofs.commands.print_formula` and
 from __future__ import annotations
 
 import re
-from typing import Any
 
-from . import _resolve
+from . import _forwarder
 from .grz.formulas import BOT, Atom, Box, Formula, Imp, Sequent
 
 
@@ -125,6 +124,5 @@ def parse_sequent(text: str) -> Sequent:
     return out
 
 
-def __getattr__(name: str) -> Any:
-    # The printers are writers, kept out of the checking core with the others.
-    return _resolve(globals(), {"print_formula": "commands", "print_sequent": "commands"}, name)
+# The printers are writers, kept out of the checking core with the others.
+__getattr__ = _forwarder(globals(), {"print_formula": "commands", "print_sequent": "commands"})

@@ -28,7 +28,8 @@ go through the store's cached check, :func:`~nwproofs.store.check`, so
 each state's fragment is checked against the source once.  Target
 checks use the store's table of what the checker decided with the
 target calculus, so a rule instance that repeats across emitted
-fragments is matched once.
+fragments is matched once.  Emitted leaf sequents come, in leaf order,
+from one table of the emitted root sequents.
 A fragment that a step hands back unchanged, over the same leaf
 sequents, is looked up rather than walked again
 (:meth:`~nwproofs.store.Arena.passed`) when the source check passed it
@@ -44,7 +45,7 @@ and :func:`validate_step` is a memo-free extension of one layer.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Hashable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -85,17 +86,11 @@ def identity_step(calc: LocalProgressCalculus) -> TranslationStep:
     """The destructor as a step: emit the root fragment, keep the rest."""
 
     def apply(pg: ProofGraph) -> StepOutput:
-        fragment = pg.fragment(pg.root)
-        links = pg.links(pg.root)
-        return fragment, {w: pg.at(links[w]) for w in fragment.nw_leaves}
+        graph, store = pg.graph, pg.store
+        fragment, links = graph._dest[pg.root]  # read, never written
+        return fragment, {w: ProofGraph._view(graph, links[w], store) for w in fragment.leaf_order}
 
     return TranslationStep(calc, calc, apply, name="identity")
-
-
-@dataclass
-class _Emitted:
-    fragment: TreeNW
-    links: dict[Word, str] = field(default_factory=dict)
 
 
 class _Engine:
@@ -110,7 +105,7 @@ class _Engine:
         self.store = Arena()
         self.decided = self.store.decided(self.target)  # shared with the store's checks
 
-    def apply(self, pg: ProofGraph) -> tuple[TreeNW, dict[Word, ProofGraph]]:
+    def apply(self, pg: ProofGraph) -> tuple[TreeNW, Mapping[Word, ProofGraph]]:
         fragment, parts = self.step.apply(pg)
         # the root's sequent is read, as a leaf sequent, before the target check
         if not _is_sequent_rule(fragment.label(EPSILON)):
@@ -118,15 +113,14 @@ class _Engine:
         for w in fragment.leaf_order:
             if w not in parts:
                 raise StepContractViolation(2, f"no residual at leaf {format_word(w)}")
+        if all(p.store is self.store for p in parts.values()):
+            return fragment, parts
         return fragment, {w: self.own(p) for w, p in parts.items()}
 
     def own(self, pg: ProofGraph) -> ProofGraph:
         """``pg`` as a view of the store; a residual from another graph is
         copied in once, and never one from the built-in steps."""
         return pg if pg.store is self.store else self.store.view(self.store.include(pg))
-
-    def key(self, pg: ProofGraph) -> Hashable:
-        return self.store.class_of(pg.root)
 
     def check_value(self, pg: ProofGraph, where: Callable[[], str]) -> None:
         try:
@@ -186,36 +180,34 @@ def extend(
 
 def _close(engine, root, max_states) -> ProofGraph | None:
     """Memoized corecursion to a finite graph; None if the key space is
-    exhausted before closing."""
-    memo: dict[Hashable, str] = {engine.key(root): "s0"}
-    queue: list[tuple[ProofGraph, str]] = [(root, "s0")]
-    emitted: dict[str, _Emitted] = {}
-    while queue:
-        value, sid = queue.pop(0)
+    exhausted before closing.  A residual's key is its class id in the
+    store's class table."""
+    classes = engine.store._class  # read, never written
+    memo: dict[int, str] = {classes[root.root]: "s0"}
+    queue: list[tuple[ProofGraph, str]] = [(root, "s0")]  # grows while it is walked
+    emitted: dict[str, tuple[TreeNW, dict[Word, str]]] = {}
+    for value, sid in queue:
         fragment, parts = engine.apply(value)
-        out = _Emitted(fragment)
+        links = {}
         for w in fragment.leaf_order:
             succ = parts[w]
-            key = engine.key(succ)
+            key = classes[succ.root]
             if key not in memo:
                 if len(memo) >= max_states:
                     return None
-                name = f"s{len(memo)}"
-                memo[key] = name
+                memo[key] = name = f"s{len(memo)}"
                 engine.check_value(succ, lambda: f"state {sid} leaf {format_word(w)}")
                 queue.append((succ, name))
-            out.links[w] = memo[key]
-        emitted[sid] = out
-    for sid, out in emitted.items():
-        leaf_sequents = {
-            w: emitted[t].fragment.label(EPSILON)[0] for w, t in out.links.items()
-        }
-        engine.check_fragment(out.fragment, leaf_sequents, lambda: f"state {sid}")
+            links[w] = memo[key]
+        emitted[sid] = (fragment, links)
+    roots = {sid: fragment._labels[0][0] for sid, (fragment, _) in emitted.items()}
+    for sid, (fragment, links) in emitted.items():
+        leaf_sequents = {w: roots[t] for w, t in links.items()}  # in leaf order
+        engine.check_fragment(fragment, leaf_sequents, lambda: f"state {sid}")
     # every fragment passed its target check, which admits (sequent, rule)
     # labels and stars only, and has links covering its star leaves exactly,
     # so it needs no second validation
-    graph = Coalgebra.view({sid: (out.fragment, out.links) for sid, out in emitted.items()})
-    return ProofGraph._view(graph, "s0", None)
+    return ProofGraph._view(Coalgebra.view(emitted), "s0", None)
 
 
 def _unfold(engine, root, budget) -> Unfolding:

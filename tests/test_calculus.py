@@ -343,7 +343,12 @@ def test_checker_errors_name_the_label_the_walk_reads_first():
     assert check_proof_fragment(GRZ, TreeNW(glued), {(1,): ok_refl[0]}, decided=decided).ok
     with pytest.raises(CalculusError, match="no sequent supplied for leaf 1"):
         check_proof_fragment(GRZ, TreeNW(glued), {}, decided=decided)
-    # a star leaf is a glue point carrying the sequent supplied for it
+    # a star leaf is a glue point carrying the sequent supplied for it, by
+    # word or in a tuple in leaf order, which must hold one per star leaf
     assert check_proof_fragment(GRZ, TreeNW(glued), {(1,): ok_refl[0]}).ok
+    assert check_proof_fragment(GRZ, TreeNW(glued), (ok_refl[0],)).ok
+    for leaves in [(), (ok_refl[0], ok_refl[0])]:
+        with pytest.raises(CalculusError, match="one sequent per star leaf"):
+            check_proof_fragment(GRZ, TreeNW(glued), leaves)
     findings = check_proof_fragment(GRZ, TreeNW(glued), {(1,): seq([Box(P)], [Q])}).findings
     assert [(f.node, f.condition) for f in findings] == [(EPSILON, "rule")]

@@ -4,6 +4,7 @@ linear in its nodes, in memory and in time."""
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 from nwproofs.calculus import ProofGraph, check_proof_graph
@@ -31,8 +32,12 @@ def _chain_graph(node: PNode) -> ProofGraph:
 
 def _peak_bytes_per_node(levels: int) -> float:
     """The tracemalloc peak of building the chain through ``flatten`` and
-    checking it under Grz+cut, per node."""
+    checking it under Grz+cut, per node.  A full collection first empties
+    the interpreter's free lists, whatever earlier tests left in them: an
+    object taken from a free list is never traced, so up to 2,000 tuples
+    of each size would come free to whichever measurement ran first."""
     node = refl_chain(levels)
+    gc.collect()
     tracemalloc.start()
     try:
         assert check_proof_graph(GRZ_CUT, _chain_graph(node)).ok

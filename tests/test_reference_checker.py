@@ -6,6 +6,9 @@ proofs, random mutants of both (not filtered by either checker), the
 outputs of cut elimination, of identity extensions and of proof search,
 the fragments of unfoldings, fragments cut off to a star leaf at any
 node, and fragments with a truncation mark or another foreign label.
+The nested family of ``box^n (p0 -> p0)`` proofs is checked at scale,
+with fresh and with shared ``decided`` tables, and a box whose premise 1
+keeps an unboxed formula must be rejected by both.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from nwproofs.coalgebra import Coalgebra, UnfoldBudget
 from nwproofs.fftree import Unfolding
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, Atom, Box, Imp, Sequent, cut_elim
-from nwproofs.search import SearchBudget, generate_corpus, search
+from nwproofs.search import SearchBudget, _plant_cut, generate_corpus, search
 from nwproofs.store import PLink, PNode, flatten, replace_subtree, subtree_at, to_nested
 from nwproofs.translate import extend, identity_step
 from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation
@@ -35,13 +38,19 @@ def _as_tuples(findings) -> list[tuple]:
     return [(f.state, f.node, f.condition, f.message) for f in findings]
 
 
-def _disagreements(pg: ProofGraph) -> list[str]:
+def _disagreements(pg: ProofGraph, tables: dict | None = None) -> list[str]:
+    """Where the two checkers differ on ``pg``.  The kernel decides afresh
+    and, if ``tables`` is given, also with the table it keeps per calculus."""
     out = []
     for calc, rules in CALCULI:
-        kernel = _as_tuples(check_proof_graph(calc, pg).findings)
         reference = proof_findings(pg, rules)
-        if kernel != reference:
-            out.append(f"{calc.name} on {pg!r}: {kernel} != {reference}")
+        reports = [check_proof_graph(calc, pg)]
+        if tables is not None:
+            reports.append(check_proof_graph(calc, pg, decided=tables.setdefault(calc.name, {})))
+        for report in reports:
+            kernel = _as_tuples(report.findings)
+            if kernel != reference:
+                out.append(f"{calc.name} on {pg!r}: {kernel} != {reference}")
     return out
 
 
@@ -187,3 +196,62 @@ def test_reference_checker_agrees_with_the_kernel():
     # the inputs reach both verdicts and every kind of fragment
     assert len(cases) > 200 and 50 < failing < len(cases) - 50
     assert unfoldings and fragments > 100
+
+
+def _box_chain(n: int) -> Sequent:
+    f = Imp(Atom(0), Atom(0))
+    for _ in range(n):
+        f = Box(f)
+    return Sequent.of([], [f])
+
+
+def test_reference_checker_agrees_on_the_nested_family():
+    """The searched proofs of ``box^n (p0 -> p0)`` for n = 4..16, their
+    planted cuts, the identity extensions and cut eliminations of those,
+    and random mutants of each: once with a fresh ``decided`` table per
+    check, once with one table per calculus kept across all of them, so
+    that recorded passes and instances decided for another graph are
+    read back."""
+    rng = random.Random(21)
+    cases = []
+    for n in range(4, 17):
+        pg = search(GRZ, _box_chain(n), SearchBudget(n + 3, n + 3))
+        assert pg is not None
+        cut = _plant_cut(random.Random(n), pg)
+        outputs = [extend(identity_step(GRZ), pg, UnfoldBudget(4), max_states=10_000), cut_elim(cut)]
+        assert all(isinstance(out, ProofGraph) for out in outputs)
+        for base in [pg, cut, *outputs]:
+            cases.append(base)
+            for _ in range(3):
+                mutant = _mutant(rng, base)
+                if mutant is not None:
+                    cases.append(mutant)
+    tables: dict = {}
+    disagreements = []
+    for pg in cases:
+        disagreements += _disagreements(pg, tables)
+    assert disagreements == []
+    failing = sum(not check_proof_graph(GRZ_CUT, pg).ok for pg in cases)
+    assert len(cases) > 150 and 30 < failing < len(cases) - 50
+
+
+def test_a_box_whose_premise_1_keeps_an_unboxed_formula_is_no_instance():
+    """``p0 |- box p0`` by box over ``p0 |- p0`` twice, the second a glue
+    point: premise 1 keeps the unboxed ``p0``, and a two-world model
+    refutes the end sequent, so both checkers must reject the box."""
+    p = Atom(0)
+    axiom = (Sequent.of([p], [p]), "ax")
+    box = (Sequent.of([p], [Box(p)]), "box")
+    pg = ProofGraph(
+        Coalgebra(
+            {
+                "s0": (TreeNW({EPSILON: box, (0,): axiom, (1,): STAR}), {(1,): "s1"}),
+                "s1": (TreeNW({EPSILON: axiom}), {}),
+            }
+        ),
+        "s0",
+    )
+    expected = [("s0", EPSILON, "rule", "not an instance of box")]
+    for calc, rules in CALCULI:
+        assert _as_tuples(check_proof_graph(calc, pg).findings) == expected
+        assert proof_findings(pg, rules) == expected

@@ -369,13 +369,15 @@ def test_grz_axiom_search_ends_within_a_call_bound(monkeypatch):
 # SHA-256 over the printed outputs, "none" where no proof is found, of
 # _pinned_searches in order.  A change to any search output must be made
 # here on purpose.
-PINNED_SEARCH_OUTPUTS = "891ca31d5944d6d8a9e87051f8939e06363aeb9c8dab18849b7322bf1364f936"
+PINNED_SEARCH_OUTPUTS = "98b47a32f4bb81eb6428788dce22c4310c99f356e04b44028fd56de60134418b"
 
 
 def _pinned_searches():
     """The criterion-8 searches, plain and with the subformula cut pool;
-    the boxed Grz axiom at (10,12) and (12,20); and CI's seeded cut-pool
-    search at seeds 0-9."""
+    the boxed Grz axiom at (10,12) and (12,20); CI's seeded cut-pool
+    search at seeds 0-9; two searches whose proofs change with the order
+    in which succedent boxes are opened; and one whose proof holds a cut,
+    as plain Grz finds no proof within its budget."""
     for goal in criterion_8_goals():
         yield GRZ, goal, SearchBudget(10, 12), None
         yield GRZ_CUT, goal, SearchBudget(10, 12, cut_formulas=_subformula_pool(goal)), None
@@ -385,6 +387,10 @@ def _pinned_searches():
     pool = frozenset(map(parse_formula, ("p1", "box p1", "p1 -> p0", "box p0")))
     for seed in range(10):
         yield GRZ_CUT, goal, SearchBudget(8, 16, cut_formulas=pool), random.Random(seed)
+    for text in ("box p0, box p1 |- box p0, box p1", "box p1, p1 -> box p0 |- box (p1 -> p0), box p1"):
+        yield GRZ, parse_sequent(text), SearchBudget(8, 8), None
+    goal = parse_sequent("box box p0 |- box box box p0")
+    yield GRZ_CUT, goal, SearchBudget(6, 6, cut_formulas=_subformula_pool(goal)), None
 
 
 def test_search_outputs_match_their_pinned_digest():
