@@ -190,9 +190,9 @@ class ProofGraph:
         return f"ProofGraph(root={self.root!r}, states={sorted(self.states)})"
 
 
-def recorded_pass(decided: Mapping, tree: TreeNW, leaf_sequents: Mapping[Word, Any]) -> bool:
-    """Does ``decided`` hold a pass of ``tree`` over these leaf sequents?"""
-    return (tree, tuple([leaf_sequents.get(w, _MISSING) for w in tree.leaf_order])) in decided
+def recorded_pass(decided: Mapping, tree: TreeNW, leaves: tuple) -> bool:
+    """Does ``decided`` hold a pass of ``tree`` over ``leaves``, in leaf order?"""
+    return (tree, leaves) in decided
 
 
 def check_proof_fragment(

@@ -120,7 +120,10 @@ def to_dot(pg: ProofGraph) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as err:
+            raise GraphFileError(f"cannot write {out}: {err}") from None
     else:
         sys.stdout.write(text)
 

@@ -107,18 +107,14 @@ class FFTree:
         self,
         labels: Mapping[Word, Label],
         partition: Iterable[Iterable[Word]] | Mapping[Word, Any],
-        allow_truncation: bool = False,
     ):
         labels = dict(labels)
         arity = tree_arity(labels)
         for w, lab in labels.items():
             if lab is STAR:
                 raise FFTreeError("star labels are reserved for fragment leaves", w)
-            if isinstance(lab, Truncation):
-                if not allow_truncation:
-                    raise TruncationNotAllowed("truncation marker in a plain tree", w)
-                if arity[w]:
-                    raise TruncationNotAllowed("truncation marker on an inner node", w)
+            if isinstance(lab, Truncation) and arity[w]:
+                raise TruncationNotAllowed("truncation marker on an inner node", w)
 
         if isinstance(partition, Mapping):
             grouped: dict[Any, list[Word]] = {}
@@ -283,10 +279,9 @@ class FFTree:
 def validate_fftree(
     labels: Mapping[Word, Label],
     partition: Iterable[Iterable[Word]] | Mapping[Word, Any],
-    allow_truncation: bool = False,
 ) -> FFTree:
     """Check the fragmentation properties and wrap the result."""
-    return FFTree(labels, partition, allow_truncation=allow_truncation)
+    return FFTree(labels, partition)
 
 
 def construct(fragment: TreeNW, parts: Mapping[Word, FFTree]) -> FFTree:
@@ -445,7 +440,7 @@ def unfold_by(
         root_of[base] = base
         if len(labels) > budget.max_nodes:
             raise BudgetExceeded(f"unfolding exceeds {budget.max_nodes} nodes")
-    return Unfolding(FFTree(labels, root_of, allow_truncation=True), truncations)
+    return Unfolding(FFTree(labels, root_of), truncations)
 
 
 # -- pre-proofs: the paper's definitions, over words ------------------------

@@ -9,19 +9,14 @@ on it), and :class:`Arena`, the hash-consed store in which ``extend``,
 whose classes are bisimulation classes.  The store caches
 which of its states passed the checker, and what the checker decided,
 in one pair of tables per calculus object; :func:`check` and the
-target checks of ``extend`` are the places that read or write them.
+checks of ``extend`` are the places that read or write them.
 Sharing them across checks is sound: a stored state never changes, so
 a state that passed still passes, and whether an instance, or a
 fragment over given leaf sequents, passes depends on the calculus
-alone.  Nothing is written into the tables of another calculus, but
-:meth:`Arena.passed` reads them: a fragment that passed with one
-calculus object passes with any other of the same type that has the
-same progress function and the same matcher object for every rule
-labelling the fragment, since the checker then decides each of its
-instances the same way.  So a Grz target check of a fragment that the
-Grz+cut check passed, and that holds no cut, is a lookup.
-A pass is keyed ``(tree, leaves)``, the leaf sequents in leaf order.  A
-copied-in state shares its links unless an id is renamed; none is written.
+alone.  Which table may answer for which calculus is decided by
+``extend``, not here.  A pass is keyed ``(tree, leaves)``, the leaf
+sequents in leaf order.  A copied-in state shares its links unless an
+id is renamed; none is written.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, UnknownNode
-from .calculus import _check_labels, check_proof_graph, recorded_pass
+from .calculus import _check_labels, check_proof_graph
 from .coalgebra import Coalgebra, StateId, root_first_order, validated_destructor
 from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
@@ -240,24 +235,6 @@ class Arena:
         as :func:`~nwproofs.calculus.check_proof_fragment` keeps them."""
         return self._tables(calc)[2]
 
-    def passed(
-        self, calc: LocalProgressCalculus, fragment: TreeNW, leaf_sequents: Mapping[Word, Any]
-    ) -> bool:
-        """Does the fragment, over these leaf sequents, pass the fragment
-        check of ``calc``, as recorded in a table of this store?
-
-        Besides ``calc``'s own table, this reads the table of any calculus
-        object of the same type with the same progress function and, for
-        every rule labelling the fragment, the same matcher object: that
-        calculus decides each instance of the fragment as ``calc`` does.
-        Nothing is written, to any table."""
-        for other, _, decided in self._checked.values():
-            if recorded_pass(decided, fragment, leaf_sequents) and (
-                other is calc or _same_matchers(calc, other, fragment)
-            ):
-                return True
-        return False
-
     def _tables(self, calc: LocalProgressCalculus) -> tuple[Any, set[StateId], dict]:
         # keyed by identity, and holding ``calc`` so that its id stays unique
         if id(calc) not in self._checked:
@@ -371,18 +348,6 @@ class Arena:
 
     def proof(self, node: PNode) -> ProofGraph:
         return self.view(self.intern(node))
-
-
-def _same_matchers(calc: LocalProgressCalculus, other: LocalProgressCalculus, fragment: TreeNW) -> bool:
-    """Do the two calculi check every node of the fragment with the same
-    objects: progress function and the matcher of the node's rule?"""
-    if type(other) is not type(calc) or other.progress is not calc.progress:
-        return False
-    for rule in {label[1] for label in fragment.key[0] if isinstance(label, tuple)}:
-        matcher = other.rules.get(rule)
-        if matcher is None or calc.rules.get(rule) is not matcher:
-            return False
-    return True
 
 
 def check(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:

@@ -28,15 +28,17 @@ go through the store's cached check, :func:`~nwproofs.store.check`, so
 each state's fragment is checked against the source once.  Target
 checks use the store's table of what the checker decided with the
 target calculus, so a rule instance that repeats across emitted
-fragments is matched once.  Emitted leaf sequents come, in leaf order,
-from one table of the emitted root sequents.
-A fragment that a step hands back unchanged, over the same leaf
-sequents, is looked up rather than walked again
-(:meth:`~nwproofs.store.Arena.passed`) when the source check passed it
-and the source calculus checks it with the target's own objects: the
-same calculus object, as for an identity step, or one with the same
-progress function and the same matcher for each rule in the fragment,
-as for cut elimination from Grz+cut into Grz.  Without closure the
+fragments is matched once.  Emitted leaf sequents come as a tuple in
+leaf order, from one table of the emitted root sequents.
+``_Engine`` alone decides when a source pass stands in for a target
+check.  It finds once, when it is made, the rules whose matcher objects
+differ between the two calculi; if their types or progress functions
+differ, no source pass stands in at all.  A fragment that a step hands
+back unchanged, over the same leaf sequents, is then looked up in the
+source's table rather than walked again when it uses none of those
+rules: always for an identity step, and for cut elimination from
+Grz+cut into Grz when it holds no cut, since the target then decides
+each of its instances with the source's objects.  Without closure the
 output is laid out by the same driver as
 :func:`~nwproofs.fftree.unfold`, :func:`~nwproofs.fftree.unfold_by`,
 and :func:`validate_step` is a memo-free extension of one layer.
@@ -47,14 +49,13 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import Any
 
 from .calculus import CalculusError, CheckReport, LocalProgressCalculus, ProofGraph
-from .calculus import _is_sequent_rule, check_proof_fragment
+from .calculus import _is_sequent_rule, check_proof_fragment, recorded_pass
 from .coalgebra import BudgetError, BudgetExceeded, Coalgebra
 from .fftree import TruncationNotAllowed, UnfoldBudget, Unfolding, unfold_by
 from .store import Arena, check
-from .trees import EPSILON, TreeNW, Truncation, Word, format_word
+from .trees import EPSILON, STAR, TreeNW, Truncation, Word, format_word
 
 StepOutput = tuple[TreeNW, Mapping[Word, ProofGraph]]
 
@@ -100,10 +101,21 @@ class _Engine:
 
     def __init__(self, step: TranslationStep):
         self.step = step
-        self.source = step.source
-        self.target = step.target
+        self.source = source = step.source
+        self.target = target = step.target
         self.store = Arena()
-        self.decided = self.store.decided(self.target)  # shared with the store's checks
+        self.decided = self.store.decided(target)  # shared with the store's checks
+        self.source_decided = self.store.decided(source)
+        # the rules whose matcher objects differ between the two calculi, or
+        # None if their types or progress functions differ: a fragment that
+        # uses none of them has each instance decided by the same objects
+        self.differing: frozenset[str] | None = None
+        if type(source) is type(target) and source.progress is target.progress:
+            self.differing = frozenset(
+                rule
+                for rule in source.rules.keys() | target.rules.keys()
+                if source.rules.get(rule) is not target.rules.get(rule)
+            )
 
     def apply(self, pg: ProofGraph) -> tuple[TreeNW, Mapping[Word, ProofGraph]]:
         fragment, parts = self.step.apply(pg)
@@ -132,13 +144,19 @@ class _Engine:
                 2, f"residual at {where()} is not a {self.source.name} proof", report
             )
 
-    def check_fragment(
-        self, fragment: TreeNW, leaf_sequents: Mapping[Word, Any], where: Callable[[], str]
-    ) -> None:
-        if self.store.passed(self.target, fragment, leaf_sequents):
-            return
+    def check_fragment(self, fragment: TreeNW, leaves: tuple, where: Callable[[], str]) -> None:
+        """The target check of an emitted fragment over its leaf sequents,
+        in leaf order.  A pass the source check recorded stands in for the
+        walk when the fragment uses no rule in ``differing``."""
+        differing = self.differing
+        if differing is not None and recorded_pass(self.source_decided, fragment, leaves):
+            # a recorded pass has (sequent, rule) labels and stars only
+            if not differing or differing.isdisjoint(
+                [label[1] for label in fragment._labels if label is not STAR]
+            ):
+                return
         try:
-            report = check_proof_fragment(self.target, fragment, leaf_sequents, decided=self.decided)
+            report = check_proof_fragment(self.target, fragment, leaves, decided=self.decided)
         except CalculusError as err:
             raise StepContractViolation(1, f"fragment at {where()}: {err}") from None
         if not report.ok:
@@ -202,8 +220,8 @@ def _close(engine, root, max_states) -> ProofGraph | None:
         emitted[sid] = (fragment, links)
     roots = {sid: fragment._labels[0][0] for sid, (fragment, _) in emitted.items()}
     for sid, (fragment, links) in emitted.items():
-        leaf_sequents = {w: roots[t] for w, t in links.items()}  # in leaf order
-        engine.check_fragment(fragment, leaf_sequents, lambda: f"state {sid}")
+        leaves = tuple([roots[t] for t in links.values()])  # links run in leaf order
+        engine.check_fragment(fragment, leaves, lambda: f"state {sid}")
     # every fragment passed its target check, which admits (sequent, rule)
     # labels and stars only, and has links covering its star leaves exactly,
     # so it needs no second validation
@@ -235,11 +253,11 @@ def _unfold(engine, root, budget) -> Unfolding:
     for base, fragment in stepped.items():
         if base in out.truncations:
             continue
-        leaf_sequents = {}
-        for w in fragment.nw_leaves:
+        leaves = []
+        for w in fragment.leaf_order:
             child = out.tree.label(base + w)
-            leaf_sequents[w] = (child.label if isinstance(child, Truncation) else child)[0]
-        engine.check_fragment(fragment, leaf_sequents, lambda: f"position {format_word(base)}")
+            leaves.append((child.label if isinstance(child, Truncation) else child)[0])
+        engine.check_fragment(fragment, tuple(leaves), lambda: f"position {format_word(base)}")
     return out
 
 

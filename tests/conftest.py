@@ -77,9 +77,7 @@ def unfold_by_gluing(coalg: Coalgebra, state: str, depth: int) -> FFTree:
 
     if depth == 0:
         label = coalg.fragment(state).label(EPS)
-        return FFTree(
-            {EPS: Truncation(state, label)}, [[EPS]], allow_truncation=True
-        )
+        return FFTree({EPS: Truncation(state, label)}, [[EPS]])
     frag = coalg.fragment(state)
     links = coalg.links(state)
     return construct(

@@ -218,7 +218,7 @@ def _unfolded_check(pg: ProofGraph, depth: int = 4) -> bool:
         roots = compute_fragmentation(GRZ, tree.labels())
     except NotAPreProof:
         return False
-    rebuilt = FFTree(tree.labels(), roots, allow_truncation=True)
+    rebuilt = FFTree(tree.labels(), roots)
     for root in rebuilt.roots():
         if isinstance(rebuilt.label(root), Truncation):
             continue

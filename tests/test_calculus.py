@@ -157,7 +157,7 @@ def test_fragmentation_of_unfolding_matches_computed():
     computed = compute_fragmentation(GRZ, res.tree.labels())
     assert computed == res.tree.root_map()
     # and the recomputed partition validates as a fragmented tree
-    FFTree(res.tree.labels(), computed, allow_truncation=True)
+    FFTree(res.tree.labels(), computed)
 
 
 def test_unfolded_fragments_all_check():

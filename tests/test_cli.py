@@ -67,6 +67,25 @@ def test_non_utf8_file_exits_two_with_one_error_line(tmp_path, capsys, command):
     assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
 
+_WRITING = {
+    "render": ["render", str(CORPUS / "box_step.proof")],
+    "unfold": ["unfold", str(CORPUS / "self_loop.proof")],
+    "cutelim": ["cutelim", str(CORPUS / "atomic_cut.proof")],
+    "translate": ["translate", str(CORPUS / "self_loop.proof"), "--step", "identity"],
+    "search": ["search", "box p0 |- box p0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITING))
+@pytest.mark.parametrize("target", ["missing_dir/x.out", "."])
+def test_unwritable_output_exits_two_with_one_error_line(tmp_path, capsys, command, target):
+    out = tmp_path / target
+    assert main(_WRITING[command] + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unfold_output(tmp_path, capsys):
     assert main(["unfold", str(CORPUS / "self_loop.proof"), "--depth", "2"]) == 0
     out = capsys.readouterr().out

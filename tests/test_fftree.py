@@ -79,12 +79,13 @@ def test_arity_equality_and_hash():
     assert merged != PI2
 
 
-def test_truncation_needs_flag():
+def test_truncation_accepted_at_a_leaf_refused_on_an_inner_node():
     labels = {EPSILON: "a", (0,): Truncation("s0", "a")}
-    with pytest.raises(TruncationNotAllowed):
-        validate_fftree(labels, [[EPSILON], [(0,)]])
-    t = validate_fftree(labels, [[EPSILON], [(0,)]], allow_truncation=True)
+    t = validate_fftree(labels, [[EPSILON], [(0,)]])
     assert t.roots() == {EPSILON, (0,)}
+    inner = {EPSILON: Truncation("s0", "a"), (0,): "b"}
+    with pytest.raises(TruncationNotAllowed, match="truncation marker on an inner node"):
+        validate_fftree(inner, [[EPSILON], [(0,)]])
 
 
 def test_roots_and_measures():

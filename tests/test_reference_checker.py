@@ -7,8 +7,9 @@ outputs of cut elimination, of identity extensions and of proof search,
 the fragments of unfoldings, fragments cut off to a star leaf at any
 node, and fragments with a truncation mark or another foreign label.
 The nested family of ``box^n (p0 -> p0)`` proofs is checked at scale,
-with fresh and with shared ``decided`` tables, and a box whose premise 1
-keeps an unboxed formula must be rejected by both.
+with fresh and with shared ``decided`` tables and with a copy of each
+proof glued at an ordinary premise, and a box whose premise 1 keeps an
+unboxed formula must be rejected by both.
 """
 
 from __future__ import annotations
@@ -110,6 +111,30 @@ def _mutant(rng: random.Random, pg: ProofGraph) -> ProofGraph | None:
     return ProofGraph(Coalgebra(dest), pg.root)
 
 
+def _glued(rng: random.Random, pg: ProofGraph) -> ProofGraph:
+    """A copy in which an ordinary premise of an ``impr`` or ``refl`` node
+    becomes a star leaf linked to a new state holding that premise's
+    subtree: a glue point where the rule has none, which both checkers
+    must reject."""
+    spots = []
+    for state in sorted(pg.states):
+        stack = [(to_nested(pg.fragment(state), pg.links(state)), EPSILON)]
+        while stack:
+            n, at = stack.pop()
+            for i, c in enumerate(n.children):
+                if isinstance(c, PNode):
+                    stack.append((c, at + (i,)))
+                    if n.rule in ("impr", "refl"):
+                        spots.append((state, at + (i,)))
+    state, at = rng.choice(sorted(spots))
+    nested = to_nested(pg.fragment(state), pg.links(state))
+    dest = pg.graph.destructors()
+    new = f"glued_{len(dest)}"
+    dest[new] = flatten(subtree_at(nested, at))
+    dest[state] = flatten(replace_subtree(nested, at, PLink(new)))
+    return ProofGraph(Coalgebra(dest), pg.root)
+
+
 def _cut_short(rng: random.Random, frag: TreeNW) -> list[tuple[TreeNW, dict]]:
     """Copies of a fragment in which one proper node below the root, inner
     or leaf, is cut off to a star leaf, a glue point wherever it sits,
@@ -208,12 +233,13 @@ def _box_chain(n: int) -> Sequent:
 def test_reference_checker_agrees_on_the_nested_family():
     """The searched proofs of ``box^n (p0 -> p0)`` for n = 4..16, their
     planted cuts, the identity extensions and cut eliminations of those,
-    and random mutants of each: once with a fresh ``decided`` table per
+    random mutants of each, and a copy of each with a glue point at an
+    ordinary premise of a non-box node: once with a fresh ``decided`` table per
     check, once with one table per calculus kept across all of them, so
     that recorded passes and instances decided for another graph are
     read back."""
-    rng = random.Random(21)
-    cases = []
+    rng, glue_rng = random.Random(21), random.Random(22)
+    cases, glued = [], []
     for n in range(4, 17):
         pg = search(GRZ, _box_chain(n), SearchBudget(n + 3, n + 3))
         assert pg is not None
@@ -226,11 +252,14 @@ def test_reference_checker_agrees_on_the_nested_family():
                 mutant = _mutant(rng, base)
                 if mutant is not None:
                     cases.append(mutant)
+            glued.append(_glued(glue_rng, base))
     tables: dict = {}
     disagreements = []
-    for pg in cases:
+    for pg in cases + glued:
         disagreements += _disagreements(pg, tables)
     assert disagreements == []
+    for pg in glued:
+        assert not check_proof_graph(GRZ_CUT, pg).ok and proof_findings(pg, GRZ_CUT_RULES)
     failing = sum(not check_proof_graph(GRZ_CUT, pg).ok for pg in cases)
     assert len(cases) > 150 and 30 < failing < len(cases) - 50
 

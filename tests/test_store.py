@@ -372,20 +372,23 @@ def test_cut_elim_walks_only_the_states_it_changes_in_grz(n, monkeypatch):
 # -- reusing a pass under another calculus ----------------------------------
 
 
-def _recorded_lookups(monkeypatch) -> list[tuple]:
-    """Record each call of ``Arena.passed``: its arguments, whether the
-    calculus's own table held the pass, and the answer."""
-    calls: list[tuple] = []
-    passed = Arena.passed
+def _accepted_without_a_walk(monkeypatch) -> list[tuple]:
+    """Record each target check of an extension that walked no fragment:
+    its engine, fragment and leaf sequents, and whether the target's own
+    table held the pass before the check."""
+    walks = _walks_by_calculus(monkeypatch)
+    accepted: list[tuple] = []
+    check_fragment = translate._Engine.check_fragment
 
-    def recorded(self, calc, fragment, leaf_sequents):
-        own = calculus.recorded_pass(self.decided(calc), fragment, leaf_sequents)
-        answer = passed(self, calc, fragment, leaf_sequents)
-        calls.append((calc, fragment, dict(leaf_sequents), own, answer))
-        return answer
+    def recorded(self, fragment, leaves, where):
+        own = calculus.recorded_pass(self.decided, fragment, leaves)
+        before = len(walks)
+        check_fragment(self, fragment, leaves, where)
+        if len(walks) == before:
+            accepted.append((self, fragment, leaves, own))
 
-    monkeypatch.setattr(Arena, "passed", recorded)
-    return calls
+    monkeypatch.setattr(translate._Engine, "check_fragment", recorded)
+    return accepted
 
 
 _GOLDEN_CUTS = sorted(
@@ -401,16 +404,38 @@ def test_every_fragment_accepted_without_a_walk_passes_a_fresh_grz_check(kind, a
         pg = _plant_cut(random.Random(arg), _nested(arg))
     else:
         pg = parse_proof_file((CORPUS / arg).read_text())[1]
-    calls = _recorded_lookups(monkeypatch)
+    accepted = _accepted_without_a_walk(monkeypatch)
     closed = cut_elim(pg)
     unfolded = cut_elim(pg, UnfoldBudget(4), memo=False)
     assert isinstance(closed, ProofGraph) and isinstance(unfolded, Unfolding)
-    accepted = [(calc, tree, leaves, own) for calc, tree, leaves, own, answer in calls if answer]
-    for calc, tree, leaves, _ in accepted:
-        assert calc is GRZ
+    for engine, tree, leaves, _ in accepted:
+        assert engine.target is GRZ
+        assert calculus.recorded_pass(engine.source_decided, tree, leaves)
         assert calculus.check_proof_fragment(GRZ, tree, leaves).ok
     if kind == "nested":
+        # some pass came from the Grz+cut table, not from the Grz one
         assert any(not own for *_, own in accepted)
+
+
+_GOLDEN_GRZ = sorted(
+    p.name for p in CORPUS.glob("*.proof") if p.read_text().startswith(f"calculus {GRZ.name}\n")
+)
+
+
+@pytest.mark.parametrize(
+    "kind, arg", [("nested", n) for n in (4, 8)] + [("golden", name) for name in _GOLDEN_GRZ]
+)
+@pytest.mark.parametrize("memo", [True, False])
+def test_a_target_with_a_rule_its_source_lacks_reuses_every_source_pass(
+    kind, arg, memo, monkeypatch
+):
+    # Grz into Grz+cut: the source's passes hold no cut, so none is walked again
+    pg = _nested(arg) if kind == "nested" else parse_proof_file((CORPUS / arg).read_text())[1]
+    expected = extend(identity_step(GRZ), pg, UnfoldBudget(4), memo=memo)
+    walks = _walks_by_calculus(monkeypatch)
+    step = TranslationStep(GRZ, GRZ_CUT, identity_step(GRZ).apply, name="into-cut")
+    assert extend(step, pg, UnfoldBudget(4), memo=memo) == expected
+    assert walks and not [tree for calc, tree in walks if calc is GRZ_CUT]
 
 
 def _same_box(premises, concl):
