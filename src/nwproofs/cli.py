@@ -35,7 +35,7 @@ def _cmd_check(args) -> int:
     if args.all:
         paths.extend(str(p) for p in sorted(Path(args.all).glob("*.proof")))
     if not paths:
-        print("nothing to check", file=sys.stderr)
+        print("error: nothing to check", file=sys.stderr)
         return 2
     failed = False
     for path in paths:

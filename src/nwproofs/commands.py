@@ -22,12 +22,12 @@ import random
 import sys
 from pathlib import Path
 
-from .calculus import ProofGraph
+from .calculus import CalculusError, ProofGraph
 from .cli import _load
 from .coalgebra import root_first_order
 from .graphfile import INDENT, GraphFileError
 from .grz.formulas import Atom, Bot, Box, Formula, Imp, Sequent, mexpand
-from .grz.rules import CALCULI, GRZ, GRZ_CUT
+from .grz.rules import CALCULI, CUT, GRZ, GRZ_CUT
 from .syntax import parse_formula, parse_sequent
 from .trees import EPSILON, STAR, Truncation, format_word
 
@@ -156,8 +156,7 @@ def _cutelim(args) -> int:
 
     name, pg = _load(args.file)
     if name != GRZ_CUT.name:
-        print(f"cutelim expects a {GRZ_CUT.name} file, got {name}", file=sys.stderr)
-        return 2
+        raise CalculusError(f"cutelim expects a {GRZ_CUT.name} file, got {name}")
     return _extend_and_emit(args, pg, cut_elimination_step(), GRZ.name, print_bound=True)
 
 
@@ -169,8 +168,7 @@ def _translate(args) -> int:
     if args.step == "identity":
         return _extend_and_emit(args, pg, identity_step(CALCULI[name]), name)
     if name != GRZ_CUT.name:
-        print(f"the cut-elim step expects a {GRZ_CUT.name} file", file=sys.stderr)
-        return 2
+        raise CalculusError(f"the cut-elim step expects a {GRZ_CUT.name} file")
     return _extend_and_emit(args, pg, cut_elimination_step(), GRZ.name)
 
 
@@ -212,6 +210,8 @@ def _search(args) -> int:
     goal = parse_sequent(args.sequent)
     calc = CALCULI[args.calculus]
     cut_pool = None
+    if args.cut_formulas and CUT not in calc.rules:
+        raise CalculusError(f"--cut-formulas needs a calculus with cut, not {calc.name}")
     if args.cut_formulas:
         cut_pool = frozenset(
             parse_formula(part) for part in args.cut_formulas.split(";") if part.strip()

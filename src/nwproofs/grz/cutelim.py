@@ -318,7 +318,7 @@ def cuts_up(pg: ProofGraph, on_step: StepHook | None = None) -> ProofGraph:
 
 
 def cut_elimination_step():
-    """One corecursion step: clear the root fragment, hand back the rest."""
+    """One corecursion step: the stored destructor of ``cuts_up(pg)``."""
     from ..translate import TranslationStep, identity_step
 
     split = identity_step(GRZ).apply

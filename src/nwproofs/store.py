@@ -16,7 +16,7 @@ fragment over given leaf sequents, passes depends on the calculus
 alone.  Which table may answer for which calculus is decided by
 ``extend``, not here.  A pass is keyed ``(tree, leaves)``, the leaf
 sequents in leaf order.  A copied-in state shares its links unless an
-id is renamed; none is written.
+id is renamed; a translation step hands them back, and none is written.
 """
 
 from __future__ import annotations

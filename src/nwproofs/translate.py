@@ -9,16 +9,19 @@ the state budget) the output is a depth-budgeted unfolding with
 truncation marks.
 
 One extension keeps every proof it handles in one hash-consed
-:class:`~nwproofs.store.Arena`, and residuals are views of it.  The
-input is copied in and minimized once; each state added later gets its
-bisimulation class by a table lookup, which stays exact because a new
-state links only to older ones.  A residual's memo key is its root's
-class id, so residuals are keyed up to bisimilarity without rebuilding
-a canonical form per residual.
+:class:`~nwproofs.store.Arena`, the carrier of the step's coalgebra: a
+step gets a view of a stored state and gives each star leaf a state id
+of that store as its residual.  The identity step returns the stored
+destructor itself; a step that builds a residual elsewhere copies it in
+with :meth:`~nwproofs.store.Arena.include`.  The input is copied in and
+minimized once; each state added later gets its bisimulation class by a
+table lookup, which stays exact because a new state links only to older
+ones.  A residual's memo key is its class id, so residuals are keyed up
+to bisimilarity, and a view is made once per value checked or stepped.
 
 Both conditions a step must satisfy are checked while extending, and
-only there, in ``_Engine``: every glue point must get a residual that
-passes the source checker (condition 2), and every emitted fragment,
+only there, in ``_Engine``: every glue point must get a stored residual
+that passes the source checker (condition 2), and every emitted fragment,
 paired with the root sequents of its translated residuals, must pass
 the target fragment check (condition 1), which admits (sequent, rule)
 labels and stars only, so a truncation mark or any other foreign label
@@ -28,8 +31,7 @@ go through the store's cached check, :func:`~nwproofs.store.check`, so
 each state's fragment is checked against the source once.  Target
 checks use the store's table of what the checker decided with the
 target calculus, so a rule instance that repeats across emitted
-fragments is matched once.  Emitted leaf sequents come as a tuple in
-leaf order, from one table of the emitted root sequents.
+fragments is matched once.
 ``_Engine`` alone decides when a source pass stands in for a target
 check.  It finds once, when it is made, the rules whose matcher objects
 differ between the two calculi; if their types or progress functions
@@ -52,17 +54,18 @@ from dataclasses import dataclass, field
 
 from .calculus import CalculusError, CheckReport, LocalProgressCalculus, ProofGraph
 from .calculus import _is_sequent_rule, check_proof_fragment, recorded_pass
-from .coalgebra import BudgetError, BudgetExceeded, Coalgebra
+from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, StateId
 from .fftree import TruncationNotAllowed, UnfoldBudget, Unfolding, unfold_by
 from .store import Arena, check
-from .trees import EPSILON, STAR, TreeNW, Truncation, Word, format_word
+from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
-StepOutput = tuple[TreeNW, Mapping[Word, ProofGraph]]
+StepOutput = tuple[TreeNW, Mapping[Word, StateId]]
 
 
 @dataclass(frozen=True)
 class TranslationStep:
-    """One-fragment translation from proofs of ``source`` into ``target``."""
+    """One-fragment translation from proofs of ``source`` into ``target``;
+    ``apply(pg)`` returns a fragment and a state of ``pg.store`` per star leaf."""
 
     source: LocalProgressCalculus
     target: LocalProgressCalculus
@@ -87,17 +90,15 @@ def identity_step(calc: LocalProgressCalculus) -> TranslationStep:
     """The destructor as a step: emit the root fragment, keep the rest."""
 
     def apply(pg: ProofGraph) -> StepOutput:
-        graph, store = pg.graph, pg.store
-        fragment, links = graph._dest[pg.root]  # read, never written
-        return fragment, {w: ProofGraph._view(graph, links[w], store) for w in fragment.leaf_order}
+        return pg.graph._dest[pg.root]  # read, never written
 
     return TranslationStep(calc, calc, apply, name="identity")
 
 
 class _Engine:
-    """The worker of one extension; its values are views of ``store``.
-    A check's ``where`` gives the place its error names, and is called
-    only on failure."""
+    """The worker of one extension; a residual is a state of ``store``,
+    viewed once, when it is checked.  A check's ``where`` gives the place
+    its error names, and is called only on failure."""
 
     def __init__(self, step: TranslationStep):
         self.step = step
@@ -117,24 +118,23 @@ class _Engine:
                 if source.rules.get(rule) is not target.rules.get(rule)
             )
 
-    def apply(self, pg: ProofGraph) -> tuple[TreeNW, Mapping[Word, ProofGraph]]:
-        fragment, parts = self.step.apply(pg)
+    def apply(self, pg: ProofGraph) -> StepOutput:
+        fragment, links = self.step.apply(pg)
         # the root's sequent is read, as a leaf sequent, before the target check
         if not _is_sequent_rule(fragment.label(EPSILON)):
             raise StepContractViolation(1, "fragment root is not labelled with (sequent, rule)")
         for w in fragment.leaf_order:
-            if w not in parts:
-                raise StepContractViolation(2, f"no residual at leaf {format_word(w)}")
-        if all(p.store is self.store for p in parts.values()):
-            return fragment, parts
-        return fragment, {w: self.own(p) for w, p in parts.items()}
+            try:
+                stored = links[w] in self.store._states
+            except (KeyError, TypeError):  # no residual, or one that is no state id
+                stored = False
+            if not stored:
+                raise StepContractViolation(2, f"no stored residual at leaf {format_word(w)}")
+        return fragment, links
 
-    def own(self, pg: ProofGraph) -> ProofGraph:
-        """``pg`` as a view of the store; a residual from another graph is
-        copied in once, and never one from the built-in steps."""
-        return pg if pg.store is self.store else self.store.view(self.store.include(pg))
-
-    def check_value(self, pg: ProofGraph, where: Callable[[], str]) -> None:
+    def check_value(self, state: StateId, where: Callable[[], str]) -> ProofGraph:
+        """The view of a residual that passes the source check."""
+        pg = self.store.view(state)
         try:
             report = check(self.source, pg)
         except CalculusError as err:
@@ -143,6 +143,7 @@ class _Engine:
             raise StepContractViolation(
                 2, f"residual at {where()} is not a {self.source.name} proof", report
             )
+        return pg
 
     def check_fragment(self, fragment: TreeNW, leaves: tuple, where: Callable[[], str]) -> None:
         """The target check of an emitted fragment over its leaf sequents,
@@ -182,7 +183,7 @@ def extend(
     if max_states < 1:
         raise BudgetError("budget bounds must be at least 1")
     engine = _Engine(step)
-    root = engine.own(pg)
+    root = engine.store.view(engine.store.include(pg))
     try:
         report = check(step.source, root)
     except CalculusError as err:
@@ -205,22 +206,21 @@ def _close(engine, root, max_states) -> ProofGraph | None:
     queue: list[tuple[ProofGraph, str]] = [(root, "s0")]  # grows while it is walked
     emitted: dict[str, tuple[TreeNW, dict[Word, str]]] = {}
     for value, sid in queue:
-        fragment, parts = engine.apply(value)
-        links = {}
+        fragment, links = engine.apply(value)
+        out = {}
         for w in fragment.leaf_order:
-            succ = parts[w]
-            key = classes[succ.root]
+            key = classes[links[w]]
             if key not in memo:
                 if len(memo) >= max_states:
                     return None
                 memo[key] = name = f"s{len(memo)}"
-                engine.check_value(succ, lambda: f"state {sid} leaf {format_word(w)}")
-                queue.append((succ, name))
-            links[w] = memo[key]
-        emitted[sid] = (fragment, links)
+                residual = engine.check_value(links[w], lambda: f"state {sid} leaf {format_word(w)}")
+                queue.append((residual, name))
+            out[w] = memo[key]
+        emitted[sid] = (fragment, out)
     roots = {sid: fragment._labels[0][0] for sid, (fragment, _) in emitted.items()}
-    for sid, (fragment, links) in emitted.items():
-        leaves = tuple([roots[t] for t in links.values()])  # links run in leaf order
+    for sid, (fragment, out) in emitted.items():
+        leaves = tuple([roots[t] for t in out.values()])  # links run in leaf order
         engine.check_fragment(fragment, leaves, lambda: f"state {sid}")
     # every fragment passed its target check, which admits (sequent, rule)
     # labels and stars only, and has links covering its star leaves exactly,
@@ -233,15 +233,16 @@ def _unfold(engine, root, budget) -> Unfolding:
     each value but the root passes the source check before it is
     stepped, truncation marks are named ``t0, t1, ...`` in frontier
     order and carry the translated root labels, and each laid-out
-    fragment is then checked against the labels behind its star leaves."""
+    fragment is then checked against the root labels of the fragments
+    stepped at its star leaves, cut-off ones included."""
     stepped: dict[Word, TreeNW] = {}
 
     def destruct(value, at):
         if at != EPSILON:
-            engine.check_value(value, lambda: f"position {format_word(at)}")
-        fragment, parts = engine.apply(value)
+            value = engine.check_value(value, lambda: f"position {format_word(at)}")
+        fragment, links = engine.apply(value)
         stepped[at] = fragment
-        return fragment, parts
+        return fragment, links
 
     names = (f"t{i}" for i in itertools.count())
     try:
@@ -251,13 +252,9 @@ def _unfold(engine, root, budget) -> Unfolding:
     except TruncationNotAllowed as err:  # a step fragment holds one on an inner node
         raise StepContractViolation(1, str(err)) from None
     for base, fragment in stepped.items():
-        if base in out.truncations:
-            continue
-        leaves = []
-        for w in fragment.leaf_order:
-            child = out.tree.label(base + w)
-            leaves.append((child.label if isinstance(child, Truncation) else child)[0])
-        engine.check_fragment(fragment, tuple(leaves), lambda: f"position {format_word(base)}")
+        if base not in out.truncations:
+            leaves = tuple([stepped[base + w]._labels[0][0] for w in fragment.leaf_order])
+            engine.check_fragment(fragment, leaves, lambda: f"position {format_word(base)}")
     return out
 
 

@@ -57,6 +57,14 @@ def criterion_8_goals() -> list[Sequent]:
     return goals
 
 
+def box_chain(n: int) -> Sequent:
+    """``|- box^n (p0 -> p0)``, the goal of the nested family."""
+    f = Imp(Atom(0), Atom(0))
+    for _ in range(n):
+        f = Box(f)
+    return Sequent.of([], [f])
+
+
 def ax_graph() -> ProofGraph:
     return graph("s0", s0=node(seq([P], [P]), "ax"))
 

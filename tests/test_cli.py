@@ -106,8 +106,33 @@ def test_cutelim_atomic(tmp_path, capsys):
     assert main(["check", str(out_path)]) == 0
 
 
+def _one_error_line(capsys) -> str:
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 def test_cutelim_rejects_plain_grz_file(capsys):
     assert main(["cutelim", str(CORPUS / "box_step.proof")]) == 2
+    assert _one_error_line(capsys) == "error: cutelim expects a grz+cut file, got grz\n"
+
+
+def test_cut_elim_step_rejects_plain_grz_file(capsys):
+    assert main(["translate", str(CORPUS / "box_step.proof"), "--step", "cut-elim"]) == 2
+    assert _one_error_line(capsys) == "error: the cut-elim step expects a grz+cut file\n"
+
+
+def test_check_with_nothing_to_check_exits_two(tmp_path, capsys):
+    assert main(["check"]) == 2
+    assert _one_error_line(capsys) == "error: nothing to check\n"
+    assert main(["check", "--all", str(tmp_path)]) == 2
+    assert _one_error_line(capsys) == "error: nothing to check\n"
+
+
+def test_search_rejects_a_cut_pool_without_cut(capsys):
+    # the default calculus, grz, has no cut rule to use the pool with
+    assert main(["search", "p0 |- p0", "--cut-formulas", "p0"]) == 2
+    assert "--cut-formulas" in _one_error_line(capsys)
 
 
 def test_cutelim_non_closing_reports(tmp_path, capsys):

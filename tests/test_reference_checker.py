@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from grzlib import box_chain
 from reference_checker import GRZ_CUT_RULES, GRZ_RULES, Unlabelled, fragment_findings, proof_findings
 
 from nwproofs.calculus import CalculusError, ProofGraph, check_proof_fragment, check_proof_graph
@@ -223,12 +224,6 @@ def test_reference_checker_agrees_with_the_kernel():
     assert unfoldings and fragments > 100
 
 
-def _box_chain(n: int) -> Sequent:
-    f = Imp(Atom(0), Atom(0))
-    for _ in range(n):
-        f = Box(f)
-    return Sequent.of([], [f])
-
 
 def test_reference_checker_agrees_on_the_nested_family():
     """The searched proofs of ``box^n (p0 -> p0)`` for n = 4..16, their
@@ -241,7 +236,7 @@ def test_reference_checker_agrees_on_the_nested_family():
     rng, glue_rng = random.Random(21), random.Random(22)
     cases, glued = [], []
     for n in range(4, 17):
-        pg = search(GRZ, _box_chain(n), SearchBudget(n + 3, n + 3))
+        pg = search(GRZ, box_chain(n), SearchBudget(n + 3, n + 3))
         assert pg is not None
         cut = _plant_cut(random.Random(n), pg)
         outputs = [extend(identity_step(GRZ), pg, UnfoldBudget(4), max_states=10_000), cut_elim(cut)]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coalgebra, random_tree_nw
-from grzlib import P, Q, atomic_cut_graph, box_step_graph, node, seq
+from grzlib import P, Q, atomic_cut_graph, box_chain, box_step_graph, node, seq
 from nwproofs import calculus, coalgebra, store, translate
 from nwproofs.calculus import LocalProgressCalculus, ProofGraph, check_proof_graph
 from nwproofs.coalgebra import Coalgebra, StateId, UnfoldBudget
@@ -23,7 +23,7 @@ from nwproofs.fftree import Unfolding
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, cut_elim
 from nwproofs.grz.cutelim import _require_proof, cut_elimination_step, cuts_up
-from nwproofs.grz.formulas import Atom, Box, Imp, Sequent
+from nwproofs.grz.formulas import Box
 from nwproofs.grz.rules import BOX
 from nwproofs.search import SearchBudget, _plant_cut, search
 from nwproofs.store import Arena, PNode, canonical_form, check
@@ -219,15 +219,9 @@ def test_syntax_forwards_only_the_printers_the_benchmark_reads():
                 assert not {alias.name for alias in imp.names} & set(forwarded), path
 
 
-def _box_chain(n: int) -> Sequent:
-    f = Imp(Atom(0), Atom(0))
-    for _ in range(n):
-        f = Box(f)
-    return Sequent.of([], [f])
-
 
 def _nested(n: int) -> ProofGraph:
-    pg = search(GRZ, _box_chain(n), SearchBudget(n + 3, n + 3))
+    pg = search(GRZ, box_chain(n), SearchBudget(n + 3, n + 3))
     assert pg is not None
     return pg
 
@@ -244,7 +238,7 @@ def test_bad_later_residual_is_caught_after_shared_states_are_certified():
             # pg's own fragment relabelled, over its certified successors
             labels = {w: (lab[0], "bot") if w == EPSILON else lab for w, lab in fragment.labels().items()}
             junk.append(pg.store.view(pg.store.add(TreeNW(labels), pg.links(pg.root))))
-            parts[min(parts)] = junk[0]
+            parts = {**parts, min(parts): junk[0].root}  # the stored links stay as they are
         return fragment, parts
 
     step = TranslationStep(GRZ, GRZ, apply, name="late-junk")

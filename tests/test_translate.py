@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ from grzlib import (
     P,
     atomic_cut_graph,
     ax_graph,
+    box_chain,
     box_step_graph,
     boxed_context_cut_graph,
     cut_above_loop_graph,
@@ -16,12 +18,14 @@ from grzlib import (
     weakening_part_cut_graph,
 )
 from nwproofs.calculus import ProofGraph, check_proof_graph
+from nwproofs.commands import _print_unfolding, print_proof_file
 from nwproofs.coalgebra import Coalgebra, UnfoldBudget, reachable
 from nwproofs.fftree import Unfolding, compute_fragmentation, unfold
 from nwproofs.graphfile import parse_proof_file
-from nwproofs.grz import GRZ, GRZ_CUT, cut_elimination_step
+from nwproofs.grz import GRZ, GRZ_CUT, cut_elim, cut_elimination_step
 from nwproofs.grz.rules import CALCULI
-from nwproofs.store import canonical_form
+from nwproofs.search import SearchBudget, search
+from nwproofs.store import Arena, canonical_form
 from nwproofs.translate import (
     NotASourceProof,
     StepContractViolation,
@@ -94,10 +98,8 @@ def test_step_contract_violation_condition_two():
 
     def bad_apply(pg):
         frag, parts = base.apply(pg)
-        return frag, {
-            w: graph("b0", b0=node(seq([P], []), "box"))  # structurally labelled junk
-            for w in parts
-        }
+        junk = graph("b0", b0=node(seq([P], []), "box"))  # structurally labelled junk
+        return frag, {w: pg.store.include(junk) for w in parts}
 
     bad = TranslationStep(GRZ_CUT, GRZ_CUT, bad_apply, name="bad2")
     with pytest.raises(StepContractViolation) as err:
@@ -134,7 +136,7 @@ def test_step_contract_violation_truncation_in_place_of_a_link():
         frag, parts = base.apply(pg)
         labels = frag.labels()
         for w in frag.nw_leaves:
-            labels[w] = Truncation("hole", parts[w].fragment(parts[w].root).label(EPSILON))
+            labels[w] = Truncation("hole", pg.fragment(parts[w]).label(EPSILON))
         return TreeNW(labels), {}
 
     holed = TranslationStep(GRZ, GRZ, holed_apply, name="holed")
@@ -178,7 +180,7 @@ def test_a_truncation_mark_in_a_view_is_no_source_proof():
 
     def apply(value):
         fragment, parts = base.apply(value)
-        return fragment, {w: holed for w in parts}
+        return fragment, {w: value.store.include(holed) for w in parts}
 
     step = TranslationStep(GRZ, GRZ, apply, name="holed residual")
     for memo in (True, False):
@@ -187,6 +189,57 @@ def test_a_truncation_mark_in_a_view_is_no_source_proof():
         with pytest.raises(StepContractViolation) as err:
             extend(step, box_step_graph(), BUDGET, memo=memo)
         assert err.value.condition == 2
+
+@pytest.mark.parametrize("memo", [True, False])
+def test_a_residual_that_is_no_stored_state_breaks_condition_two(memo):
+    # a step gives each star leaf a state id of the store it was handed
+    base = identity_step(GRZ)
+    bad_links = {
+        "a view": lambda pg, links: {w: pg.at(t) for w, t in links.items()},
+        "an id the store lacks": lambda pg, links: {w: "nowhere" for w in links},
+        "an omitted leaf": lambda pg, links: {},
+    }
+    for kind, bad in bad_links.items():
+
+        def apply(pg, bad=bad):
+            fragment, links = base.apply(pg)
+            return fragment, bad(pg, links)
+
+        step = TranslationStep(GRZ, GRZ, apply, name=kind)
+        with pytest.raises(StepContractViolation) as err:
+            extend(step, box_step_graph(), BUDGET, memo=memo)
+        assert err.value.condition == 2, kind
+        assert "no stored residual at leaf 1" in str(err.value), kind
+
+
+def test_a_residual_is_any_stored_state_id():
+    # a coalgebra takes any hashable state ids, so a residual need not be a string
+    pg = box_step_graph()
+    ids = {s: i for i, s in enumerate(sorted(pg.states))}
+    dest = {ids[s]: (f, {w: ids[t] for w, t in links.items()}) for s, (f, links) in pg.graph._dest.items()}
+    numbered = ProofGraph(Coalgebra(dest), ids[pg.root])
+    for memo in (True, False):
+        expected = extend(identity_step(GRZ), pg, BUDGET, memo=memo)
+        assert extend(identity_step(GRZ), numbered, BUDGET, memo=memo) == expected, memo
+
+
+@pytest.mark.parametrize("memo", [True, False])
+def test_identity_extend_leaves_the_input_destructors_as_they_were(memo):
+    # included states share their links dicts with the input, and the
+    # identity step hands back the stored destructor itself
+    for path in sorted(CORPUS.glob("*.proof")):
+        name, pg = parse_proof_file(path.read_text())
+        before = {s: (frag, links, dict(links)) for s, (frag, links) in pg.graph._dest.items()}
+        extend(identity_step(CALCULI[name]), pg, UnfoldBudget(3), memo=memo)
+        assert pg.graph._dest.keys() == before.keys(), path.name
+        for s, (frag, links, copy) in before.items():
+            assert pg.graph._dest[s] == (frag, copy), (path.name, s)
+            assert pg.graph._dest[s][1] is links, (path.name, s)
+    arena = Arena()
+    view = arena.view(arena.include(pg))
+    assert identity_step(GRZ).apply(view) is view.graph._dest[view.root]
+    assert view.graph._dest[view.root][1] is pg.graph._dest[pg.root][1]
+
 
 def test_validate_step_identity_over_corpus():
     corpus = [ax_graph(), box_step_graph(), self_loop_graph()]
@@ -235,7 +288,7 @@ def test_validate_step_reports_garbled_or_missing_residuals():
 
     def garbled(pg):
         frag, parts = base.apply(pg)
-        return frag, {w: graph("b0", b0=node(seq([P], []), "box")) for w in parts}
+        return frag, {w: pg.store.include(graph("b0", b0=node(seq([P], []), "box"))) for w in parts}
 
     def missing(pg):
         frag, _ = base.apply(pg)
@@ -244,3 +297,36 @@ def test_validate_step_reports_garbled_or_missing_residuals():
     for apply in (garbled, missing):
         report = validate_step(TranslationStep(GRZ, GRZ, apply), [ax_graph(), box_step_graph()])
         assert [(f.index, f.condition) for f in report.findings] == [(1, 2)], apply.__name__
+
+
+def _emitted(out, calculus_name: str) -> str:
+    if isinstance(out, Unfolding):
+        return _print_unfolding(out)
+    return print_proof_file(out, calculus_name)
+
+
+def engine_outputs() -> str:
+    """SHA-256 over what the engine emits: every corpus file under the
+    identity step with memo on, and with memo off at depth 3; the grz+cut
+    files under memo-off cut elimination at depth 3; and the identity
+    extension of the nested family, n = 4..16."""
+    digest = hashlib.sha256()
+    for path in sorted(CORPUS.glob("*.proof")):
+        name, pg = parse_proof_file(path.read_text())
+        step = identity_step(CALCULI[name])
+        digest.update(_emitted(extend(step, pg, UnfoldBudget(3)), name).encode())
+        digest.update(_emitted(extend(step, pg, UnfoldBudget(3), memo=False), name).encode())
+        if name == GRZ_CUT.name:
+            digest.update(_emitted(cut_elim(pg, UnfoldBudget(3), memo=False), GRZ.name).encode())
+    for n in range(4, 17):
+        pg = search(GRZ, box_chain(n), SearchBudget(n + 3, n + 3))
+        digest.update(_emitted(extend(identity_step(GRZ), pg, UnfoldBudget(3)), GRZ.name).encode())
+    return digest.hexdigest()
+
+
+# A change to what any translation emits changes it, and must say so.
+ENGINE_DIGEST = "0b1f940e3744b439ebc11bda0bda23ee9465cc8c66ec8f18dbe0a14abfab3d52"
+
+
+def test_engine_outputs_are_pinned():
+    assert engine_outputs() == ENGINE_DIGEST
