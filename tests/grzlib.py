@@ -6,6 +6,7 @@ from nwproofs.calculus import ProofGraph
 from nwproofs.coalgebra import Coalgebra
 from nwproofs.grz import Atom, Bot, Box, Imp, Sequent
 from nwproofs.store import PLink, PNode, flatten
+from nwproofs.trees import Truncation
 
 P = Atom(0)
 Q = Atom(1)
@@ -29,6 +30,22 @@ def graph(root: str, **states: PNode) -> ProofGraph:
         frag, links = flatten(nested)
         dest[name] = (frag, links)
     return ProofGraph(Coalgebra(dest), root)
+
+
+def complete_blocks(tree):
+    """Every complete block of an unfolding's tree, by sorted root word, as
+    ``(root, fragment, leaf sequents)``: the sequent at a star leaf is the
+    one the node below it is labelled with, read through a truncation
+    mark's label."""
+    for root in sorted(tree.roots()):
+        if isinstance(tree.label(root), Truncation):
+            continue
+        frag = tree.tree_fragment(root)
+        leaves = {}
+        for w in frag.nw_leaves:
+            child = tree.label(root + w)
+            leaves[w] = (child.label if isinstance(child, Truncation) else child)[0]
+        yield root, frag, leaves
 
 
 def formulas_up_to(size: int, atoms: int) -> list:

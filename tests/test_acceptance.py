@@ -16,6 +16,7 @@ from grzlib import (
     atomic_cut_graph,
     box_principal_cut_graph,
     boxed_context_cut_graph,
+    complete_blocks,
     criterion_8_goals,
     cut_above_loop_graph,
     weakening_part_cut_graph,
@@ -219,17 +220,10 @@ def _unfolded_check(pg: ProofGraph, depth: int = 4) -> bool:
     except NotAPreProof:
         return False
     rebuilt = FFTree(tree.labels(), roots)
-    for root in rebuilt.roots():
-        if isinstance(rebuilt.label(root), Truncation):
-            continue
-        frag = rebuilt.tree_fragment(root)
-        leaf_sequents = {}
-        for w in frag.nw_leaves:
-            child = rebuilt.label(root + w)
-            leaf_sequents[w] = child.label[0] if isinstance(child, Truncation) else child[0]
-        if not check_proof_fragment(GRZ, frag, leaf_sequents).ok:
-            return False
-    return True
+    return all(
+        check_proof_fragment(GRZ, frag, leaf_sequents).ok
+        for _, frag, leaf_sequents in complete_blocks(rebuilt)
+    )
 
 
 def _mutate(rng: random.Random, pg: ProofGraph) -> ProofGraph | None:
@@ -426,22 +420,12 @@ def test_criterion_7_end_to_end_cut_elimination():
     for pg in corpus:
         out = cut_elim(pg, budget=UnfoldBudget(max_depth=6), max_states=200)
         if isinstance(out, Unfolding):
-            tree = out.tree
-            for root in tree.roots():
-                if isinstance(tree.label(root), Truncation):
-                    continue
-                frag = tree.tree_fragment(root)
+            for _, frag, leaf_sequents in complete_blocks(out.tree):
                 if any(
                     not isinstance(frag.label(w), Truncation) and frag.label(w)[1] == CUT
                     for w in frag.proper_nodes
                 ):
                     failures += 1
-                leaf_sequents = {}
-                for w in frag.nw_leaves:
-                    child = tree.label(root + w)
-                    leaf_sequents[w] = (
-                        child.label[0] if isinstance(child, Truncation) else child[0]
-                    )
                 if not check_proof_fragment(GRZ, frag, leaf_sequents).ok:
                     failures += 1
         else:

@@ -3,7 +3,18 @@ from pathlib import Path
 
 import pytest
 
-from grzlib import P, Q, ax_graph, box_step_graph, graph, link, node, self_loop_graph, seq
+from grzlib import (
+    P,
+    Q,
+    ax_graph,
+    box_step_graph,
+    complete_blocks,
+    graph,
+    link,
+    node,
+    self_loop_graph,
+    seq,
+)
 from nwproofs.calculus import (
     CalculusError,
     Finding,
@@ -163,17 +174,7 @@ def test_fragmentation_of_unfolding_matches_computed():
 def test_unfolded_fragments_all_check():
     pg = self_loop_graph()
     res = unfold(pg.graph, pg.root, UnfoldBudget(max_depth=4))
-    tree = res.tree
-    from nwproofs.trees import Truncation
-
-    for root in sorted(tree.roots()):
-        if isinstance(tree.label(root), Truncation):
-            continue
-        frag = tree.tree_fragment(root)
-        leaf_sequents = {}
-        for w in frag.nw_leaves:
-            child = tree.label(root + w)
-            leaf_sequents[w] = child.label[0] if isinstance(child, Truncation) else child[0]
+    for _, frag, leaf_sequents in complete_blocks(res.tree):
         assert check_proof_fragment(GRZ, frag, leaf_sequents).ok
 
 

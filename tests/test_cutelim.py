@@ -14,6 +14,7 @@ from grzlib import (
     box_principal_cut_graph,
     box_step_graph,
     boxed_context_cut_graph,
+    complete_blocks,
     cut_above_loop_graph,
     graph,
     node,
@@ -234,23 +235,15 @@ def test_cut_elim_unfolding_mode_when_states_exhausted():
     pg = boxed_context_cut_graph()
     out = cut_elim(pg, budget=UnfoldBudget(max_depth=4), max_states=1)
     assert isinstance(out, Unfolding)
-    tree = out.tree
     # every complete fragment is cut free and checker-valid
     from nwproofs.calculus import check_proof_fragment
 
-    for root in sorted(tree.roots()):
-        if isinstance(tree.label(root), Truncation):
-            continue
-        frag = tree.tree_fragment(root)
+    for _, frag, leaf_sequents in complete_blocks(out.tree):
         assert all(
             lab[1] != CUT
             for lab in (frag.label(w) for w in frag.proper_nodes)
             if not isinstance(lab, Truncation)
         )
-        leaf_sequents = {}
-        for w in frag.nw_leaves:
-            child = tree.label(root + w)
-            leaf_sequents[w] = child.label[0] if isinstance(child, Truncation) else child[0]
         assert check_proof_fragment(GRZ, frag, leaf_sequents).ok
 
 

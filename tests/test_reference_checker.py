@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from grzlib import box_chain
+from grzlib import box_chain, complete_blocks
 from reference_checker import GRZ_CUT_RULES, GRZ_RULES, Unlabelled, fragment_findings, proof_findings
 
 from nwproofs.calculus import CalculusError, ProofGraph, check_proof_fragment, check_proof_graph
@@ -202,15 +202,7 @@ def test_reference_checker_agrees_with_the_kernel():
     # fragments of unfoldings, and hand-made cut-off and foreign-labelled ones
     fragments = 0
     for res in unfoldings:
-        tree = res.tree
-        for root in sorted(tree.roots()):
-            if isinstance(tree.label(root), Truncation):
-                continue
-            frag = tree.tree_fragment(root)
-            leaves = {}
-            for w in frag.nw_leaves:
-                child = tree.label(root + w)
-                leaves[w] = (child.label if isinstance(child, Truncation) else child)[0]
+        for _, frag, leaves in complete_blocks(res.tree):
             disagreements += _fragment_disagreements(frag, leaves)
             fragments += 1
     for pg in base[:12]:

@@ -15,18 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coalgebra, random_tree_nw
-from grzlib import P, Q, atomic_cut_graph, box_chain, box_step_graph, node, seq
+from grzlib import P, Q, atomic_cut_graph, box_chain, box_step_graph, complete_blocks, node, seq
 from nwproofs import calculus, coalgebra, store, translate
-from nwproofs.calculus import LocalProgressCalculus, ProofGraph, check_proof_graph
-from nwproofs.coalgebra import Coalgebra, StateId, UnfoldBudget
+from nwproofs.calculus import LocalProgressCalculus, ProofGraph, check_proof_fragment, check_proof_graph
+from nwproofs.coalgebra import Coalgebra, StateId, UnfoldBudget, root_first_order
+from nwproofs.commands import _print_unfolding, print_proof_file
 from nwproofs.fftree import Unfolding
 from nwproofs.graphfile import parse_proof_file
-from nwproofs.grz import GRZ, GRZ_CUT, cut_elim
-from nwproofs.grz.cutelim import _require_proof, cut_elimination_step, cuts_up
+from nwproofs.grz import GRZ, GRZ_CUT, cut_elim, weakening
+from nwproofs.grz.cutelim import _require_proof, cut_elimination_step, cuts_up, reduce_cut
 from nwproofs.grz.formulas import Box
-from nwproofs.grz.rules import BOX
+from nwproofs.grz.rules import BOX, CUT
 from nwproofs.search import SearchBudget, _plant_cut, search
-from nwproofs.store import Arena, PNode, canonical_form, check
+from nwproofs.store import Arena, PNode, canonical_form, check, subproof
 from nwproofs.translate import StepContractViolation, TranslationStep, extend, identity_step
 from nwproofs.trees import EPSILON, STAR, TreeNW
 
@@ -102,6 +103,129 @@ def test_minimization_needs_no_leaf_words(rng):
         for s, rep in renaming.items():
             members.setdefault(rep, set()).add(s)
         assert {frozenset(ms) for ms in members.values()} == _reference_partition(coalg)
+
+
+# -- inputs that are not minimal ------------------------------------------
+#
+# b1 and b2 are bisimilar states under two names: every store entry point
+# must treat the input as the same proof with b2 replaced by b1.
+
+DUPLICATED = {
+    "grz": """calculus grz
+root s0
+
+state s0
+  box p0 |- box p0, box p0 : box
+    box p0 |- box p0, p0 : box
+      box p0 |- p0, p0 : refl
+        p0, box p0 |- p0, p0 : ax
+      link b1
+    link b2
+""",
+    # a root cut on p0 whose premises end in the two names
+    "grz+cut": """calculus grz+cut
+root s0
+
+state s0
+  box p0 |- box p0 : cut
+    box p0 |- box p0, p0 : box
+      box p0 |- p0, p0 : refl
+        p0, box p0 |- p0, p0 : ax
+      link b1
+    p0, box p0 |- box p0 : box
+      p0, box p0 |- p0 : ax
+      link b2
+""",
+}
+REFL_STATES = """
+state b1
+  box p0 |- p0 : refl
+    p0, box p0 |- p0 : ax
+
+state b2
+  box p0 |- p0 : refl
+    p0, box p0 |- p0 : ax
+"""
+# the right premise of a cut on box p0 against the grz file; its state
+# names collide with that file's, one with the same content, one without
+CUT_PARTNER = """calculus grz
+root s0
+
+state s0
+  box p0, box p0 |- box p0 : box
+    box p0, box p0 |- p0 : refl
+      p0, box p0, box p0 |- p0 : ax
+    link b1
+
+state b1
+  box p0 |- p0 : refl
+    p0, box p0 |- p0 : ax
+"""
+
+
+def _duplicated(variant: str, merged: bool) -> ProofGraph:
+    text = DUPLICATED[variant] + REFL_STATES
+    if merged:
+        text = text.replace("link b2", "link b1").split("\nstate b2")[0]
+    return parse_proof_file(text)[1]
+
+
+def _reduce_cut_on(pg: ProofGraph) -> ProofGraph:
+    if pg.fragment(pg.root).label(EPSILON)[1] == CUT:
+        return reduce_cut(subproof(pg, (0,)), subproof(pg, (1,)))
+    return reduce_cut(pg, parse_proof_file(CUT_PARTNER)[1])
+
+
+# each entry point: its output on a proof, the calculus the output is
+# checked in, and the end sequent it must have
+ENTRY_POINTS = {
+    "weakening": (lambda pg: weakening(pg, seq([Q])), GRZ_CUT, lambda s: s.with_left(Q)),
+    "subproof root": (lambda pg: subproof(pg, EPSILON), GRZ_CUT, lambda s: s),
+    "subproof premise": (lambda pg: subproof(pg, (0,)), GRZ_CUT, lambda s: None),
+    "cuts_up": (cuts_up, GRZ_CUT, lambda s: s),
+    "reduce_cut": (_reduce_cut_on, GRZ_CUT, lambda s: seq([Box(P)], [Box(P)])),
+    "cut_elim": (cut_elim, GRZ, lambda s: s),
+    "cut_elim no memo": (lambda pg: cut_elim(pg, UnfoldBudget(3), memo=False), GRZ, lambda s: s),
+    "identity": (lambda pg: extend(identity_step(GRZ_CUT), pg, UnfoldBudget(3)), GRZ_CUT, lambda s: s),
+    "identity no memo": (
+        lambda pg: extend(identity_step(GRZ_CUT), pg, UnfoldBudget(3), memo=False),
+        GRZ_CUT,
+        lambda s: s,
+    ),
+}
+
+
+def _printed(out: ProofGraph | Unfolding) -> str:
+    """An output as printed, a graph first quotiented by bisimilarity and
+    its states renamed in root-first order, so that state names do not show."""
+    if isinstance(out, Unfolding):
+        return _print_unfolding(out)
+    part = Coalgebra({s: out.graph._dest[s] for s in root_first_order(out.graph, out.root)})
+    small, renaming = store.bisim_minimize(part)
+    name = {s: f"s{i}" for i, s in enumerate(root_first_order(small, renaming[out.root]))}
+    dest = {name[s]: (small.fragment(s), {w: name[t] for w, t in small.links(s).items()}) for s in name}
+    return print_proof_file(ProofGraph(Coalgebra(dest), "s0"), GRZ_CUT.name)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("variant", sorted(DUPLICATED))
+def test_an_input_with_bisimilar_states_is_the_proof_with_them_merged(variant, entry):
+    apply, calc, end = ENTRY_POINTS[entry]
+    pg = _duplicated(variant, merged=False)
+    assert check_proof_graph(GRZ_CUT, pg).ok and len(pg.states) == 3
+    out = apply(pg)
+    if isinstance(out, Unfolding):
+        blocks = list(complete_blocks(out.tree))
+        assert blocks and all(check_proof_fragment(calc, f, leaves).ok for _, f, leaves in blocks)
+        root_sequent = out.tree.label(EPSILON)[0]
+    else:
+        assert check_proof_graph(calc, out).ok
+        root_sequent = out.root_sequent
+    expected = end(pg.root_sequent)
+    if expected is None:  # the sequent of the node the subproof is rooted at
+        expected = pg.fragment(pg.root).label((0,))[0]
+    assert root_sequent == expected
+    assert _printed(out) == _printed(apply(_duplicated(variant, merged=True)))
 
 
 # -- the check cache -------------------------------------------------------
