@@ -42,7 +42,9 @@ def _cmd_check(args) -> int:
         name, pg = _load(path)
         report = check_proof_graph(CALCULI[name], pg)
         if report.ok:
-            print(f"{path}: ok ({len(pg.states)} states)")
+            skipped = len(pg.states) - len(report.states)
+            unreachable = f", {skipped} unreachable not checked" if skipped else ""
+            print(f"{path}: ok ({len(report.states)} states{unreachable})")
         else:
             failed = True
             for finding in report.findings:

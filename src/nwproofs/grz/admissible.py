@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..calculus import CheckReport, ProofGraph
-from ..store import Arena, PLink, PNode, check, to_nested
+from ..store import Arena, PLink, PNode, check
 from .formulas import Atom, Bot, Box, Formula, Imp, Sequent, mdiff
 from .rules import (
     BOX,
@@ -54,14 +54,12 @@ def _require_proof(pg: ProofGraph) -> None:
         raise NotAProof(f"input fails the proof check:\n{report}", report)
 
 
-def _rebuild(pg: ProofGraph, node: PNode) -> ProofGraph:
+def _rebuild(pg: ProofGraph, move: Callable[..., PNode], *args) -> ProofGraph:
+    """The proof whose root fragment is ``move`` applied to ``pg``'s, in a
+    fresh store; the root is read from the store's copy of ``pg``, so
+    every link it names is a stored state."""
     arena = Arena()
-    arena.include(pg)
-    return arena.proof(node)
-
-
-def _root_nested(pg: ProofGraph) -> PNode:
-    return to_nested(pg.fragment(pg.root), pg.links(pg.root))
+    return arena.proof(move(arena.materialize(arena.include(pg)), *args))
 
 
 _PRINCIPAL = {IMP_LEFT: imp_left_principal, IMP_RIGHT: imp_right_principal, REFL: refl_principal}
@@ -128,7 +126,7 @@ def weakening(pg: ProofGraph, extra: Sequent) -> ProofGraph:
     link is reused unchanged.
     """
     _require_proof(pg)
-    return _rebuild(pg, weaken_tree(_root_nested(pg), extra))
+    return _rebuild(pg, weaken_tree, extra)
 
 
 def weaken_tree(node: PNode, extra: Sequent) -> PNode:
@@ -144,7 +142,7 @@ def contr_atom_left(pg: ProofGraph, p: Formula) -> ProofGraph:
     _require_proof(pg)
     if pg.root_sequent.left_count(p) < 2:
         raise FormulaAbsent(f"{p!r} does not occur twice on the left")
-    return _rebuild(pg, contract_left_tree(_root_nested(pg), p))
+    return _rebuild(pg, contract_left_tree, p)
 
 
 def contract_left_tree(node: PNode, p: Formula) -> PNode:
@@ -157,7 +155,7 @@ def contr_atom_right(pg: ProofGraph, p: Formula) -> ProofGraph:
     _require_proof(pg)
     if pg.root_sequent.right_count(p) < 2:
         raise FormulaAbsent(f"{p!r} does not occur twice on the right")
-    return _rebuild(pg, contract_right_tree(_root_nested(pg), p))
+    return _rebuild(pg, contract_right_tree, p)
 
 
 def contract_right_tree(node: PNode, p: Formula) -> PNode:
@@ -169,7 +167,7 @@ def inv_bot_right(pg: ProofGraph) -> ProofGraph:
     _require_proof(pg)
     if pg.root_sequent.right_count(Bot()) < 1:
         raise FormulaAbsent("no bottom on the right")
-    return _rebuild(pg, drop_bot_tree(_root_nested(pg)))
+    return _rebuild(pg, drop_bot_tree)
 
 
 def drop_bot_tree(node: PNode) -> PNode:
@@ -183,17 +181,17 @@ def linv_imp_left(pg: ProofGraph, imp: Formula) -> ProofGraph:
     """From a proof of S with ``imp`` on the left, a proof of S plus the
     implication's antecedent on the right."""
     _require_proof(pg)
-    return _rebuild(pg, linv_tree(_root_nested(pg), _as_imp(pg, imp, left=True)))
+    return _rebuild(pg, linv_tree, _as_imp(pg, imp, left=True))
 
 
 def rinv_imp_left(pg: ProofGraph, imp: Formula) -> ProofGraph:
     _require_proof(pg)
-    return _rebuild(pg, rinv_tree(_root_nested(pg), _as_imp(pg, imp, left=True)))
+    return _rebuild(pg, rinv_tree, _as_imp(pg, imp, left=True))
 
 
 def inv_imp_right(pg: ProofGraph, imp: Formula) -> ProofGraph:
     _require_proof(pg)
-    return _rebuild(pg, inv_imp_right_tree(_root_nested(pg), _as_imp(pg, imp, left=False)))
+    return _rebuild(pg, inv_imp_right_tree, _as_imp(pg, imp, left=False))
 
 
 def inv_box_right(pg: ProofGraph, boxed: Formula) -> ProofGraph:
@@ -204,7 +202,7 @@ def inv_box_right(pg: ProofGraph, boxed: Formula) -> ProofGraph:
         raise FormulaAbsent(f"expected a boxed formula, got {boxed!r}")
     if pg.root_sequent.right_count(boxed) < 1:
         raise FormulaAbsent(f"{boxed!r} does not occur on the right")
-    return _rebuild(pg, inv_box_right_tree(_root_nested(pg), boxed))
+    return _rebuild(pg, inv_box_right_tree, boxed)
 
 
 def _as_imp(pg: ProofGraph, imp: Formula, left: bool) -> Imp:

@@ -334,7 +334,7 @@ def cut_elim(
     """Translate a proof with cuts into a cut-free one.
 
     With memoization on, bisimilar residual proofs are detected through
-    their class ids in the translation's state store and become back
+    their ids in the translation's state store and become back
     links, so regular inputs usually close into a finite cut-free graph;
     otherwise the result is a budgeted unfolding whose complete
     fragments are all cut free and checker valid.

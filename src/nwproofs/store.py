@@ -5,8 +5,10 @@ It holds the nested view of a fragment (:class:`PNode` with
 preorder arrays,
 bisimulation (:func:`bisim_minimize`, and :func:`canonical_form` built
 on it), and :class:`Arena`, the hash-consed store in which ``extend``,
-``cuts_up`` and the admissible moves keep the proofs they make, and
-whose classes are bisimulation classes.  The store caches
+``cuts_up`` and the admissible moves keep the proofs they make.  The
+store is a minimal coalgebra: no two of its states are bisimilar, so a
+state id is a bisimulation class, and a nested view read from the store
+names stored states only.  The store caches
 which of its states passed the checker, and what the checker decided,
 in one pair of tables per calculus object; :func:`check` and the
 checks of ``extend`` are the places that read or write them.
@@ -15,13 +17,14 @@ a state that passed still passes, and whether an instance, or a
 fragment over given leaf sequents, passes depends on the calculus
 alone.  Which table may answer for which calculus is decided by
 ``extend``, not here.  A pass is keyed ``(tree, leaves)``, the leaf
-sequents in leaf order.  A copied-in state shares its links unless an
-id is renamed; a translation step hands them back, and none is written.
+sequents in leaf order.  A copied-in state shares its links unless one
+of them is renamed or redirected to its class's stored state; a
+translation step hands them back, and none is written.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Container, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -192,19 +195,17 @@ def canonical_form(coalg: Coalgebra, state: StateId) -> tuple:
 class Arena:
     """The append-only, hash-consed state store of one rewriting computation.
 
-    Every state carries the id of its bisimulation class, so two states
-    have the same id exactly when their rooted proofs are bisimilar.  A
-    state made by :meth:`add` links only to states already stored, so
-    it cannot change bisimilarity among them: its class is found by
-    looking up its signature, the fragment plus its successors' class
-    ids in leaf order, in a table (hash-consing after Filliâtre and
-    Conchon, "Type-safe modular hash-consing", 2006).  A graph brought
-    in by :meth:`include` may be cyclic; its new states are classified
-    once, by refining them jointly with one state of every known class.
-
-    Merging graphs renames a state only when the same id arrives with
-    different content; the rename is closed under reverse reachability
-    so shared ids always denote identical subgraphs.
+    The store is a minimal coalgebra: no two stored states are bisimilar,
+    so a state's id is its bisimulation class, and two stored states have
+    the same id exactly when their rooted proofs are bisimilar.  A state
+    made by :meth:`add` links only to stored states, so it is bisimilar
+    to a stored state exactly when that state has its signature, the
+    fragment plus the successor ids in leaf order; a table maps each
+    signature to its state (hash-consing after Filliâtre and Conchon,
+    "Type-safe modular hash-consing", 2006).  A graph brought in by
+    :meth:`include` may be cyclic; its states are refined once, jointly
+    with the stored ones, and only one state of each new class is copied
+    in.
 
     The store also keeps, per calculus object, the states whose proofs
     passed :func:`check` and the table of instances and fragments the
@@ -215,16 +216,11 @@ class Arena:
         self._states: dict[StateId, tuple[TreeNW, dict[Word, StateId]]] = {}
         self._counter = 0
         self.graph = Coalgebra.view(self._states)
-        self._class: dict[StateId, int] = {}
-        self._reps: list[StateId] = []  # one state of each class, by class id
-        self._table: dict[tuple, int] = {}  # signature -> class id
+        self._table: dict[tuple, StateId] = {}  # signature -> the state with it
         self._checked: dict[int, tuple[LocalProgressCalculus, set[StateId], dict]] = {}
 
     def view(self, state: StateId) -> ProofGraph:
         return ProofGraph._view(self.graph, state, self)
-
-    def class_of(self, state: StateId) -> int:
-        return self._class[state]
 
     def certified(self, calc: LocalProgressCalculus) -> set[StateId]:
         """States whose proofs passed the check of this calculus object."""
@@ -242,97 +238,54 @@ class Arena:
         return self._checked[id(calc)]
 
     def include(self, pg: ProofGraph) -> StateId:
-        """Copy in the part of ``pg`` reachable from its root; returns the
-        root's id in this store."""
+        """Copy in the part of ``pg`` reachable from its root, one state
+        per bisimulation class that the store lacks; returns the id of the
+        root's class.  An incoming id that the store holds is renamed.
+        Each class is represented by its stored state if it has one, else
+        by its first incoming state in root-first order."""
         if pg.store is self:
             return pg.root
-        part = {s: pg.graph._dest[s] for s in root_first_order(pg.graph, pg.root)}
-        rename, new = self._merge(part)
-        self._classify(new)
-        return rename.get(pg.root, pg.root)
-
-    def _merge(
-        self, extra: Mapping[StateId, tuple[TreeNW, Mapping[Word, StateId]]]
-    ) -> tuple[dict[StateId, StateId], list[StateId]]:
-        conflicted = {
-            s
-            for s, (frag, links) in extra.items()
-            if s in self._states and self._states[s] != (frag, links)
-        }
-        changed = True
-        while changed:
-            changed = False
-            for s, (_, links) in extra.items():
-                if s in conflicted or s not in self._states:
-                    continue
-                if any(t in conflicted for t in links.values()):
-                    conflicted.add(s)
-                    changed = True
-        rename: dict[StateId, StateId] = {}
-        for s in sorted(conflicted):
-            name = self.fresh()
-            while name in extra or name in rename.values():
-                name = self.fresh()
-            rename[s] = name
-        new: list[StateId] = []
-        for s, (frag, links) in extra.items():
-            new_id = rename.get(s, s)
-            new_links = {w: rename.get(t, t) for w, t in links.items()} if rename else links
-            if new_id in self._states:
-                assert self._states[new_id] == (frag, new_links)
-            else:
-                new.append(new_id)
-            self._states[new_id] = (frag, new_links)
-        return rename, new
-
-    def _classify(self, new: list[StateId]) -> None:
-        """Class ids for states just merged in, from one refinement of them
-        jointly with a representative of every known class."""
-        if not new:
-            return
-        fresh = set(new)
-        known = len(self._reps)
-
-        def rep(t: StateId) -> StateId:
-            return t if t in fresh else self._reps[self._class[t]]
-
-        joint = {}
-        for s in self._reps + new:
-            frag, links = self._states[s]
-            if not fresh.issuperset(links.values()) and any(rep(t) != t for t in links.values()):
-                links = {w: rep(t) for w, t in links.items()}
-            joint[s] = (frag, links)
+        order = root_first_order(pg.graph, pg.root)
+        rename = {s: self.fresh(pg.graph._dest) for s in order if s in self._states}
+        joint = dict(self._states)
+        for s in order:
+            frag, links = pg.graph._dest[s]
+            if rename:
+                links = {w: rename.get(t, t) for w, t in links.items()}
+            joint[rename.get(s, s)] = (frag, links)
         _, block = bisim_minimize(Coalgebra.view(joint))
-        class_of_block = {block[r]: c for c, r in enumerate(self._reps)}
-        for s in new:
-            c = class_of_block.setdefault(block[s], len(self._reps))
-            if c == len(self._reps):
-                self._reps.append(s)
-            self._class[s] = c
-        for c in range(known, len(self._reps)):
-            self._table[self._signature(*self._states[self._reps[c]])] = c
+        rep = {block[s]: s for s in self._states}
+        incoming = [rename.get(s, s) for s in order]
+        for s in incoming:
+            rep.setdefault(block[s], s)
+        for s in incoming:
+            if rep[block[s]] != s:
+                continue
+            frag, links = joint[s]
+            if any(rep[block[t]] != t for t in links.values()):
+                links = {w: rep[block[t]] for w, t in links.items()}
+            self._states[s] = (frag, links)
+            self._table[frag, tuple([links[w] for w in frag.leaf_order])] = s
+        return rep[block[incoming[0]]]
 
-    def _signature(self, fragment: TreeNW, links: Mapping[Word, StateId]) -> tuple:
-        return fragment, tuple([self._class[links[w]] for w in fragment.leaf_order])
-
-    def fresh(self) -> StateId:
+    def fresh(self, avoid: Container[StateId] = ()) -> StateId:
+        """A name that no stored state has, nor any in ``avoid``."""
         while True:
             name = f"t{self._counter}"
             self._counter += 1
-            if name not in self._states:
+            if name not in self._states and name not in avoid:
                 return name
 
     def add(self, fragment: TreeNW, links: Mapping[Word, StateId]) -> StateId:
-        """Store a new state whose links lead to stored states."""
-        sid = self.fresh()
-        fragment, links = validated_destructor(sid, fragment, links, self._states)
+        """The id of a state whose links lead to stored states: the stored
+        state with its signature, or else a new one."""
+        fragment, links = validated_destructor("new", fragment, links, self._states)
         _check_labels(fragment)
-        signature = self._signature(fragment, links)
-        c = self._table.setdefault(signature, len(self._reps))
-        if c == len(self._reps):
-            self._reps.append(sid)
-        self._states[sid] = (fragment, links)
-        self._class[sid] = c
+        signature = (fragment, tuple([links[w] for w in fragment.leaf_order]))
+        sid = self._table.get(signature)
+        if sid is None:
+            sid = self._table[signature] = self.fresh()
+            self._states[sid] = (fragment, links)
         return sid
 
     def intern(self, node: PNode) -> StateId:
@@ -381,7 +334,6 @@ def subproof(pg: ProofGraph, node: Word) -> ProofGraph:
     if node in frag.nw_leaves:
         return pg.at(links[node])
     arena = Arena()
-    arena.include(pg)
-    nested = subtree_at(to_nested(frag, links), node)
+    nested = subtree_at(arena.materialize(arena.include(pg)), node)
     assert isinstance(nested, PNode)
     return arena.proof(nested)

@@ -13,11 +13,12 @@ One extension keeps every proof it handles in one hash-consed
 step gets a view of a stored state and gives each star leaf a state id
 of that store as its residual.  The identity step returns the stored
 destructor itself; a step that builds a residual elsewhere copies it in
-with :meth:`~nwproofs.store.Arena.include`.  The input is copied in and
-minimized once; each state added later gets its bisimulation class by a
-table lookup, which stays exact because a new state links only to older
-ones.  A residual's memo key is its class id, so residuals are keyed up
-to bisimilarity, and a view is made once per value checked or stepped.
+with :meth:`~nwproofs.store.Arena.include`.  The store holds no two
+bisimilar states: the input is copied in minimized, and a state added
+later is looked up by its fragment and successor ids, which is exact
+because a new state links only to stored ones.  A residual's memo key
+is its state id, so residuals are keyed up to bisimilarity, and a view
+is made once per value checked or stepped.
 
 Both conditions a step must satisfy are checked while extending, and
 only there, in ``_Engine``: every glue point must get a stored residual
@@ -199,17 +200,16 @@ def extend(
 
 def _close(engine, root, max_states) -> ProofGraph | None:
     """Memoized corecursion to a finite graph; None if the key space is
-    exhausted before closing.  A residual's key is its class id in the
-    store's class table."""
-    classes = engine.store._class  # read, never written
-    memo: dict[int, str] = {classes[root.root]: "s0"}
+    exhausted before closing.  A residual's key is its state id, which
+    in the store is its bisimulation class."""
+    memo: dict[StateId, str] = {root.root: "s0"}
     queue: list[tuple[ProofGraph, str]] = [(root, "s0")]  # grows while it is walked
     emitted: dict[str, tuple[TreeNW, dict[Word, str]]] = {}
     for value, sid in queue:
         fragment, links = engine.apply(value)
         out = {}
         for w in fragment.leaf_order:
-            key = classes[links[w]]
+            key = links[w]
             if key not in memo:
                 if len(memo) >= max_states:
                     return None

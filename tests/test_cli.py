@@ -44,6 +44,16 @@ state s1
     assert "node 0" in out and "progress" in out
 
 
+def test_check_counts_only_the_states_it_checked(tmp_path, capsys):
+    # s1 is no axiom instance, but the root does not reach it
+    text = "calculus grz\nroot s0\n\nstate s0\n  p0 |- p0 : ax\n\nstate s1\n  p1 |- p0 : ax\n"
+    path = write(tmp_path, "unreachable.proof", text)
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out == f"{path}: ok (1 states, 1 unreachable not checked)\n"
+    assert main(["check", str(CORPUS / "box_step.proof")]) == 0
+    assert capsys.readouterr().out == f"{CORPUS / 'box_step.proof'}: ok (2 states)\n"
+
+
 def test_check_malformed_exits_two(tmp_path, capsys):
     path = write(tmp_path, "junk.proof", "calculus grz\nroot s0\nstate s0\n  what : ax\n")
     assert main(["check", path]) == 2

@@ -1,4 +1,4 @@
-"""The hash-consed state store behind ``extend``: class ids, the check
+"""The hash-consed state store behind ``extend``: ids as classes, the check
 cache, and how much work one translation does per state."""
 
 from __future__ import annotations
@@ -7,7 +7,6 @@ import ast
 import random
 import sys
 from collections import Counter
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -28,7 +27,13 @@ from nwproofs.grz.formulas import Box
 from nwproofs.grz.rules import BOX, CUT
 from nwproofs.search import SearchBudget, _plant_cut, search
 from nwproofs.store import Arena, PNode, canonical_form, check, subproof
-from nwproofs.translate import StepContractViolation, TranslationStep, extend, identity_step
+from nwproofs.translate import (
+    NotASourceProof,
+    StepContractViolation,
+    TranslationStep,
+    extend,
+    identity_step,
+)
 from nwproofs.trees import EPSILON, STAR, TreeNW
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -48,18 +53,25 @@ def _random_states(rng, names, targets, count):
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_store_classes_agree_with_canonical_form(rng):
-    # a random cyclic coalgebra, copied in state by state
+    # a store id is a bisimulation class: stored states have pairwise
+    # distinct canonical forms, and each id that include or add returns
+    # has the canonical form of what went in
     names = [f"s{i}" for i in range(rng.randint(1, 6))]
     base = Coalgebra(_random_states(rng, names, names, len(names)))
     arena = Arena()
+    # a random cyclic coalgebra, copied in state by state
     for s in names:
-        arena.include(ProofGraph(base, s))
+        included = arena.include(ProofGraph(base, s))
+        assert canonical_form(arena.graph, included) == canonical_form(base, s)
     # batches of states on top, linking back into everything stored so far
     for _ in range(rng.randint(1, 3)):
         stored = sorted(arena.graph.states)
         for _ in range(rng.randint(1, 4)):
             frag = random_tree_nw(rng, max_nodes=3, star_prob=0.5, labels=LABELS)
-            arena.add(frag, {w: rng.choice(stored) for w in frag.nw_leaves})
+            links = {w: rng.choice(stored) for w in frag.nw_leaves}
+            went_in = Coalgebra({**arena.graph._dest, "new": (frag, links)})
+            added = arena.add(frag, links)
+            assert canonical_form(arena.graph, added) == canonical_form(went_in, "new")
     # one foreign import: a renamed copy of the base, plus cyclic states
     # whose names collide with stored ones
     copy = {f"c{s}": (base.fragment(s), {w: f"c{t}" for w, t in base.links(s).items()}) for s in names}
@@ -67,12 +79,28 @@ def test_store_classes_agree_with_canonical_form(rng):
     copy.update(_random_states(rng, extra, extra + sorted(copy), len(extra)))
     foreign = Coalgebra(copy)
     root = rng.choice(sorted(foreign.states))
-    arena.include(ProofGraph(foreign, root))
+    included = arena.include(ProofGraph(foreign, root))
+    assert canonical_form(arena.graph, included) == canonical_form(foreign, root)
 
     g = arena.graph
-    key = {s: canonical_form(g, s) for s in g.states}
-    for a, b in combinations(sorted(g.states), 2):
-        assert (arena.class_of(a) == arena.class_of(b)) == (key[a] == key[b])
+    keys = [canonical_form(g, s) for s in g.states]
+    assert len(set(keys)) == len(keys)
+
+
+def test_a_bisimilar_state_is_the_stored_one():
+    arena = Arena()
+    root = arena.include(box_step_graph())
+    frag, links = arena.graph._dest[root]
+    size = len(arena._states)
+    assert arena.add(frag, dict(links)) == root
+    # a renamed copy, included into a store that holds the original
+    renamed = {
+        f"r{s}": (f, {w: f"r{t}" for w, t in ls.items()}) for s, (f, ls) in arena.graph._dest.items()
+    }
+    assert arena.include(ProofGraph(Coalgebra(renamed), f"r{root}")) == root
+    assert len(arena._states) == size
+    # the hit used up no fresh name
+    assert arena.add(TreeNW([(seq([P], [P]), "ax")], [0]), {}) == "t0"
 
 
 def _reference_partition(coalg: Coalgebra) -> set[frozenset[StateId]]:
@@ -176,21 +204,29 @@ def _reduce_cut_on(pg: ProofGraph) -> ProofGraph:
     return reduce_cut(pg, parse_proof_file(CUT_PARTNER)[1])
 
 
+def _end(pg: ProofGraph):
+    return pg.root_sequent
+
+
 # each entry point: its output on a proof, the calculus the output is
 # checked in, and the end sequent it must have
 ENTRY_POINTS = {
-    "weakening": (lambda pg: weakening(pg, seq([Q])), GRZ_CUT, lambda s: s.with_left(Q)),
-    "subproof root": (lambda pg: subproof(pg, EPSILON), GRZ_CUT, lambda s: s),
-    "subproof premise": (lambda pg: subproof(pg, (0,)), GRZ_CUT, lambda s: None),
-    "cuts_up": (cuts_up, GRZ_CUT, lambda s: s),
-    "reduce_cut": (_reduce_cut_on, GRZ_CUT, lambda s: seq([Box(P)], [Box(P)])),
-    "cut_elim": (cut_elim, GRZ, lambda s: s),
-    "cut_elim no memo": (lambda pg: cut_elim(pg, UnfoldBudget(3), memo=False), GRZ, lambda s: s),
-    "identity": (lambda pg: extend(identity_step(GRZ_CUT), pg, UnfoldBudget(3)), GRZ_CUT, lambda s: s),
+    "weakening": (lambda pg: weakening(pg, seq([Q])), GRZ_CUT, lambda pg: _end(pg).with_left(Q)),
+    "subproof root": (lambda pg: subproof(pg, EPSILON), GRZ_CUT, _end),
+    "subproof premise": (
+        lambda pg: subproof(pg, (0,)),
+        GRZ_CUT,
+        lambda pg: pg.fragment(pg.root).label((0,))[0],
+    ),
+    "cuts_up": (cuts_up, GRZ_CUT, _end),
+    "reduce_cut": (_reduce_cut_on, GRZ_CUT, lambda pg: seq([Box(P)], [Box(P)])),
+    "cut_elim": (cut_elim, GRZ, _end),
+    "cut_elim no memo": (lambda pg: cut_elim(pg, UnfoldBudget(3), memo=False), GRZ, _end),
+    "identity": (lambda pg: extend(identity_step(GRZ_CUT), pg, UnfoldBudget(3)), GRZ_CUT, _end),
     "identity no memo": (
         lambda pg: extend(identity_step(GRZ_CUT), pg, UnfoldBudget(3), memo=False),
         GRZ_CUT,
-        lambda s: s,
+        _end,
     ),
 }
 
@@ -221,11 +257,17 @@ def test_an_input_with_bisimilar_states_is_the_proof_with_them_merged(variant, e
     else:
         assert check_proof_graph(calc, out).ok
         root_sequent = out.root_sequent
-    expected = end(pg.root_sequent)
-    if expected is None:  # the sequent of the node the subproof is rooted at
-        expected = pg.fragment(pg.root).label((0,))[0]
-    assert root_sequent == expected
+    assert root_sequent == end(pg)
     assert _printed(out) == _printed(apply(_duplicated(variant, merged=True)))
+
+
+def test_bisimilar_failing_states_are_one_finding_to_extend_and_each_one_to_check():
+    refl = "box p0 |- p0 : refl\n    p0, box p0 |- p0 : ax"
+    pg = parse_proof_file(DUPLICATED["grz"] + REFL_STATES.replace(refl, "box p0 |- p0 : ax"))[1]
+    assert [f.state for f in check_proof_graph(GRZ_CUT, pg).findings] == ["b1", "b2"]
+    with pytest.raises(NotASourceProof) as err:
+        extend(identity_step(GRZ_CUT), pg, UnfoldBudget(3))
+    assert str(err.value).count("not an instance of ax") == 1
 
 
 # -- the check cache -------------------------------------------------------
