@@ -180,10 +180,7 @@ class ProofGraph:
             isinstance(other, ProofGraph)
             and self.root == other.root
             and self.states == other.states
-            and all(
-                self.fragment(s) == other.fragment(s) and self.links(s) == other.links(s)
-                for s in self.states
-            )
+            and all(self.graph._dest[s] == other.graph._dest[s] for s in self.states)
         )
 
     def __repr__(self) -> str:
@@ -214,7 +211,7 @@ def check_proof_fragment(
     leaves = leaf_sequents
     if not isinstance(leaves, tuple):
         leaves = tuple([leaf_sequents.get(w, _MISSING) for w in tree.leaf_order])
-    elif len(leaves) != len(tree.leaf_order):
+    elif len(leaves) != len(tree._stars):
         raise CalculusError("a fragment needs one sequent per star leaf")
     if decided is None:
         decided = {}
@@ -288,19 +285,19 @@ def check_proof_graph(
     States in ``skip`` are neither checked nor entered: a caller passes
     the states whose proofs it has already seen pass with ``calc``.
     One ``decided`` table, the caller's or a fresh one, serves every
-    fragment check, whose leaf sequents, the root sequents of the linked
-    states, go as a tuple in leaf order; the report lists the states checked.
+    fragment check, whose leaf sequents, the root sequents of the state's
+    targets, go as a tuple in leaf order; the report lists the states checked.
     """
     report = CheckReport(states=root_first_order(pg.graph, pg.root, skip))
     decided = {} if decided is None else decided
     dest = pg.graph._dest  # read, never written
     roots: dict[StateId, Any] = {}  # the root sequent of each linked state, read once
     for state in report.states:
-        tree, links = dest[state]
-        for t in links.values():
+        tree, targets = dest[state]
+        for t in targets:
             if t not in roots:
                 roots[t] = _sequent_rule(dest[t][0]._labels[0])[0]
-        leaves = tuple([roots[links[w]] for w in tree.leaf_order])
+        leaves = tuple([roots[t] for t in targets])
         found = check_proof_fragment(calc, tree, leaves, state, decided=decided)
         report.findings += found.findings
     return report

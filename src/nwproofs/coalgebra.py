@@ -1,16 +1,16 @@
-"""Finite coalgebras: states destructing to a fragment plus leaf links.
+"""Finite coalgebras: states destructing to a fragment plus successors.
 
 A coalgebra stores at each state a finite tree with star leaves and a
-total map from those leaves back to states.  Regular infinite trees are
-exactly what these machines generate.  This module is the part the
-checker walks; the infinite object itself only ever exists through
-:func:`~nwproofs.fftree.unfold`, which is depth- and size-budgeted, and
-bisimulation lives with its one kernel caller in :mod:`nwproofs.store`.
+tuple of target states, one per star leaf in leaf order.  Regular
+infinite trees are exactly what these machines generate.  This module
+is the part the checker walks; the infinite object itself only ever
+exists through :func:`~nwproofs.fftree.unfold`, which is depth- and
+size-budgeted, and bisimulation lives with its one kernel caller in
+:mod:`nwproofs.store`.
 
 States are walked in one order everywhere, :func:`root_first_order`:
-breadth first from a root, each state's successors in the order of
-their leaf words.  Reachability, canonical keys, the graph checker, the
-state store and the printed file format all read it.
+breadth first, each state's successors in leaf order.  Reachability,
+canonical keys, the checker, the store and the file format all read it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import _forwarder
 from .trees import TreeNW, Word, format_word
 
 StateId = str
-Destructor = tuple[TreeNW, Mapping[Word, StateId]]
+Destructor = tuple[TreeNW, tuple[StateId, ...]]  # a fragment, and a target per star leaf
 
 
 class CoalgebraError(ValueError):
@@ -41,18 +41,18 @@ class BudgetError(ValueError):
 
 
 class Coalgebra:
-    """Immutable map from state ids to (fragment, links) destructors."""
+    """Immutable map from state ids to (fragment, targets) destructors."""
 
     __slots__ = ("_dest",)
 
     def __init__(self, destructors: Mapping[StateId, Destructor]):
         self._dest = {
-            state: validated_destructor(state, frag, links, destructors)
-            for state, (frag, links) in destructors.items()
+            state: validated_destructor(state, frag, targets, destructors)
+            for state, (frag, targets) in destructors.items()
         }
 
     @classmethod
-    def view(cls, table: dict[StateId, tuple[TreeNW, dict[Word, StateId]]]) -> "Coalgebra":
+    def view(cls, table: dict[StateId, Destructor]) -> "Coalgebra":
         """A coalgebra over a live table, shared rather than copied.
 
         The owner of ``table`` validates each destructor as it adds it
@@ -75,11 +75,13 @@ class Coalgebra:
         return self._dest[state][0]
 
     def links(self, state: StateId) -> dict[Word, StateId]:
+        """The state's targets keyed by their star leaves' words."""
         self._check(state)
-        return dict(self._dest[state][1])
+        frag, targets = self._dest[state]
+        return dict(zip(frag.leaf_order, targets))
 
-    def destructors(self) -> dict[StateId, tuple[TreeNW, dict[Word, StateId]]]:
-        return {s: (f, dict(l)) for s, (f, l) in self._dest.items()}
+    def destructors(self) -> dict[StateId, Destructor]:
+        return dict(self._dest)
 
     def _check(self, state: StateId) -> None:
         if state not in self._dest:
@@ -93,36 +95,32 @@ class Coalgebra:
 
 
 def validated_destructor(
-    state: StateId, frag: TreeNW, links: Mapping[Word, StateId], known: Container[StateId]
-) -> tuple[TreeNW, dict[Word, StateId]]:
-    """A state's destructor with its links copied, once they are known to
-    cover its star leaves exactly and to lead only to ``known`` states."""
-    links = dict(links)
-    if set(links) != set(frag.nw_leaves):
-        raise CoalgebraError(f"links of state {state!r} do not cover its star leaves exactly")
-    for w, target in links.items():
+    state: StateId, frag: TreeNW, targets: tuple[StateId, ...], known: Container[StateId]
+) -> Destructor:
+    """A state's destructor, once its targets are known to be a tuple of
+    ``known`` states, one per star leaf of its fragment."""
+    if not isinstance(targets, tuple) or len(targets) != len(frag._stars):
+        raise CoalgebraError(f"state {state!r} needs a tuple of one target per star leaf")
+    for i, target in enumerate(targets):
         if target not in known:
-            raise UnknownState(
-                f"state {state!r} links {format_word(w)} to unknown state {target!r}"
-            )
-    return frag, links
+            leaf = format_word(frag.leaf_order[i])
+            raise UnknownState(f"state {state!r} links {leaf} to unknown state {target!r}")
+    return frag, targets
 
 
 def root_first_order(
     coalg: Coalgebra, state: StateId, skip: Container[StateId] = ()
 ) -> list[StateId]:
     """States reachable from ``state``, breadth first and each state's
-    successors in leaf-word order; states in ``skip`` are neither listed
-    nor entered."""
+    successors in leaf order; states in ``skip`` are neither listed nor
+    entered."""
     coalg._check(state)
     if state in skip:
         return []
     order = [state]
     seen = {state}
     for s in order:
-        frag, links = coalg._dest[s]
-        for w in frag.leaf_order:
-            t = links[w]
+        for t in coalg._dest[s][1]:
             if t not in seen and t not in skip:
                 seen.add(t)
                 order.append(t)

@@ -72,9 +72,8 @@ def print_proof_file(pg: ProofGraph, calculus_name: str) -> str:
     # unreachable states still serialize, after the reachable ones
     for state in order + sorted(pg.states.difference(order)):
         lines.append(f"state {state}")
-        frag = pg.fragment(state)
-        links = pg.links(state)
-        targets = iter([links[w] for w in frag.leaf_order])
+        frag, targets = pg.graph._dest[state]
+        targets = iter(targets)
         # nodes in preorder, each indented one level more than its depth
         for label, depth in zip(frag.key[0], _depths(frag.key[1])):
             pad = INDENT * (depth + 1)
@@ -89,27 +88,30 @@ def print_proof_file(pg: ProofGraph, calculus_name: str) -> str:
 def to_dot(pg: ProofGraph) -> str:
     """Graphviz rendering: one cluster per state, link edges dashed."""
     lines = ["digraph proof {", '  node [shape=box, fontname="monospace"];']
+    escapes = str.maketrans({"\\": "\\\\", '"': '\\"'})  # for names in quoted strings
     links: list[tuple[str, str]] = []
     order = root_first_order(pg.graph, pg.root)
     for state in order + sorted(pg.states.difference(order)):
         frag = pg.fragment(state)
         state_links = pg.links(state)
-        lines.append(f'  subgraph "cluster_{state}" {{')
-        lines.append(f'    label="{state}";')
+        name = str(state).translate(escapes)
+        lines.append(f'  subgraph "cluster_{name}" {{')
+        lines.append(f'    label="{name}";')
         for w in sorted(frag.nodes):
-            node_id = f"{state}/{format_word(w)}"
-            if w in frag.nw_leaves:
-                links.append((node_id, f"{state_links[w]}/{format_word(EPSILON)}"))
+            node_id = f"{name}/{format_word(w)}"
+            if w in state_links:
+                target = str(state_links[w]).translate(escapes)
+                links.append((node_id, f"{target}/{format_word(EPSILON)}"))
                 lines.append(f'    "{node_id}" [label="*", shape=circle];')
             else:
                 sequent, rule = frag.label(w)
-                text = f"{print_sequent(sequent)}\\n{rule}"
+                text = f"{print_sequent(sequent)}\\n{rule.translate(escapes)}"
                 lines.append(f'    "{node_id}" [label="{text}"];')
         for w in sorted(frag.nodes):
             if w == EPSILON:
                 continue
             lines.append(
-                f'    "{state}/{format_word(w[:-1])}" -> "{state}/{format_word(w)}";'
+                f'    "{name}/{format_word(w[:-1])}" -> "{name}/{format_word(w)}";'
             )
         lines.append("  }")
     for src, dst in links:

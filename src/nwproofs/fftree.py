@@ -24,7 +24,7 @@ along its progress edges (:func:`compute_fragmentation`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .calculus import (
     CalculusError,
@@ -361,8 +361,8 @@ def subelement(coalg: Coalgebra, state: StateId, path: RootPath) -> StateId:
     """The state reached by following ``path`` from ``state``."""
     coalg._check(state)
     for w in path:
-        frag, links = coalg._dest[state]
-        if w not in frag.nw_leaves:
+        links = coalg.links(state)
+        if w not in links:
             raise NotARootPath(f"{format_word(w)} is not a star leaf of state {state!r}")
         state = links[w]
     return state
@@ -404,7 +404,7 @@ def unfold(coalg: Coalgebra, state: StateId, budget: UnfoldBudget) -> Unfolding:
 
 
 def unfold_by(
-    destruct: Callable[[Any, Word], tuple[TreeNW, Mapping[Word, Any]]],
+    destruct: Callable[[Any, Word], tuple[TreeNW, Sequence[Any]]],
     root: Any,
     budget: UnfoldBudget,
     name: Callable[[Any], str],
@@ -412,7 +412,7 @@ def unfold_by(
     """Lay out ``budget.max_depth`` layers of fragments as one tree.
 
     ``destruct(x, at)`` gives the fragment of a value placed at word
-    ``at`` and its successor per star leaf.  Layer k holds the fragments
+    ``at`` and its successors in leaf order.  Layer k holds the fragments
     reached by root paths of length k; beyond the last layer each
     pending glue point becomes a truncation leaf carrying its value's
     ``name`` and root label, taken in frontier order.
@@ -431,8 +431,8 @@ def unfold_by(
                     root_of[base + u] = base
             if len(labels) > budget.max_nodes:
                 raise BudgetExceeded(f"unfolding exceeds {budget.max_nodes} nodes")
-            for w in frag.leaf_order:
-                next_frontier.append((base + w, succ[w]))
+            for w, y in zip(frag.leaf_order, succ):
+                next_frontier.append((base + w, y))
         frontier = next_frontier
     for base, x in frontier:
         truncations[base] = name(x)

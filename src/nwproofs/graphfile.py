@@ -15,10 +15,10 @@ from typing import Any
 
 from . import _forwarder
 from .calculus import ProofGraph
-from .coalgebra import Coalgebra
+from .coalgebra import Coalgebra, Destructor
 from .grz.rules import CALCULI
 from .syntax import ParseError, parse_sequent
-from .trees import STAR, TreeNW, Word
+from .trees import STAR, TreeNW
 
 INDENT = "  "
 
@@ -32,7 +32,7 @@ class GraphFileError(ValueError):
 def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
     calculus_name: str | None = None
     root: str | None = None
-    dest: dict[str, tuple[TreeNW, dict[Word, str]]] = {}
+    dest: dict[str, Destructor] = {}
     current: str | None = None
     labels: list[Any] = []  # the state's nodes in line order, which is preorder
     arities: list[int] = []
@@ -47,8 +47,7 @@ def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
             raise GraphFileError(f"state {current} has no fragment", line_no)
         if labels[0] is STAR:
             raise GraphFileError(f"state {current} is just a link", line_no)
-        tree = TreeNW(labels, arities)
-        dest[current] = (tree, dict(zip(tree.leaf_order, targets)))
+        dest[current] = (TreeNW(labels, arities), tuple(targets))
         for table in (labels, arities, targets, path):
             table.clear()
         current = None
@@ -108,8 +107,8 @@ def parse_proof_file(text: str) -> tuple[str, ProofGraph]:
         raise GraphFileError("missing root header")
     if root not in dest:
         raise GraphFileError(f"root {root} has no state block")
-    for name, (_, state_links) in dest.items():
-        for target in state_links.values():
+    for name, (_, successors) in dest.items():
+        for target in successors:
             if target not in dest:
                 raise GraphFileError(f"state {name} links to unknown state {target}")
     return calculus_name, ProofGraph(Coalgebra(dest), root)

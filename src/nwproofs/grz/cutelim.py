@@ -290,7 +290,7 @@ def _cut_free(arena: Arena, state: str, on_step: StepHook | None) -> PNode:
         assert isinstance(pa, PNode) and isinstance(pb, PNode)
         return _reduce(arena, pa, pb, _derive_cut_formula(pa.sequent, pb.sequent), None, on_step)
 
-    return to_nested(arena.state_fragment(state), arena.graph.links(state), node)
+    return to_nested(*arena.graph._dest[state], node)
 
 
 def cuts_up(pg: ProofGraph, on_step: StepHook | None = None) -> ProofGraph:

@@ -113,7 +113,7 @@ class _Search:
         dest = {}
         for g, nested in table.items():
             frag, pending = flatten(nested)
-            dest[sid[g]] = (frag, {w: sid[p] for w, p in pending.items()})
+            dest[sid[g]] = (frag, tuple([sid[p] for p in pending]))
         return ProofGraph(Coalgebra(dest), sid[goal])
 
     def _prove_state(
@@ -351,9 +351,8 @@ def _plant_cut(rng: random.Random, pg: ProofGraph) -> ProofGraph:
     p = Atom(0)
     pp = Imp(p, p)
     state = rng.choice(sorted(pg.states))
-    fragment = pg.fragment(state)
-    links = pg.links(state)
-    nested = to_nested(fragment, links)
+    fragment, targets = pg.graph._dest[state]
+    nested = to_nested(fragment, targets)
     spots = [w for w in sorted(fragment.proper_nodes)]
     at = rng.choice(spots)
     target = subtree_at(nested, at)
@@ -369,7 +368,7 @@ def _plant_cut(rng: random.Random, pg: ProofGraph) -> ProofGraph:
     assert isinstance(planted, PNode)
     # the cut keeps every link of the subtree it replaces, so the
     # planted proof reaches exactly the states that ``pg`` reaches
-    dest = {s: (pg.fragment(s), pg.links(s)) for s in root_first_order(pg.graph, pg.root)}
+    dest = {s: pg.graph._dest[s] for s in root_first_order(pg.graph, pg.root)}
     dest[state] = flatten(planted)
     return ProofGraph(Coalgebra(dest), pg.root)
 

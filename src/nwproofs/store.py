@@ -17,20 +17,20 @@ a state that passed still passes, and whether an instance, or a
 fragment over given leaf sequents, passes depends on the calculus
 alone.  Which table may answer for which calculus is decided by
 ``extend``, not here.  A pass is keyed ``(tree, leaves)``, the leaf
-sequents in leaf order.  A copied-in state shares its links unless one
-of them is renamed or redirected to its class's stored state; a
-translation step hands them back, and none is written.
+sequents in leaf order.  A copied-in state shares its tuple of targets
+unless one of them is renamed or redirected to its class's stored
+state; a translation step hands it back, and none is written.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Container, Mapping
+from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
 from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, UnknownNode
 from .calculus import _check_labels, check_proof_graph
-from .coalgebra import Coalgebra, StateId, root_first_order, validated_destructor
+from .coalgebra import Coalgebra, Destructor, StateId, root_first_order, validated_destructor
 from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
 # -- nested fragment views ------------------------------------------------
@@ -67,15 +67,15 @@ class PNode:
 
 def to_nested(
     fragment: TreeNW,
-    links: Mapping[Word, StateId],
+    targets: Iterable[StateId],
     node: Callable[[Any, str, tuple], PNode] = PNode,
 ) -> PNode:
-    """The nested view of a fragment, built from its preorder arrays,
-    premises before conclusions and left to right; ``node(sequent, rule,
-    premises)`` makes each proper node, so a rewrite can act on every node
-    as it is built."""
+    """The nested view of a fragment whose star leaves link to ``targets``
+    in leaf order, built from its preorder arrays, premises before
+    conclusions and left to right; ``node(sequent, rule, premises)`` makes
+    each proper node, so a rewrite can act on every node as it is built."""
     labels, arities = fragment.key
-    targets = iter([links[w] for w in fragment.leaf_order])
+    targets = iter(targets)
     done: list[PNode | PLink] = []  # the finished subtrees, in that order
     open_: list[tuple[int, int]] = []  # (position, len(done) before its premises)
     for p, label in enumerate(labels):
@@ -93,12 +93,12 @@ def to_nested(
     return top
 
 
-def flatten(node: PNode) -> tuple[TreeNW, dict[Word, StateId]]:
-    """The fragment and links of a nested view: its nodes laid out in
+def flatten(node: PNode) -> Destructor:
+    """The fragment and targets of a nested view: its nodes laid out in
     preorder on an explicit stack, straight into a fragment's arrays."""
     labels: list[Any] = []
     arities: list[int] = []
-    targets: list[StateId] = []  # of the links, in preorder
+    targets: list[StateId] = []  # of the links, in preorder, which is leaf order
     stack: list[PNode | PLink] = [node]
     while stack:
         n = stack.pop()
@@ -110,8 +110,7 @@ def flatten(node: PNode) -> tuple[TreeNW, dict[Word, StateId]]:
             labels.append((n.sequent, n.rule))
             arities.append(len(n.children))
             stack.extend(reversed(n.children))
-    fragment = TreeNW(labels, arities)
-    return fragment, dict(zip(fragment.leaf_order, targets))
+    return TreeNW(labels, arities), tuple(targets)
 
 
 def replace_subtree(node: PNode, at: Word, new: PNode | PLink) -> PNode | PLink:
@@ -139,11 +138,10 @@ def subtree_at(node: PNode, at: Word) -> PNode | PLink:
 def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]:
     """Quotient by the coarsest bisimulation.
 
-    States are identified iff their fragments are equal and their links
-    lead to pairwise identified states; the refinement is seeded by
-    fragment equality.  A block fixes its fragment, and so its leaf
-    words, so a signature keeps only block ids, in leaf order.  Returns
-    the quotient and the renaming map.
+    States are identified iff their fragments are equal and their targets
+    are pairwise identified states; the refinement is seeded by fragment
+    equality, and a signature keeps only block ids, in leaf order.
+    Returns the quotient and the renaming map.
     """
     states = sorted(coalg.states)
     block: dict[StateId, int] = {}
@@ -155,8 +153,7 @@ def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]
         sigs: dict[tuple, int] = {}
         new_block: dict[StateId, int] = {}
         for s in states:
-            frag, links = coalg._dest[s]
-            sig = (block[s], tuple([block[links[w]] for w in frag.leaf_order]))
+            sig = (block[s], tuple([block[t] for t in coalg._dest[s][1]]))
             new_block[s] = sigs.setdefault(sig, len(sigs))
         if new_block == block:
             break
@@ -169,9 +166,9 @@ def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]
     dest = {}
     for b, ms in members.items():
         rep = min(ms)
-        frag, links = coalg._dest[rep]
-        dest[name[b]] = (frag, {w: renaming[t] for w, t in links.items()})
-    # each block's fragment and links come from a state of ``coalg``
+        frag, targets = coalg._dest[rep]
+        dest[name[b]] = (frag, tuple([renaming[t] for t in targets]))
+    # each block's fragment and targets come from a state of ``coalg``
     return Coalgebra.view(dest), renaming
 
 
@@ -187,8 +184,8 @@ def canonical_form(coalg: Coalgebra, state: StateId) -> tuple:
     order = root_first_order(small, renaming[state])
     index = {s: i for i, s in enumerate(order)}
     return tuple(
-        (frag.key, tuple((w, index[links[w]]) for w in frag.leaf_order))
-        for frag, links in (small._dest[s] for s in order)
+        (frag.key, tuple([index[t] for t in targets]))
+        for frag, targets in (small._dest[s] for s in order)
     )
 
 
@@ -199,9 +196,9 @@ class Arena:
     so a state's id is its bisimulation class, and two stored states have
     the same id exactly when their rooted proofs are bisimilar.  A state
     made by :meth:`add` links only to stored states, so it is bisimilar
-    to a stored state exactly when that state has its signature, the
-    fragment plus the successor ids in leaf order; a table maps each
-    signature to its state (hash-consing after Filliâtre and Conchon,
+    to a stored state exactly when that state has its destructor, the
+    fragment plus the target ids in leaf order; a table maps each
+    destructor to its state (hash-consing after Filliâtre and Conchon,
     "Type-safe modular hash-consing", 2006).  A graph brought in by
     :meth:`include` may be cyclic; its states are refined once, jointly
     with the stored ones, and only one state of each new class is copied
@@ -213,10 +210,10 @@ class Arena:
     """
 
     def __init__(self) -> None:
-        self._states: dict[StateId, tuple[TreeNW, dict[Word, StateId]]] = {}
+        self._states: dict[StateId, Destructor] = {}
         self._counter = 0
         self.graph = Coalgebra.view(self._states)
-        self._table: dict[tuple, StateId] = {}  # signature -> the state with it
+        self._table: dict[Destructor, StateId] = {}  # destructor -> the state with it
         self._checked: dict[int, tuple[LocalProgressCalculus, set[StateId], dict]] = {}
 
     def view(self, state: StateId) -> ProofGraph:
@@ -249,10 +246,10 @@ class Arena:
         rename = {s: self.fresh(pg.graph._dest) for s in order if s in self._states}
         joint = dict(self._states)
         for s in order:
-            frag, links = pg.graph._dest[s]
+            frag, targets = pg.graph._dest[s]
             if rename:
-                links = {w: rename.get(t, t) for w, t in links.items()}
-            joint[rename.get(s, s)] = (frag, links)
+                targets = tuple([rename.get(t, t) for t in targets])
+            joint[rename.get(s, s)] = (frag, targets)
         _, block = bisim_minimize(Coalgebra.view(joint))
         rep = {block[s]: s for s in self._states}
         incoming = [rename.get(s, s) for s in order]
@@ -261,11 +258,11 @@ class Arena:
         for s in incoming:
             if rep[block[s]] != s:
                 continue
-            frag, links = joint[s]
-            if any(rep[block[t]] != t for t in links.values()):
-                links = {w: rep[block[t]] for w, t in links.items()}
-            self._states[s] = (frag, links)
-            self._table[frag, tuple([links[w] for w in frag.leaf_order])] = s
+            dest = frag, targets = joint[s]
+            if any(rep[block[t]] != t for t in targets):
+                dest = frag, tuple([rep[block[t]] for t in targets])
+            self._states[s] = dest
+            self._table[dest] = s
         return rep[block[incoming[0]]]
 
     def fresh(self, avoid: Container[StateId] = ()) -> StateId:
@@ -276,25 +273,22 @@ class Arena:
             if name not in self._states and name not in avoid:
                 return name
 
-    def add(self, fragment: TreeNW, links: Mapping[Word, StateId]) -> StateId:
-        """The id of a state whose links lead to stored states: the stored
-        state with its signature, or else a new one."""
-        fragment, links = validated_destructor("new", fragment, links, self._states)
+    def add(self, fragment: TreeNW, targets: tuple[StateId, ...]) -> StateId:
+        """The id of a state whose targets are stored states: the stored
+        state with its destructor, or else a new one."""
+        dest = validated_destructor("new", fragment, targets, self._states)
         _check_labels(fragment)
-        signature = (fragment, tuple([links[w] for w in fragment.leaf_order]))
-        sid = self._table.get(signature)
+        sid = self._table.get(dest)
         if sid is None:
-            sid = self._table[signature] = self.fresh()
-            self._states[sid] = (fragment, links)
+            sid = self._table[dest] = self.fresh()
+            self._states[sid] = dest
         return sid
 
     def intern(self, node: PNode) -> StateId:
-        fragment, links = flatten(node)
-        return self.add(fragment, links)
+        return self.add(*flatten(node))
 
     def materialize(self, state: StateId) -> PNode:
-        fragment, links = self._states[state]
-        return to_nested(fragment, links)
+        return to_nested(*self._states[state])
 
     def state_fragment(self, state: StateId) -> TreeNW:
         return self._states[state][0]
@@ -331,7 +325,7 @@ def subproof(pg: ProofGraph, node: Word) -> ProofGraph:
     if node not in frag:
         raise UnknownNode(f"node {format_word(node)} not in root fragment")
     links = pg.links(pg.root)
-    if node in frag.nw_leaves:
+    if node in links:
         return pg.at(links[node])
     arena = Arena()
     nested = subtree_at(arena.materialize(arena.include(pg)), node)

@@ -10,10 +10,11 @@ truncation marks.
 
 One extension keeps every proof it handles in one hash-consed
 :class:`~nwproofs.store.Arena`, the carrier of the step's coalgebra: a
-step gets a view of a stored state and gives each star leaf a state id
-of that store as its residual.  The identity step returns the stored
-destructor itself; a step that builds a residual elsewhere copies it in
-with :meth:`~nwproofs.store.Arena.include`.  The store holds no two
+step gets a view of a stored state and gives its star leaves, in leaf
+order, a tuple of state ids of that store as their residuals.  The
+identity step returns the stored destructor itself; a step that builds
+a residual elsewhere copies it in with
+:meth:`~nwproofs.store.Arena.include`.  The store holds no two
 bisimilar states: the input is copied in minimized, and a state added
 later is looked up by its fragment and successor ids, which is exact
 because a new state links only to stored ones.  A residual's memo key
@@ -21,12 +22,12 @@ is its state id, so residuals are keyed up to bisimilarity, and a view
 is made once per value checked or stepped.
 
 Both conditions a step must satisfy are checked while extending, and
-only there, in ``_Engine``: every glue point must get a stored residual
-that passes the source checker (condition 2), and every emitted fragment,
-paired with the root sequents of its translated residuals, must pass
-the target fragment check (condition 1), which admits (sequent, rule)
-labels and stars only, so a truncation mark or any other foreign label
-in a step's fragment breaks it.  Closed outputs are views of the
+only there, in ``_Engine``: every glue point, and nothing else, must get
+a stored residual that passes the source checker (condition 2), and
+every emitted fragment, paired with the root sequents of its translated
+residuals, must pass the target fragment check (condition 1), which
+admits (sequent, rule) labels and stars only, so a truncation mark or
+any other foreign label in a step's fragment breaks it.  Closed outputs are views of the
 emitted fragments, so this is the only check they get.  Source checks
 go through the store's cached check, :func:`~nwproofs.store.check`, so
 each state's fragment is checked against the source once.  Target
@@ -50,23 +51,24 @@ and :func:`validate_step` is a memo-free extension of one layer.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .calculus import CalculusError, CheckReport, LocalProgressCalculus, ProofGraph
 from .calculus import _is_sequent_rule, check_proof_fragment, recorded_pass
-from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, StateId
+from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, Destructor, StateId
 from .fftree import TruncationNotAllowed, UnfoldBudget, Unfolding, unfold_by
 from .store import Arena, check
 from .trees import EPSILON, STAR, TreeNW, Word, format_word
 
-StepOutput = tuple[TreeNW, Mapping[Word, StateId]]
+StepOutput = Destructor  # a fragment, and a state of the step's store per star leaf
 
 
 @dataclass(frozen=True)
 class TranslationStep:
     """One-fragment translation from proofs of ``source`` into ``target``;
-    ``apply(pg)`` returns a fragment and a state of ``pg.store`` per star leaf."""
+    ``apply(pg)`` returns a fragment and a tuple holding a state of
+    ``pg.store`` per star leaf, in leaf order."""
 
     source: LocalProgressCalculus
     target: LocalProgressCalculus
@@ -120,18 +122,21 @@ class _Engine:
             )
 
     def apply(self, pg: ProofGraph) -> StepOutput:
-        fragment, links = self.step.apply(pg)
+        fragment, targets = self.step.apply(pg)
         # the root's sequent is read, as a leaf sequent, before the target check
         if not _is_sequent_rule(fragment.label(EPSILON)):
             raise StepContractViolation(1, "fragment root is not labelled with (sequent, rule)")
-        for w in fragment.leaf_order:
+        for i in range(len(fragment._stars)):
             try:
-                stored = links[w] in self.store._states
-            except (KeyError, TypeError):  # no residual, or one that is no state id
+                stored = targets[i] in self.store._states
+            except (LookupError, TypeError):  # no residual, or one that is no state id
                 stored = False
             if not stored:
-                raise StepContractViolation(2, f"no stored residual at leaf {format_word(w)}")
-        return fragment, links
+                leaf = format_word(fragment.leaf_order[i])
+                raise StepContractViolation(2, f"no stored residual at leaf {leaf}")
+        if len(targets) > len(fragment._stars):
+            raise StepContractViolation(2, "more residuals than star leaves")
+        return fragment, targets
 
     def check_value(self, state: StateId, where: Callable[[], str]) -> ProofGraph:
         """The view of a residual that passes the source check."""
@@ -204,27 +209,26 @@ def _close(engine, root, max_states) -> ProofGraph | None:
     in the store is its bisimulation class."""
     memo: dict[StateId, str] = {root.root: "s0"}
     queue: list[tuple[ProofGraph, str]] = [(root, "s0")]  # grows while it is walked
-    emitted: dict[str, tuple[TreeNW, dict[Word, str]]] = {}
+    emitted: dict[str, Destructor] = {}
     for value, sid in queue:
-        fragment, links = engine.apply(value)
-        out = {}
-        for w in fragment.leaf_order:
-            key = links[w]
+        fragment, targets = engine.apply(value)
+        for i, key in enumerate(targets):
             if key not in memo:
                 if len(memo) >= max_states:
                     return None
                 memo[key] = name = f"s{len(memo)}"
-                residual = engine.check_value(links[w], lambda: f"state {sid} leaf {format_word(w)}")
+                residual = engine.check_value(
+                    key, lambda: f"state {sid} leaf {format_word(fragment.leaf_order[i])}"
+                )
                 queue.append((residual, name))
-            out[w] = memo[key]
-        emitted[sid] = (fragment, out)
+        emitted[sid] = (fragment, tuple([memo[key] for key in targets]))
     roots = {sid: fragment._labels[0][0] for sid, (fragment, _) in emitted.items()}
     for sid, (fragment, out) in emitted.items():
-        leaves = tuple([roots[t] for t in out.values()])  # links run in leaf order
+        leaves = tuple([roots[t] for t in out])
         engine.check_fragment(fragment, leaves, lambda: f"state {sid}")
     # every fragment passed its target check, which admits (sequent, rule)
-    # labels and stars only, and has links covering its star leaves exactly,
-    # so it needs no second validation
+    # labels and stars only, and has one target per star leaf, so it needs
+    # no second validation
     return ProofGraph._view(Coalgebra.view(emitted), "s0", None)
 
 
@@ -240,9 +244,8 @@ def _unfold(engine, root, budget) -> Unfolding:
     def destruct(value, at):
         if at != EPSILON:
             value = engine.check_value(value, lambda: f"position {format_word(at)}")
-        fragment, links = engine.apply(value)
-        stepped[at] = fragment
-        return fragment, links
+        stepped[at], targets = engine.apply(value)
+        return stepped[at], targets
 
     names = (f"t{i}" for i in itertools.count())
     try:

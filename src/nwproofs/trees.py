@@ -3,7 +3,7 @@
 A tree is one label and one arity per node, in preorder, so walks read
 integer positions.  Nodes also have words (tuples of naturals): the root
 is the empty word and the i-th child of ``w`` is ``w + (i,)``; the word
-API reads an index built on first use.  A leaf labelled ``STAR`` is a
+API reads an index that a word table fills and arrays build on first use.  A leaf labelled ``STAR`` is a
 gluing point where another tree will be attached later; everything here
 is immutable and safe to share.
 """
@@ -119,33 +119,32 @@ class TreeNW:
     a word table or from preorder arrays: one label and one arity per node.
 
     Checked at construction: the nodes form one tree, the root is not a
-    star, and stars only occur at leaves.  ``leaf_order``, the star
-    leaves' words in preorder (word order), is computed once, and walks
-    in leaf order read it; ``_stars`` holds their positions."""
+    star, and stars only occur at leaves.  ``_stars`` holds the star
+    leaves' positions in preorder, which is leaf order; walks read it and
+    form no word.  ``leaf_order`` and ``nw_leaves`` are the word API's
+    views of it, read off the word index."""
 
-    __slots__ = ("_labels", "_arities", "_stars", "_leaf_order", "_nwl", "_hash", "_index")
+    __slots__ = ("_labels", "_arities", "_stars", "_hash", "_index")
 
     def __init__(self, labels: Labels, arities: Sequence[int] | None = None):
-        words: Sequence[Word] | Mapping[int, Word] | None = None
+        self._index: dict[Word, int] | None = None  # word -> position, built on first use
         if arities is None:  # a word table, sorted into preorder, which is word order
             arity = tree_arity(labels)
             words = sorted(arity)
             labels, arities = [labels[w] for w in words], [arity[w] for w in words]
+            self._index = {w: p for p, w in enumerate(words)}
         if not labels or len(labels) != len(arities):
             raise TreeError("a tree needs a root, and one label and one arity per node")
         if labels[0] is STAR:
             raise ViolatedRootLabel("root may not be a star", EPSILON)
+        if self._index is None:
+            preorder_words(arities, ())  # the arrays' shape, with no word formed
         self._labels, self._arities = tuple(labels), tuple(arities)
         self._stars = tuple([p for p, lab in enumerate(labels) if lab is STAR])
-        if words is None:
-            words = preorder_words(arities, set(self._stars))
-        self._leaf_order = tuple([words[p] for p in self._stars])
-        for p, w in zip(self._stars, self._leaf_order):
+        for p in self._stars:
             if arities[p]:
-                raise StarNotLeaf("star label on an inner node", w)
-        self._nwl = frozenset(self._leaf_order)
+                raise StarNotLeaf("star label on an inner node", self.words([p])[p])
         self._hash = hash((self._labels, self._arities))
-        self._index: dict[Word, int] | None = None  # word -> position, built on first use
 
     def _positions(self) -> dict[Word, int]:
         if self._index is None:
@@ -163,11 +162,11 @@ class TreeNW:
 
     @property
     def nw_leaves(self) -> frozenset[Word]:
-        return self._nwl
+        return frozenset(self.leaf_order)
 
     @property
     def leaf_order(self) -> tuple[Word, ...]:
-        return self._leaf_order
+        return tuple([w for w, p in self._positions().items() if self._labels[p] is STAR])
 
     @property
     def proper_nodes(self) -> frozenset[Word]:

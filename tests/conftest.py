@@ -51,7 +51,7 @@ def random_coalgebra(
     for s in names:
         frag = random_tree_nw(rng, max_nodes=max_frag_nodes)
         links = {w: rng.choice(names) for w in frag.nw_leaves}
-        dest[s] = (frag, links)
+        dest[s] = (frag, tuple(links[w] for w in frag.leaf_order))
     return Coalgebra(dest)
 
 

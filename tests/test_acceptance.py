@@ -228,7 +228,7 @@ def _unfolded_check(pg: ProofGraph, depth: int = 4) -> bool:
 
 def _mutate(rng: random.Random, pg: ProofGraph) -> ProofGraph | None:
     """One random corruption of the root fragment; None if it kept validity."""
-    nested = to_nested(pg.fragment(pg.root), pg.links(pg.root))
+    nested = to_nested(pg.fragment(pg.root), pg.links(pg.root).values())
     spots = _node_words(nested)
     at = rng.choice(spots)
     target = subtree_at(nested, at)
@@ -307,7 +307,7 @@ def test_criterion_4_checker_equivalence():
 
 
 def _main_fragment_cut_free(pg: ProofGraph) -> bool:
-    return to_nested(pg.fragment(pg.root), pg.links(pg.root)).count(CUT) == 0
+    return to_nested(pg.fragment(pg.root), pg.links(pg.root).values()).count(CUT) == 0
 
 
 def _aux_cases(pg: ProofGraph):
@@ -434,7 +434,7 @@ def test_criterion_7_end_to_end_cut_elimination():
             if not check_proof_graph(GRZ, out).ok:
                 failures += 1
             if any(
-                to_nested(out.fragment(s), out.links(s)).count(CUT) for s in out.states
+                to_nested(out.fragment(s), out.links(s).values()).count(CUT) for s in out.states
             ):
                 failures += 1
     elapsed = time.perf_counter() - started

@@ -222,10 +222,10 @@ def test_subproof_extraction():
 
 def test_nested_round_trip():
     pg = self_loop_graph()
-    nested = to_nested(pg.fragment("s2"), pg.links("s2"))
-    frag, links = flatten(nested)
+    nested = to_nested(pg.fragment("s2"), pg.links("s2").values())
+    frag, targets = flatten(nested)
     assert frag == pg.fragment("s2")
-    assert links == pg.links("s2")
+    assert dict(zip(frag.leaf_order, targets)) == pg.links("s2")
 
 
 # -- the checker against a memo-free reference -------------------------------
@@ -315,7 +315,7 @@ def test_a_truncation_mark_is_no_proof_node_however_the_graph_is_built():
         with pytest.raises(CalculusError, match="node 1 is not labelled"):
             check_proof_fragment(calc, holed, {})
     # a view is never label-checked on construction; the checker refuses it
-    pg = ProofGraph._view(Coalgebra.view({"s0": (holed, {})}), "s0", None)
+    pg = ProofGraph._view(Coalgebra.view({"s0": (holed, ())}), "s0", None)
     for calc in (GRZ, GRZ_CUT):
         with pytest.raises(CalculusError, match="node 1 is not labelled"):
             check_proof_graph(calc, pg)

@@ -1,3 +1,5 @@
+import hashlib
+import re
 import sys
 from pathlib import Path
 
@@ -198,6 +200,32 @@ def test_render_dot(capsys):
     out = capsys.readouterr().out
     assert out.startswith("digraph proof")
     assert "cluster_s0" in out
+
+
+# the renders of every corpus file, as the DOT writer printed them before
+# it escaped names; corpus names hold no quote or backslash
+CORPUS_RENDERS_DIGEST = "d692a7a918b6dd3297dab4f5010cafb3161298351a85196dd5e4dfb0fbf9c615"
+
+
+def test_render_escapes_quotes_and_backslashes_in_names(tmp_path, capsys):
+    # a state name is any word without spaces, and a rule name any text
+    # after " : ", so both can hold a quote or end in a backslash
+    text = (CORPUS / "box_step.proof").read_text().replace("s0", 'a"b').replace("s1", "c\\")
+    path = write(tmp_path, "names.proof", text)
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    path = write(tmp_path, "rule.proof", text.replace(": ax\n", ": ax\\\n", 1))
+    assert main(["render", path]) == 0
+    out = capsys.readouterr().out
+    assert 'subgraph "cluster_a\\"b"' in out and '"c\\\\/." [style=dashed]' in out
+    assert "\\nax\\\\" in out
+    for line in out.splitlines():
+        assert re.sub(r"\\.", "", line).count('"') % 2 == 0, line
+    digest = hashlib.sha256()
+    for corpus_file in sorted(CORPUS.glob("*.proof")):
+        assert main(["render", str(corpus_file)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CORPUS_RENDERS_DIGEST
 
 
 def test_search_found_and_not_found(tmp_path, capsys):

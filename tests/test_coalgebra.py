@@ -6,6 +6,7 @@ from conftest import random_coalgebra, random_root_path, unfold_by_gluing
 from nwproofs.coalgebra import (
     BudgetExceeded,
     Coalgebra,
+    CoalgebraError,
     UnfoldBudget,
     UnknownState,
     reachable,
@@ -16,13 +17,21 @@ from nwproofs.store import bisim_minimize, canonical_form
 from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation
 
 LOOP_FRAG = TreeNW({EPSILON: "a", (0,): STAR})
-G1 = Coalgebra({"c": (LOOP_FRAG, {(0,): "c"})})
+G1 = Coalgebra({"c": (LOOP_FRAG, ("c",))})
 CHAIN = Coalgebra(
     {
-        "c": (LOOP_FRAG, {(0,): "d"}),
-        "d": (TreeNW({EPSILON: "b"}), {}),
+        "c": (LOOP_FRAG, ("d",)),
+        "d": (TreeNW({EPSILON: "b"}), ()),
     }
 )
+
+
+def test_a_destructor_is_a_tuple_of_one_known_target_per_star_leaf():
+    for targets in ((), ("c", "c"), ["c"], {(0,): "c"}):
+        with pytest.raises(CoalgebraError, match="one target per star leaf"):
+            Coalgebra({"c": (LOOP_FRAG, targets)})
+    with pytest.raises(UnknownState, match="links 0 to unknown state 'x'"):
+        Coalgebra({"c": (LOOP_FRAG, ("x",))})
 
 
 def test_is_root_path_examples():
@@ -162,7 +171,7 @@ def test_fragment_node_regions_disjoint():
 
 def test_bisim_minimize_examples():
     frag = TreeNW({EPSILON: "a", (0,): STAR})
-    two_loops = Coalgebra({"x": (frag, {(0,): "x"}), "y": (frag, {(0,): "y"})})
+    two_loops = Coalgebra({"x": (frag, ("x",)), "y": (frag, ("y",))})
     small, renaming = bisim_minimize(two_loops)
     assert len(small.states) == 1
     assert renaming["x"] == renaming["y"]
@@ -170,7 +179,7 @@ def test_bisim_minimize_examples():
     small1, ren1 = bisim_minimize(G1)
     assert small1 == G1 and ren1 == {"c": "c"}
 
-    chain = Coalgebra({"c": (frag, {(0,): "d"}), "d": (frag, {(0,): "d"})})
+    chain = Coalgebra({"c": (frag, ("d",)), "d": (frag, ("d",))})
     small2, ren2 = bisim_minimize(chain)
     assert len(small2.states) == 1
     assert ren2["c"] == ren2["d"]
@@ -208,10 +217,10 @@ def test_bisim_minimize_preserves_unfoldings():
 
 def test_canonical_form_detects_bisimilarity():
     frag = TreeNW({EPSILON: "a", (0,): STAR})
-    a = Coalgebra({"x": (frag, {(0,): "x"})})
-    b = Coalgebra({"p": (frag, {(0,): "q"}), "q": (frag, {(0,): "p"})})
+    a = Coalgebra({"x": (frag, ("x",))})
+    b = Coalgebra({"p": (frag, ("q",)), "q": (frag, ("p",))})
     assert canonical_form(a, "x") == canonical_form(b, "p")
-    c = Coalgebra({"x": (TreeNW({EPSILON: "b", (0,): STAR}), {(0,): "x"})})
+    c = Coalgebra({"x": (TreeNW({EPSILON: "b", (0,): STAR}), ("x",))})
     assert canonical_form(a, "x") != canonical_form(c, "x")
 
 
@@ -224,12 +233,12 @@ def test_root_first_order_is_breadth_first_in_leaf_order():
     leaf = TreeNW({EPSILON: "b"})
     coalg = Coalgebra(
         {
-            "r": (two, {(0,): "y", (1,): "x"}),
-            "y": (two, {(0,): "z", (1,): "r"}),
-            "x": (LOOP_FRAG, {(0,): "w"}),
-            "z": (leaf, {}),
-            "w": (leaf, {}),
-            "u": (leaf, {}),
+            "r": (two, ("y", "x")),
+            "y": (two, ("z", "r")),
+            "x": (LOOP_FRAG, ("w",)),
+            "z": (leaf, ()),
+            "w": (leaf, ()),
+            "u": (leaf, ()),
         }
     )
     assert root_first_order(coalg, "r") == ["r", "y", "x", "z", "w"]

@@ -76,7 +76,7 @@ def _mutant(rng: random.Random, pg: ProofGraph) -> ProofGraph | None:
     """One random corruption of one state's fragment, whatever either
     checker makes of it; None if the corruption is no coalgebra."""
     state = rng.choice(sorted(pg.states))
-    nested = to_nested(pg.fragment(state), pg.links(state))
+    nested = to_nested(pg.fragment(state), pg.links(state).values())
     spots = []
     stack = [(nested, EPSILON)]
     while stack:
@@ -119,7 +119,7 @@ def _glued(rng: random.Random, pg: ProofGraph) -> ProofGraph:
     must reject."""
     spots = []
     for state in sorted(pg.states):
-        stack = [(to_nested(pg.fragment(state), pg.links(state)), EPSILON)]
+        stack = [(to_nested(pg.fragment(state), pg.links(state).values()), EPSILON)]
         while stack:
             n, at = stack.pop()
             for i, c in enumerate(n.children):
@@ -128,7 +128,7 @@ def _glued(rng: random.Random, pg: ProofGraph) -> ProofGraph:
                     if n.rule in ("impr", "refl"):
                         spots.append((state, at + (i,)))
     state, at = rng.choice(sorted(spots))
-    nested = to_nested(pg.fragment(state), pg.links(state))
+    nested = to_nested(pg.fragment(state), pg.links(state).values())
     dest = pg.graph.destructors()
     new = f"glued_{len(dest)}"
     dest[new] = flatten(subtree_at(nested, at))
@@ -261,8 +261,8 @@ def test_a_box_whose_premise_1_keeps_an_unboxed_formula_is_no_instance():
     pg = ProofGraph(
         Coalgebra(
             {
-                "s0": (TreeNW({EPSILON: box, (0,): axiom, (1,): STAR}), {(1,): "s1"}),
-                "s1": (TreeNW({EPSILON: axiom}), {}),
+                "s0": (TreeNW({EPSILON: box, (0,): axiom, (1,): STAR}), ("s1",)),
+                "s1": (TreeNW({EPSILON: axiom}), ()),
             }
         ),
         "s0",

@@ -35,7 +35,7 @@ def is_cyclic(pg):
 
 def has_cut(pg):
     return any(
-        to_nested(pg.fragment(s), pg.links(s)).count(CUT) for s in pg.states
+        to_nested(pg.fragment(s), pg.links(s).values()).count(CUT) for s in pg.states
     )
 
 

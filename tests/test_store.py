@@ -46,7 +46,8 @@ def _random_states(rng, names, targets, count):
     dest = {}
     for name in names[:count]:
         frag = random_tree_nw(rng, max_nodes=3, star_prob=0.5, labels=LABELS)
-        dest[name] = (frag, {w: rng.choice(targets) for w in frag.nw_leaves})
+        links = {w: rng.choice(targets) for w in frag.nw_leaves}
+        dest[name] = (frag, tuple(links[w] for w in frag.leaf_order))
     return dest
 
 
@@ -69,12 +70,13 @@ def test_store_classes_agree_with_canonical_form(rng):
         for _ in range(rng.randint(1, 4)):
             frag = random_tree_nw(rng, max_nodes=3, star_prob=0.5, labels=LABELS)
             links = {w: rng.choice(stored) for w in frag.nw_leaves}
-            went_in = Coalgebra({**arena.graph._dest, "new": (frag, links)})
-            added = arena.add(frag, links)
+            targets = tuple(links[w] for w in frag.leaf_order)
+            went_in = Coalgebra({**arena.graph._dest, "new": (frag, targets)})
+            added = arena.add(frag, targets)
             assert canonical_form(arena.graph, added) == canonical_form(went_in, "new")
     # one foreign import: a renamed copy of the base, plus cyclic states
     # whose names collide with stored ones
-    copy = {f"c{s}": (base.fragment(s), {w: f"c{t}" for w, t in base.links(s).items()}) for s in names}
+    copy = {f"c{s}": (base.fragment(s), tuple(f"c{t}" for t in base.links(s).values())) for s in names}
     extra = [f"s{i}" for i in range(rng.randint(1, 4))]
     copy.update(_random_states(rng, extra, extra + sorted(copy), len(extra)))
     foreign = Coalgebra(copy)
@@ -92,15 +94,15 @@ def test_a_bisimilar_state_is_the_stored_one():
     root = arena.include(box_step_graph())
     frag, links = arena.graph._dest[root]
     size = len(arena._states)
-    assert arena.add(frag, dict(links)) == root
+    assert arena.add(frag, tuple(links)) == root
     # a renamed copy, included into a store that holds the original
     renamed = {
-        f"r{s}": (f, {w: f"r{t}" for w, t in ls.items()}) for s, (f, ls) in arena.graph._dest.items()
+        f"r{s}": (f, tuple(f"r{t}" for t in ts)) for s, (f, ts) in arena.graph._dest.items()
     }
     assert arena.include(ProofGraph(Coalgebra(renamed), f"r{root}")) == root
     assert len(arena._states) == size
     # the hit used up no fresh name
-    assert arena.add(TreeNW([(seq([P], [P]), "ax")], [0]), {}) == "t0"
+    assert arena.add(TreeNW([(seq([P], [P]), "ax")], [0]), ()) == "t0"
 
 
 def _reference_partition(coalg: Coalgebra) -> set[frozenset[StateId]]:
@@ -239,7 +241,7 @@ def _printed(out: ProofGraph | Unfolding) -> str:
     part = Coalgebra({s: out.graph._dest[s] for s in root_first_order(out.graph, out.root)})
     small, renaming = store.bisim_minimize(part)
     name = {s: f"s{i}" for i, s in enumerate(root_first_order(small, renaming[out.root]))}
-    dest = {name[s]: (small.fragment(s), {w: name[t] for w, t in small.links(s).items()}) for s in name}
+    dest = {name[s]: (small.fragment(s), tuple(name[t] for t in small.links(s).values())) for s in name}
     return print_proof_file(ProofGraph(Coalgebra(dest), "s0"), GRZ_CUT.name)
 
 
@@ -294,9 +296,9 @@ def test_failing_report_matches_the_uncached_checker():
     good = arena.view(arena.include(box_step_graph()))
     assert check(GRZ, good).ok
     s0, s1 = good.root, good.links(good.root)[(1,)]
-    j1 = arena.add(_star_tree(seq([P], []), "box", 2), {(0,): s1, (1,): s0})
-    j2 = arena.add(_star_tree(seq([Q], []), "impr", 2), {(0,): j1, (1,): s1})
-    top = arena.add(_star_tree(seq([], [P]), "refl", 3), {(0,): j2, (1,): s0, (2,): j1})
+    j1 = arena.add(_star_tree(seq([P], []), "box", 2), (s1, s0))
+    j2 = arena.add(_star_tree(seq([Q], []), "impr", 2), (j1, s1))
+    top = arena.add(_star_tree(seq([], [P]), "refl", 3), (j2, s0, j1))
     view = arena.view(top)
     cached = check(GRZ, view)
     uncached = check_proof_graph(GRZ, view.pruned())
@@ -315,7 +317,7 @@ def test_the_checker_neither_reads_nor_fills_the_store_cache():
     good = arena.view(arena.include(box_step_graph()))
     assert check(GRZ, good).ok
     s0, s1 = good.root, good.links(good.root)[(1,)]
-    bad = arena.view(arena.add(_star_tree(seq([P], []), "box", 2), {(0,): s1, (1,): s0}))
+    bad = arena.view(arena.add(_star_tree(seq([P], []), "box", 2), (s1, s0)))
     # a certified mark the checker must not trust
     arena.certified(GRZ).add(bad.root)
     before = _cache(arena)
@@ -403,8 +405,8 @@ def test_bad_later_residual_is_caught_after_shared_states_are_certified():
         if len(calls) > 1 and parts and not junk:
             # pg's own fragment relabelled, over its certified successors
             labels = {w: (lab[0], "bot") if w == EPSILON else lab for w, lab in fragment.labels().items()}
-            junk.append(pg.store.view(pg.store.add(TreeNW(labels), pg.links(pg.root))))
-            parts = {**parts, min(parts): junk[0].root}  # the stored links stay as they are
+            junk.append(pg.store.view(pg.store.add(TreeNW(labels), parts)))
+            parts = (junk[0].root, *parts[1:])  # the stored targets stay as they are
         return fragment, parts
 
     step = TranslationStep(GRZ, GRZ, apply, name="late-junk")

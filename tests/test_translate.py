@@ -99,7 +99,7 @@ def test_step_contract_violation_condition_two():
     def bad_apply(pg):
         frag, parts = base.apply(pg)
         junk = graph("b0", b0=node(seq([P], []), "box"))  # structurally labelled junk
-        return frag, {w: pg.store.include(junk) for w in parts}
+        return frag, tuple(pg.store.include(junk) for _ in parts)
 
     bad = TranslationStep(GRZ_CUT, GRZ_CUT, bad_apply, name="bad2")
     with pytest.raises(StepContractViolation) as err:
@@ -135,9 +135,9 @@ def test_step_contract_violation_truncation_in_place_of_a_link():
     def holed_apply(pg):
         frag, parts = base.apply(pg)
         labels = frag.labels()
-        for w in frag.nw_leaves:
-            labels[w] = Truncation("hole", pg.fragment(parts[w]).label(EPSILON))
-        return TreeNW(labels), {}
+        for w, t in zip(frag.leaf_order, parts):
+            labels[w] = Truncation("hole", pg.fragment(t).label(EPSILON))
+        return TreeNW(labels), ()
 
     holed = TranslationStep(GRZ, GRZ, holed_apply, name="holed")
     for memo in (True, False):
@@ -175,12 +175,12 @@ def test_a_truncation_mark_in_a_view_is_no_source_proof():
     frag = pg.fragment("s0")
     labels = frag.labels()
     labels[(1,)] = Truncation("t", pg.fragment("s1").label(EPSILON))
-    holed = ProofGraph._view(Coalgebra.view({"s0": (TreeNW(labels), {})}), "s0", None)
+    holed = ProofGraph._view(Coalgebra.view({"s0": (TreeNW(labels), ())}), "s0", None)
     base = identity_step(GRZ)
 
     def apply(value):
         fragment, parts = base.apply(value)
-        return fragment, {w: value.store.include(holed) for w in parts}
+        return fragment, tuple(value.store.include(holed) for _ in parts)
 
     step = TranslationStep(GRZ, GRZ, apply, name="holed residual")
     for memo in (True, False):
@@ -194,16 +194,16 @@ def test_a_truncation_mark_in_a_view_is_no_source_proof():
 def test_a_residual_that_is_no_stored_state_breaks_condition_two(memo):
     # a step gives each star leaf a state id of the store it was handed
     base = identity_step(GRZ)
-    bad_links = {
-        "a view": lambda pg, links: {w: pg.at(t) for w, t in links.items()},
-        "an id the store lacks": lambda pg, links: {w: "nowhere" for w in links},
-        "an omitted leaf": lambda pg, links: {},
+    bad_targets = {
+        "a view": lambda pg, targets: tuple(pg.at(t) for t in targets),
+        "an id the store lacks": lambda pg, targets: tuple("nowhere" for _ in targets),
+        "an omitted leaf": lambda pg, targets: (),
     }
-    for kind, bad in bad_links.items():
+    for kind, bad in bad_targets.items():
 
         def apply(pg, bad=bad):
-            fragment, links = base.apply(pg)
-            return fragment, bad(pg, links)
+            fragment, targets = base.apply(pg)
+            return fragment, bad(pg, targets)
 
         step = TranslationStep(GRZ, GRZ, apply, name=kind)
         with pytest.raises(StepContractViolation) as err:
@@ -212,11 +212,26 @@ def test_a_residual_that_is_no_stored_state_breaks_condition_two(memo):
         assert "no stored residual at leaf 1" in str(err.value), kind
 
 
+@pytest.mark.parametrize("memo", [True, False])
+def test_more_residuals_than_star_leaves_break_condition_two(memo):
+    # one stored residual per star leaf, and one more that no leaf reads
+    base = identity_step(GRZ)
+
+    def apply(pg):
+        fragment, targets = base.apply(pg)
+        return fragment, (*targets, pg.root)
+
+    step = TranslationStep(GRZ, GRZ, apply, name="extra")
+    with pytest.raises(StepContractViolation, match="more residuals than star leaves") as err:
+        extend(step, box_step_graph(), BUDGET, memo=memo)
+    assert err.value.condition == 2
+
+
 def test_a_residual_is_any_stored_state_id():
     # a coalgebra takes any hashable state ids, so a residual need not be a string
     pg = box_step_graph()
     ids = {s: i for i, s in enumerate(sorted(pg.states))}
-    dest = {ids[s]: (f, {w: ids[t] for w, t in links.items()}) for s, (f, links) in pg.graph._dest.items()}
+    dest = {ids[s]: (f, tuple(ids[t] for t in targets)) for s, (f, targets) in pg.graph._dest.items()}
     numbered = ProofGraph(Coalgebra(dest), ids[pg.root])
     for memo in (True, False):
         expected = extend(identity_step(GRZ), pg, BUDGET, memo=memo)
@@ -225,11 +240,11 @@ def test_a_residual_is_any_stored_state_id():
 
 @pytest.mark.parametrize("memo", [True, False])
 def test_identity_extend_leaves_the_input_destructors_as_they_were(memo):
-    # included states share their links dicts with the input, and the
+    # included states share their target tuples with the input, and the
     # identity step hands back the stored destructor itself
     for path in sorted(CORPUS.glob("*.proof")):
         name, pg = parse_proof_file(path.read_text())
-        before = {s: (frag, links, dict(links)) for s, (frag, links) in pg.graph._dest.items()}
+        before = {s: (frag, links, tuple(links)) for s, (frag, links) in pg.graph._dest.items()}
         extend(identity_step(CALCULI[name]), pg, UnfoldBudget(3), memo=memo)
         assert pg.graph._dest.keys() == before.keys(), path.name
         for s, (frag, links, copy) in before.items():
@@ -288,11 +303,11 @@ def test_validate_step_reports_garbled_or_missing_residuals():
 
     def garbled(pg):
         frag, parts = base.apply(pg)
-        return frag, {w: pg.store.include(graph("b0", b0=node(seq([P], []), "box"))) for w in parts}
+        return frag, tuple(pg.store.include(graph("b0", b0=node(seq([P], []), "box"))) for _ in parts)
 
     def missing(pg):
         frag, _ = base.apply(pg)
-        return frag, {}
+        return frag, ()
 
     for apply in (garbled, missing):
         report = validate_step(TranslationStep(GRZ, GRZ, apply), [ax_graph(), box_step_graph()])
