@@ -23,6 +23,7 @@ along its progress edges (:func:`compute_fragmentation`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -290,15 +291,14 @@ def construct(fragment: TreeNW, parts: Mapping[Word, FFTree]) -> FFTree:
     Inverse of :meth:`FFTree.destruct`: the proper nodes of the fragment
     become one block and each glued tree keeps its own fragmentation.
     """
-    missing = fragment.nw_leaves - set(parts)
-    if missing:
-        raise ValueError(f"no tree glued at {format_word(min(missing))}")
     labels: dict[Word, Label] = {}
     root_of: dict[Word, Word] = {}
     for w in fragment.proper_nodes:
         labels[w] = fragment.label(w)
         root_of[w] = EPSILON
-    for w in fragment.nw_leaves:
+    for w in fragment.leaf_order:  # the first missing leaf is the least
+        if w not in parts:
+            raise ValueError(f"no tree glued at {format_word(w)}")
         sub = parts[w]
         for v, lab in sub._labels.items():
             labels[w + v] = lab
@@ -314,16 +314,15 @@ def construct(fragment: TreeNW, parts: Mapping[Word, FFTree]) -> FFTree:
 def ff_is_root_path(tree: FFTree, path: RootPath) -> bool:
     if not path:
         return True
-    frag, parts = tree.destruct()
-    w = path[0]
-    return w in frag.nw_leaves and ff_is_root_path(parts[w], path[1:])
+    _, parts = tree.destruct()
+    return path[0] in parts and ff_is_root_path(parts[path[0]], path[1:])
 
 
 def ff_subelement(tree: FFTree, path: RootPath) -> FFTree:
     if not path:
         return tree
-    frag, parts = tree.destruct()
-    if path[0] not in frag.nw_leaves:
+    _, parts = tree.destruct()
+    if path[0] not in parts:  # its keys are the fragment's star leaves
         raise NotARoot("path leaves the tree", path[0])
     return ff_subelement(parts[path[0]], path[1:])
 
@@ -361,10 +360,11 @@ def subelement(coalg: Coalgebra, state: StateId, path: RootPath) -> StateId:
     """The state reached by following ``path`` from ``state``."""
     coalg._check(state)
     for w in path:
-        links = coalg.links(state)
-        if w not in links:
+        frag, targets = coalg._dest[state]
+        p = frag._positions().get(w, 0)  # 0 is the root, which is no star
+        if frag._labels[p] is not STAR:
             raise NotARootPath(f"{format_word(w)} is not a star leaf of state {state!r}")
-        state = links[w]
+        state = targets[bisect_left(frag._stars, p)]  # its rank among the star leaves
     return state
 
 

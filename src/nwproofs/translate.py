@@ -126,6 +126,8 @@ class _Engine:
         # the root's sequent is read, as a leaf sequent, before the target check
         if not _is_sequent_rule(fragment.label(EPSILON)):
             raise StepContractViolation(1, "fragment root is not labelled with (sequent, rule)")
+        if not isinstance(targets, tuple) or len(targets) > len(fragment._stars):
+            raise StepContractViolation(2, "residuals not a tuple, or more residuals than star leaves")
         for i in range(len(fragment._stars)):
             try:
                 stored = targets[i] in self.store._states
@@ -134,8 +136,6 @@ class _Engine:
             if not stored:
                 leaf = format_word(fragment.leaf_order[i])
                 raise StepContractViolation(2, f"no stored residual at leaf {leaf}")
-        if len(targets) > len(fragment._stars):
-            raise StepContractViolation(2, "more residuals than star leaves")
         return fragment, targets
 
     def check_value(self, state: StateId, where: Callable[[], str]) -> ProofGraph:

@@ -121,8 +121,8 @@ class TreeNW:
     Checked at construction: the nodes form one tree, the root is not a
     star, and stars only occur at leaves.  ``_stars`` holds the star
     leaves' positions in preorder, which is leaf order; walks read it and
-    form no word.  ``leaf_order`` and ``nw_leaves`` are the word API's
-    views of it, read off the word index."""
+    form no word.  ``leaf_order`` and ``nw_leaves``, the word API's views
+    of it, scan the word index at each call, in time linear in nodes."""
 
     __slots__ = ("_labels", "_arities", "_stars", "_hash", "_index")
 

@@ -50,6 +50,17 @@ def test_subelement_examples():
         subelement(G1, "c", ((1,),))
 
 
+def test_subelement_follows_each_star_leaf_to_its_own_target():
+    # star leaves 0.0 and 1 sit at preorder positions 2 and 3; 0 and the root are no stars
+    frag = TreeNW({EPSILON: "a", (0,): "b", (0, 0): STAR, (1,): STAR})
+    coalg = Coalgebra({"c": (frag, ("d", "c")), "d": (TreeNW({EPSILON: "b"}), ())})
+    assert subelement(coalg, "c", ((0, 0),)) == "d"
+    assert subelement(coalg, "c", ((1,), (1,), (0, 0))) == "d"
+    for word in (EPSILON, (0,), (2,), (0, 0, 0)):
+        with pytest.raises(NotARootPath):
+            subelement(coalg, "c", (word,))
+
+
 def test_fragment_at_examples():
     assert fragment_at(G1, "c", ()) == LOOP_FRAG
     assert fragment_at(G1, "c", ((0,),)) == LOOP_FRAG

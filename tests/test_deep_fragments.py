@@ -73,15 +73,23 @@ def _peak_bytes_per_node(work: Callable[[], object], nodes: int) -> float:
 def _check_chain(levels: int) -> float:
     """Building the chain through ``flatten`` and checking it under Grz+cut."""
     node = refl_chain(levels)
-    return _peak_bytes_per_node(lambda: check_proof_graph(GRZ_CUT, _chain_graph(node)).ok, levels)
+
+    def work() -> None:  # a check that fails early would allocate little
+        assert check_proof_graph(GRZ_CUT, _chain_graph(node)).ok
+
+    return _peak_bytes_per_node(work, levels)
 
 
-def _comb_outputs(comb: PNode, b: PNode) -> list:
+def _comb_outputs(comb: PNode, b: PNode) -> list[ProofGraph]:
     """The comb built through ``flatten``, checked under Grz+cut, and
-    translated by the identity step and by cut elimination."""
+    translated by the identity step and by cut elimination; each output
+    closes on the two states of its input."""
     pg = ProofGraph(Coalgebra({"s0": flatten(comb), "b": flatten(b)}), "s0")
     assert check_proof_graph(GRZ_CUT, pg).ok
-    return [extend(identity_step(GRZ_CUT), pg, UnfoldBudget(4)), cut_elim(pg)]
+    outs = [extend(identity_step(GRZ_CUT), pg, UnfoldBudget(4)), cut_elim(pg)]
+    for out in outs:
+        assert isinstance(out, ProofGraph) and len(out.states) == 2
+    return outs
 
 
 def _run_comb(levels: int) -> float:
@@ -100,7 +108,6 @@ def test_deep_fragment_memory_per_node_stays_flat():
 def test_a_glue_point_at_every_level_closes_on_two_states():
     comb, b = box_comb(2_000)
     for out in _comb_outputs(comb, b):
-        assert isinstance(out, ProofGraph) and len(out.states) == 2
         assert check_proof_graph(GRZ, out).ok
         assert len(out.fragment(out.root)) == 2 * 2_000 + 2
 

@@ -227,6 +227,23 @@ def test_more_residuals_than_star_leaves_break_condition_two(memo):
     assert err.value.condition == 2
 
 
+@pytest.mark.parametrize("memo", [True, False])
+def test_residuals_that_are_no_tuple_break_condition_two(memo):
+    # even on a fragment with no star leaf, which no residual is read for
+    base = identity_step(GRZ)
+    for kind, bad in {"none": lambda targets: None, "a generator": iter}.items():
+
+        def apply(pg, bad=bad):
+            fragment, targets = base.apply(pg)
+            return fragment, bad(targets)
+
+        step = TranslationStep(GRZ, GRZ, apply, name=kind)
+        for pg in (box_step_graph(), ax_graph()):
+            with pytest.raises(StepContractViolation, match="not a tuple") as err:
+                extend(step, pg, BUDGET, memo=memo)
+            assert err.value.condition == 2, kind
+
+
 def test_a_residual_is_any_stored_state_id():
     # a coalgebra takes any hashable state ids, so a residual need not be a string
     pg = box_step_graph()
