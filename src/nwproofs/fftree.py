@@ -400,22 +400,23 @@ def unfold(coalg: Coalgebra, state: StateId, budget: UnfoldBudget) -> Unfolding:
     """Lay out ``budget.max_depth`` layers of the machine's fragments as
     one tree; see :func:`unfold_by`."""
     coalg._check(state)
-    return unfold_by(lambda s, at: coalg._dest[s], state, budget, lambda s: s)
+    return unfold_by(coalg._dest.__getitem__, state, budget, lambda s: s)
 
 
 def unfold_by(
-    destruct: Callable[[Any, Word], tuple[TreeNW, Sequence[Any]]],
+    destruct: Callable[[Any], tuple[TreeNW, Sequence[Any]]],
     root: Any,
     budget: UnfoldBudget,
     name: Callable[[Any], str],
 ) -> Unfolding:
     """Lay out ``budget.max_depth`` layers of fragments as one tree.
 
-    ``destruct(x, at)`` gives the fragment of a value placed at word
-    ``at`` and its successors in leaf order.  Layer k holds the fragments
-    reached by root paths of length k; beyond the last layer each
-    pending glue point becomes a truncation leaf carrying its value's
-    ``name`` and root label, taken in frontier order.
+    ``destruct(x)`` gives the fragment of a value and its successors in
+    leaf order; it is read again wherever the value recurs.  Layer k
+    holds the fragments reached by root paths of length k; beyond the
+    last layer each pending glue point becomes a truncation leaf carrying
+    its value's ``name`` and root label, taken in frontier order, so a
+    cut-off value's fragment is read for its root label only.
     """
     labels: dict[Word, Any] = {}
     root_of: dict[Word, Word] = {}
@@ -424,7 +425,7 @@ def unfold_by(
     for _ in range(budget.max_depth):
         next_frontier: list[tuple[Word, Any]] = []
         for base, x in frontier:
-            frag, succ = destruct(x, base)
+            frag, succ = destruct(x)
             for u, label in frag.labels().items():
                 if label is not STAR:
                     labels[base + u] = label
@@ -436,7 +437,7 @@ def unfold_by(
         frontier = next_frontier
     for base, x in frontier:
         truncations[base] = name(x)
-        labels[base] = Truncation(truncations[base], destruct(x, base)[0].label(EPSILON))
+        labels[base] = Truncation(truncations[base], destruct(x)[0].label(EPSILON))
         root_of[base] = base
         if len(labels) > budget.max_nodes:
             raise BudgetExceeded(f"unfolding exceeds {budget.max_nodes} nodes")

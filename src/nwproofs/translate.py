@@ -2,11 +2,12 @@
 
 A step consumes a proof of the source calculus and emits one output
 fragment plus the residual source proofs hanging at its glue points.
-Extending it corecursively yields the full translation: with
-memoization, repeated residuals become back links and regular inputs
-close into a finite graph; otherwise (or when the key space blows past
-the state budget) the output is a depth-budgeted unfolding with
-truncation marks.
+Extending it corecursively yields the full translation, in one
+breadth-first pass that steps each residual once: with memoization,
+repeated residuals become back links and regular inputs close into a
+finite graph; otherwise (or when the residuals outnumber the state
+budget) the pass stops at a depth budget, and its states are laid out
+as an unfolding with truncation marks.
 
 One extension keeps every proof it handles in one hash-consed
 :class:`~nwproofs.store.Arena`, the carrier of the step's coalgebra: a
@@ -42,10 +43,10 @@ back unchanged, over the same leaf sequents, is then looked up in the
 source's table rather than walked again when it uses none of those
 rules: always for an identity step, and for cut elimination from
 Grz+cut into Grz when it holds no cut, since the target then decides
-each of its instances with the source's objects.  Without closure the
-output is laid out by the same driver as
-:func:`~nwproofs.fftree.unfold`, :func:`~nwproofs.fftree.unfold_by`,
-and :func:`validate_step` is a memo-free extension of one layer.
+each of its instances with the source's objects.  An unfolding is laid
+out by :func:`~nwproofs.fftree.unfold_by`, as
+:func:`~nwproofs.fftree.unfold` lays out a machine, and
+:func:`validate_step` is a memo-free extension of one layer.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ from dataclasses import dataclass, field
 from .calculus import CalculusError, CheckReport, LocalProgressCalculus, ProofGraph
 from .calculus import _is_sequent_rule, check_proof_fragment, recorded_pass
 from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, Destructor, StateId
-from .fftree import TruncationNotAllowed, UnfoldBudget, Unfolding, unfold_by
+from .fftree import UnfoldBudget, Unfolding, unfold_by
 from .store import Arena, check
-from .trees import EPSILON, STAR, TreeNW, Word, format_word
+from .trees import EPSILON, STAR, TreeNW, format_word
 
 StepOutput = Destructor  # a fragment, and a state of the step's store per star leaf
 
@@ -181,10 +182,11 @@ def extend(
 ) -> ProofGraph | Unfolding:
     """Extend a step over a whole proof.
 
-    Returns a closed :class:`ProofGraph` when memoization finds a finite
-    set of residual keys within ``max_states``; otherwise a truncated
-    :class:`Unfolding` of the translated proof, bounded by ``budget``.
-    A ``max_states`` below 1 raises :class:`BudgetError`.
+    With ``memo``, returns a closed :class:`ProofGraph` if the translation
+    reaches at most ``max_states`` states.  Otherwise returns an
+    :class:`Unfolding` of the translated proof, bounded by ``budget``,
+    that steps each state once however often it is laid out.  A
+    ``max_states`` below 1 raises :class:`BudgetError`.
     """
     if max_states < 1:
         raise BudgetError("budget bounds must be at least 1")
@@ -197,68 +199,64 @@ def extend(
     if not report.ok:
         raise NotASourceProof(f"input is not a {step.source.name} proof:\n{report}")
     if memo:
-        closed = _close(engine, root, max_states)
+        closed = _corecurse(engine, root, max_states=max_states)
         if closed is not None:
-            return closed
-    return _unfold(engine, root, budget)
-
-
-def _close(engine, root, max_states) -> ProofGraph | None:
-    """Memoized corecursion to a finite graph; None if the key space is
-    exhausted before closing.  A residual's key is its state id, which
-    in the store is its bisimulation class."""
-    memo: dict[StateId, str] = {root.root: "s0"}
-    queue: list[tuple[ProofGraph, str]] = [(root, "s0")]  # grows while it is walked
-    emitted: dict[str, Destructor] = {}
-    for value, sid in queue:
-        fragment, targets = engine.apply(value)
-        for i, key in enumerate(targets):
-            if key not in memo:
-                if len(memo) >= max_states:
-                    return None
-                memo[key] = name = f"s{len(memo)}"
-                residual = engine.check_value(
-                    key, lambda: f"state {sid} leaf {format_word(fragment.leaf_order[i])}"
-                )
-                queue.append((residual, name))
-        emitted[sid] = (fragment, tuple([memo[key] for key in targets]))
-    roots = {sid: fragment._labels[0][0] for sid, (fragment, _) in emitted.items()}
-    for sid, (fragment, out) in emitted.items():
-        leaves = tuple([roots[t] for t in out])
-        engine.check_fragment(fragment, leaves, lambda: f"state {sid}")
-    # every fragment passed its target check, which admits (sequent, rule)
-    # labels and stars only, and has one target per star leaf, so it needs
-    # no second validation
-    return ProofGraph._view(Coalgebra.view(emitted), "s0", None)
-
-
-def _unfold(engine, root, budget) -> Unfolding:
-    """Layered translation without closure, through :func:`unfold_by`:
-    each value but the root passes the source check before it is
-    stepped, truncation marks are named ``t0, t1, ...`` in frontier
-    order and carry the translated root labels, and each laid-out
-    fragment is then checked against the root labels of the fragments
-    stepped at its star leaves, cut-off ones included."""
-    stepped: dict[Word, TreeNW] = {}
-
-    def destruct(value, at):
-        if at != EPSILON:
-            value = engine.check_value(value, lambda: f"position {format_word(at)}")
-        stepped[at], targets = engine.apply(value)
-        return stepped[at], targets
-
-    names = (f"t{i}" for i in itertools.count())
+            # every fragment passed its target check, so the output needs no validation
+            names, stepped = closed
+            emitted = {
+                names[k]: (frag, tuple([names[t] for t in ts])) for k, (frag, ts) in stepped.items()
+            }
+            return ProofGraph._view(Coalgebra.view(emitted), "s0", None)
+    _, stepped = _corecurse(engine, root, budget=budget)
+    marks = (f"t{i}" for i in itertools.count())
     try:
-        out = unfold_by(destruct, root, budget, lambda _: next(names))
+        return unfold_by(stepped.__getitem__, root.root, budget, lambda _: next(marks))
     except BudgetExceeded as err:
         raise BudgetExceeded(f"translated {err}") from None
-    except TruncationNotAllowed as err:  # a step fragment holds one on an inner node
-        raise StepContractViolation(1, str(err)) from None
-    for base, fragment in stepped.items():
-        if base not in out.truncations:
-            leaves = tuple([stepped[base + w]._labels[0][0] for w in fragment.leaf_order])
-            engine.check_fragment(fragment, leaves, lambda: f"position {format_word(base)}")
-    return out
+
+
+def _corecurse(engine, root, max_states=None, budget=None):
+    """Breadth-first corecursion from ``root`` over the store's states,
+    each its own memo key: a state is source-checked when first reached
+    and named ``s0, s1, ...`` in that order, stepped once, and, unless
+    cut off, target-checked once.  With ``max_states``, gives the names
+    and steps of a closed output, or None once more states are reached.
+    With ``budget``, a state first reached at depth ``max_depth`` is cut
+    off: stepped for its root label only.  The states stepped may then
+    fill ``max_nodes`` nodes: an expanded one its proper nodes, a cut-off
+    one a truncation mark; the layout holds at least as many.
+    """
+    names: dict[StateId, str] = {root.root: "s0"}
+    queue: list[tuple[ProofGraph, int]] = [(root, 0)]  # grows while it is walked
+    stepped: dict[StateId, StepOutput] = {}
+    expanded: list[StateId] = []
+    size = 0
+    for value, depth in queue:
+        key = value.root
+        stepped[key] = fragment, targets = engine.apply(value)
+        if budget is not None:
+            cut_off = depth == budget.max_depth
+            size += 1 if cut_off else len(fragment._labels) - len(fragment._stars)
+            if size > budget.max_nodes:
+                raise BudgetExceeded(f"translated unfolding exceeds {budget.max_nodes} nodes")
+            if cut_off:
+                continue
+        expanded.append(key)
+        for i, t in enumerate(targets):
+            if t not in names:
+                if max_states is not None and len(names) >= max_states:
+                    return None
+                names[t] = f"s{len(names)}"
+                residual = engine.check_value(
+                    t, lambda: f"state {names[key]} leaf {format_word(fragment.leaf_order[i])}"
+                )
+                queue.append((residual, depth + 1))
+    roots = {key: fragment._labels[0][0] for key, (fragment, _) in stepped.items()}
+    for key in expanded:
+        fragment, targets = stepped[key]
+        leaves = tuple([roots[t] for t in targets])
+        engine.check_fragment(fragment, leaves, lambda: f"state {names[key]}")
+    return names, stepped
 
 
 @dataclass(frozen=True)

@@ -362,6 +362,15 @@ def test_cut_reduction_deeper_than_the_recursion_limit_exits_one(tmp_path, capsy
     assert err == f"error: cut reduction hits recursion limit {sys.getrecursionlimit()}\n"
 
 
+def test_memo_free_cut_reduction_deeper_than_the_recursion_limit_exits_one(tmp_path, capsys):
+    # the step's own error, raised before any layout, so without a "translated" prefix
+    path = write(tmp_path, "deep_reduce.proof", _cut_permuting_through_a_refl_chain(600))
+    assert main(["cutelim", path, "--no-memo", "-o", str(tmp_path / "out.proof")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cut reduction hits recursion limit {sys.getrecursionlimit()}\n"
+
+
 def test_check_deep_fragment_reports_findings(tmp_path, capsys):
     # one chain of 1,199 nodes: deeper than the interpreter's recursion limit
     depth = 1199

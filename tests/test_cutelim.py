@@ -11,6 +11,7 @@ from grzlib import (
     Q,
     atomic_cut_graph,
     ax_graph,
+    box_chain,
     box_principal_cut_graph,
     box_step_graph,
     boxed_context_cut_graph,
@@ -22,6 +23,8 @@ from grzlib import (
     seq,
     weakening_part_cut_graph,
 )
+from reference_translate import layout, reference_unfolding
+
 from nwproofs.calculus import ProofGraph, check_proof_graph
 from nwproofs.coalgebra import UnfoldBudget
 from nwproofs.fftree import Unfolding, unfold
@@ -34,6 +37,7 @@ from nwproofs.grz import (
     Imp,
     NotAProof,
     cut_elim,
+    cut_elimination_step,
     cuts_up,
     reduce_cut,
 )
@@ -265,20 +269,42 @@ def test_cuts_up_on_randomly_planted_multi_cut_fragments():
 
 
 def test_cut_elim_memoized_and_unfolded_agree():
+    # each against the literal corecursive extension, since one driver makes both
     pg = weakening_part_cut_graph()
     closed = cut_elim(pg, memo=True)
     unfolded = cut_elim(pg, budget=UnfoldBudget(max_depth=3), memo=False)
-    assert isinstance(unfolded, Unfolding)
+    assert isinstance(closed, ProofGraph) and isinstance(unfolded, Unfolding)
     direct = unfold(closed.graph, closed.root, UnfoldBudget(max_depth=3))
+    expected = reference_unfolding(cut_elimination_step(), pg, 3)
+    assert layout(direct) == expected
+    assert layout(unfolded) == expected
 
-    def strip(tree):
-        return {
-            w: (("trunc", lab.label) if isinstance(lab, Truncation) else lab)
-            for w, lab in tree.labels().items()
-        }
 
-    assert strip(direct.tree) == strip(unfolded.tree)
-    assert direct.tree.partition() == unfolded.tree.partition()
+@pytest.mark.parametrize("depth", [6, 8])
+def test_memo_free_cut_elim_steps_each_state_once(depth, monkeypatch):
+    """Counts, not times: laid out to any depth, the memo-free translation
+    of the n = 16 nested proof with a planted cut runs ``cuts_up`` no more
+    often than the closed one, which has 17 states, though its layout
+    repeats them at thousands of block roots."""
+    from nwproofs.grz import cutelim
+    from nwproofs.search import SearchBudget, _plant_cut, search
+
+    pg = search(GRZ, box_chain(16), SearchBudget(19, 19))
+    cut = _plant_cut(random.Random(16), pg)
+    calls = collections.Counter()
+    original = cutelim.cuts_up
+
+    def counted(pg):
+        calls["cuts_up"] += 1
+        return original(pg)
+
+    monkeypatch.setattr(cutelim, "cuts_up", counted)
+    closed = cut_elim(cut)
+    assert isinstance(closed, ProofGraph) and calls["cuts_up"] == len(closed.states)
+    calls.clear()
+    out = cut_elim(cut, UnfoldBudget(depth), memo=False)
+    assert isinstance(out, Unfolding) and len(out.tree.roots()) > 1_000
+    assert calls["cuts_up"] <= len(closed.states)
 
 
 # -- every cut reduction, pinned -----------------------------------------
