@@ -9,10 +9,10 @@ non-wellfounded proof.  There is one checker, :func:`check_proof_graph`,
 walking states in the coalgebra's one root-first order
 (:func:`~nwproofs.coalgebra.root_first_order`).  One call decides each
 distinct ``(rule, premises, conclusion)`` instance once, however many
-nodes and states it labels, and each fragment once per leaf sequents it
-passes with: a pass is keyed ``(tree, leaves)``, the leaf sequents going
-by position, as a tuple in leaf order.  A walk reads a fragment's
-preorder arrays backwards, validates each label once, decides a node's
+nodes and states it labels, and each fragment once per leaf sequents,
+a tuple in leaf order: a subtree equal to a fragment that passed, over
+the same leaf sequents, is not walked again.  A walk goes forward over a
+fragment's preorder arrays, reads each label once, decides a node's
 glue points with one comparison, and forms a word only to name a finding
 or an error.  A fragment holds (sequent, rule) labels and stars only:
 anything else, an unfolding's truncation mark included, raises
@@ -30,6 +30,7 @@ Sequents are opaque here: anything hashable with equality works.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -187,11 +188,6 @@ class ProofGraph:
         return f"ProofGraph(root={self.root!r}, states={sorted(self.states)})"
 
 
-def recorded_pass(decided: Mapping, tree: TreeNW, leaves: tuple) -> bool:
-    """Does ``decided`` hold a pass of ``tree`` over ``leaves``, in leaf order?"""
-    return (tree, leaves) in decided
-
-
 def check_proof_fragment(
     calc: LocalProgressCalculus, tree: TreeNW, leaf_sequents: Mapping[Word, Any] | tuple,
     state: StateId | None = None, *, decided: dict | None = None,
@@ -203,11 +199,14 @@ def check_proof_fragment(
     as a tuple in leaf order.  ``decided`` maps each ``(rule, premises,
     conclusion)`` instance already decided with this ``calc`` to a flag
     per premise, set where it progresses, or to None for a non-instance;
-    it is valid for one calculus only.  The matcher runs on instances
-    missing from it, and they are added.  Glue points are tested at every
-    node, and a failing instance is reported at every node it labels.  A
-    fragment that passes is recorded, keyed ``(tree, leaves)``, and passes
-    again without a walk; a failing one is walked every time."""
+    it is valid for one calculus only, and missing instances are added.
+    One forward walk reads a node's premises at its children's positions,
+    reports findings in preorder, a failing instance at every node, and
+    raises at the first unreadable premise in preorder.  A passing
+    fragment is recorded with its rule names, keyed ``(tree, leaves)`` and
+    indexed by node count and root label; it passes again unwalked, as
+    does a subtree with its arrays and leaf sequents, found by one lookup
+    per inner node visited.  A failing fragment is never recorded."""
     leaves = leaf_sequents
     if not isinstance(leaves, tuple):
         leaves = tuple([leaf_sequents.get(w, _MISSING) for w in tree.leaf_order])
@@ -217,44 +216,48 @@ def check_proof_fragment(
         decided = {}
     elif (tree, leaves) in decided:
         return CheckReport()
-    labels, arities = tree._labels, tree._arities  # read, never written
+    labels, arities, ends, stars = tree._labels, tree._arities, tree._ends, tree._stars
     _sequent_rule(labels[0])  # the root; every other label is read as a premise
-    # in reverse preorder, a node's premises are the subtrees finished last,
-    # the first premise last, and star leaves come in reverse leaf order
-    below, glued = [], []  # each finished subtree's sequent, and whether it is a star
-    j, unread = len(leaves), _MISSING in leaves  # unread: some sequent may be _MISSING
     found: list[tuple[int, Word, str, str]] = []  # (node, word from it, condition, message)
-    broken = None  # (node, premise, is a star) of the first unreadable premise in preorder
-    for p in range(len(labels) - 1, -1, -1):
+    names, p = set(), 0  # the rules of the nodes passed, and the position at hand
+    while p < len(labels):
         label, k = labels[p], arities[p]
         if label is STAR:
-            j -= 1
-            below.append(leaves[j])
-            glued.append(True)
+            p += 1
             continue
-        premises, glue = tuple(below[:~k:-1]), glued[:~k:-1]
-        if k:
-            del below[-k:], glued[-k:]
-        glued.append(False)
-        if not (isinstance(label, tuple) and len(label) == 2 and isinstance(label[1], str)):
-            below.append(_MISSING)
-            unread = True
-            continue
+        if p and k and ends[p] - p in decided:  # passes with this node count
+            e = ends[p]
+            same = [
+                seen for other, other_leaves, seen in decided[e - p].get(label, ())
+                if other.key == (labels[p:e], arities[p:e])
+                and other_leaves == leaves[bisect_left(stars, p) : bisect_left(stars, e)]
+            ]
+            if same:  # the subtree passed as a fragment of its own
+                names, p = names | same[0], e
+                continue
         sequent, rule = label
-        below.append(sequent)
-        if unread and any(q is _MISSING for q in premises):
-            i = [q is _MISSING for q in premises].index(True)
-            broken = p, i, glue[i]
-            continue
-        instance = (rule, premises, sequent)
-        try:
-            prog = decided[instance]
-        except KeyError:
-            if calc.is_instance(rule, premises, sequent):
-                progress = calc.progress_set(rule, premises, sequent)
-                prog = decided[instance] = [i in progress for i in range(k)]
+        names.add(rule)
+        premises, glue, c = [], [], p + 1
+        for i in range(k):
+            below = labels[c]
+            if below is STAR:
+                below = leaves[bisect_left(stars, c)]
+                if below is _MISSING:
+                    word = format_word(tree.words([p])[p] + (i,))
+                    raise CalculusError(f"no sequent supplied for leaf {word}")
+            elif isinstance(below, tuple) and len(below) == 2 and isinstance(below[1], str):
+                below = below[0]
             else:
-                prog = decided[instance] = None
+                _sequent_rule(below, tree.words([p])[p] + (i,))  # raises, naming the node
+            premises.append(below)
+            glue.append(labels[c] is STAR)
+            c = ends[c]
+        instance = (rule, tuple(premises), sequent)
+        prog = decided.get(instance, _MISSING)
+        if prog is _MISSING:  # decided here, once per table
+            ok = calc.is_instance(rule, instance[1], sequent)
+            progress = calc.progress_set(rule, instance[1], sequent) if ok else ()
+            prog = decided[instance] = [i in progress for i in range(k)] if ok else None
         if prog is None:
             found.append((p, EPSILON, "rule", f"not an instance of {rule}"))
         elif prog != glue:
@@ -262,17 +265,13 @@ def check_proof_fragment(
                 if glue[i] != prog[i]:
                     expect = "a glue point" if prog[i] else "an ordinary premise"
                     found.append((p, (i,), "progress", f"premise {i} must be {expect}"))
-    if broken is not None:
-        p, i, star = broken
-        word = tree.words([p])[p] + (i,)
-        if star:
-            raise CalculusError(f"no sequent supplied for leaf {format_word(word)}")
-        _sequent_rule(_MISSING, word)  # raises, naming the node
-    if not found:
-        decided[tree, leaves] = True
-        return CheckReport()
-    words = tree.words([q for q, *_ in found])
-    return CheckReport([Finding(state, words[q] + w, cond, msg) for q, w, cond, msg in sorted(found)])
+        p += 1
+    if found:
+        words = tree.words([q for q, *_ in found])
+        return CheckReport([Finding(state, words[q] + w, cond, msg) for q, w, cond, msg in found])
+    decided[tree, leaves] = seen = frozenset(names)
+    decided.setdefault(len(labels), {}).setdefault(labels[0], []).append((tree, leaves, seen))
+    return CheckReport()
 
 
 def check_proof_graph(
@@ -286,8 +285,7 @@ def check_proof_graph(
     the states whose proofs it has already seen pass with ``calc``.
     One ``decided`` table, the caller's or a fresh one, serves every
     fragment check, whose leaf sequents, the root sequents of the state's
-    targets, go as a tuple in leaf order; the report lists the states checked.
-    """
+    targets, go as a tuple in leaf order; the report lists the states checked."""
     report = CheckReport(states=root_first_order(pg.graph, pg.root, skip))
     decided = {} if decided is None else decided
     dest = pg.graph._dest  # read, never written

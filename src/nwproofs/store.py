@@ -3,8 +3,8 @@
 It holds the nested view of a fragment (:class:`PNode` with
 :class:`PLink` leaves) and its conversions to and from the fragment's
 preorder arrays,
-bisimulation (:func:`bisim_minimize`, and :func:`canonical_form` built
-on it), and :class:`Arena`, the hash-consed store in which ``extend``,
+bisimulation (:func:`bisim_partition`, and :func:`bisim_minimize` and
+:func:`canonical_form` built on it), and :class:`Arena`, the hash-consed store in which ``extend``,
 ``cuts_up`` and the admissible moves keep the proofs they make.  The
 store is a minimal coalgebra: no two of its states are bisimilar, so a
 state id is a bisimulation class, and a nested view read from the store
@@ -135,13 +135,12 @@ def subtree_at(node: PNode, at: Word) -> PNode | PLink:
 # -- bisimulation ----------------------------------------------------------
 
 
-def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]:
-    """Quotient by the coarsest bisimulation.
+def bisim_partition(coalg: Coalgebra) -> dict[StateId, int]:
+    """The coarsest bisimulation, as a block id per state.
 
     States are identified iff their fragments are equal and their targets
     are pairwise identified states; the refinement is seeded by fragment
     equality, and a signature keeps only block ids, in leaf order.
-    Returns the quotient and the renaming map.
     """
     states = sorted(coalg.states)
     block: dict[StateId, int] = {}
@@ -156,13 +155,20 @@ def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]
             sig = (block[s], tuple([block[t] for t in coalg._dest[s][1]]))
             new_block[s] = sigs.setdefault(sig, len(sigs))
         if new_block == block:
-            break
+            return block
         block = new_block
+
+
+def bisim_minimize(coalg: Coalgebra) -> tuple[Coalgebra, dict[StateId, StateId]]:
+    """Quotient by the coarsest bisimulation (:func:`bisim_partition`),
+    each block named by its least state.  Returns the quotient and the
+    renaming map."""
+    block = bisim_partition(coalg)  # its states in sorted order
     members: dict[int, list[StateId]] = {}
-    for s in states:
+    for s in block:
         members.setdefault(block[s], []).append(s)
     name = {b: min(ms) for b, ms in members.items()}
-    renaming = {s: name[block[s]] for s in states}
+    renaming = {s: name[block[s]] for s in block}
     dest = {}
     for b, ms in members.items():
         rep = min(ms)
@@ -201,12 +207,14 @@ class Arena:
     destructor to its state (hash-consing after Filliâtre and Conchon,
     "Type-safe modular hash-consing", 2006).  A graph brought in by
     :meth:`include` may be cyclic; its states are refined once, jointly
-    with the stored ones, and only one state of each new class is copied
-    in.
+    with the stored ones, into classes alone, with no quotient built, and
+    only one state of each new class is copied in.
 
     The store also keeps, per calculus object, the states whose proofs
     passed :func:`check` and the table of instances and fragments the
-    checker decided.
+    checker decided.  A passed fragment is indexed there by node count
+    and root label, so a later check skips any subtree equal to it, over
+    the same leaf sequents, whichever state it sits in.
     """
 
     def __init__(self) -> None:
@@ -250,7 +258,7 @@ class Arena:
             if rename:
                 targets = tuple([rename.get(t, t) for t in targets])
             joint[rename.get(s, s)] = (frag, targets)
-        _, block = bisim_minimize(Coalgebra.view(joint))
+        block = bisim_partition(Coalgebra.view(joint))  # the classes, and no quotient
         rep = {block[s]: s for s in self._states}
         incoming = [rename.get(s, s) for s in order]
         for s in incoming:

@@ -56,11 +56,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .calculus import CalculusError, CheckReport, LocalProgressCalculus, ProofGraph
-from .calculus import _is_sequent_rule, check_proof_fragment, recorded_pass
+from .calculus import _is_sequent_rule, check_proof_fragment
 from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, Destructor, StateId
 from .fftree import UnfoldBudget, Unfolding, unfold_by
 from .store import Arena, check
-from .trees import EPSILON, STAR, TreeNW, format_word
+from .trees import EPSILON, TreeNW, format_word
 
 StepOutput = Destructor  # a fragment, and a state of the step's store per star leaf
 
@@ -129,14 +129,19 @@ class _Engine:
             raise StepContractViolation(1, "fragment root is not labelled with (sequent, rule)")
         if not isinstance(targets, tuple) or len(targets) > len(fragment._stars):
             raise StepContractViolation(2, "residuals not a tuple, or more residuals than star leaves")
-        for i in range(len(fragment._stars)):
-            try:
-                stored = targets[i] in self.store._states
-            except (LookupError, TypeError):  # no residual, or one that is no state id
-                stored = False
-            if not stored:
-                leaf = format_word(fragment.leaf_order[i])
-                raise StepContractViolation(2, f"no stored residual at leaf {leaf}")
+        try:  # all residuals at once, and leaf by leaf only to name a bad one
+            stored = all(map(self.store._states.__contains__, targets))
+        except TypeError:  # a residual that is no state id
+            stored = False
+        if not stored or len(targets) < len(fragment._stars):
+            for i in range(len(fragment._stars)):
+                try:
+                    stored = targets[i] in self.store._states
+                except (LookupError, TypeError):  # no residual, or one that is no state id
+                    stored = False
+                if not stored:
+                    leaf = format_word(fragment.leaf_order[i])
+                    raise StepContractViolation(2, f"no stored residual at leaf {leaf}")
         return fragment, targets
 
     def check_value(self, state: StateId, where: Callable[[], str]) -> ProofGraph:
@@ -156,12 +161,9 @@ class _Engine:
         """The target check of an emitted fragment over its leaf sequents,
         in leaf order.  A pass the source check recorded stands in for the
         walk when the fragment uses no rule in ``differing``."""
-        differing = self.differing
-        if differing is not None and recorded_pass(self.source_decided, fragment, leaves):
-            # a recorded pass has (sequent, rule) labels and stars only
-            if not differing or differing.isdisjoint(
-                [label[1] for label in fragment._labels if label is not STAR]
-            ):
+        if self.differing is not None:
+            names = self.source_decided.get((fragment, leaves))  # a pass records its rule names
+            if names is not None and self.differing.isdisjoint(names):
                 return
         try:
             report = check_proof_fragment(self.target, fragment, leaves, decided=self.decided)

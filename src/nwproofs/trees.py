@@ -96,21 +96,17 @@ def tree_arity(labels: Mapping[Word, Label]) -> dict[Word, int]:
 
 def preorder_words(arities: Sequence[int], wanted: Collection[int] | None = None) -> dict[int, Word]:
     """The word of each position in ``wanted`` (of every node if None), from
-    one walk in preorder that checks the arities describe one tree."""
+    one walk in preorder over the arities of one tree."""
     words: dict[int, Word] = {}
     path: list[int] = []  # the word of the node at hand, after a 0 for the root
     upcoming = [(0, 0)]  # (depth, child index) of the nodes still to come, next last
     for p, k in enumerate(arities):
-        if not upcoming or k < 0:
-            raise TreeError(f"arity {k} at position {p} does not continue the tree")
         depth, i = upcoming.pop()
         del path[depth:]
         path.append(i)
         if wanted is None or p in wanted:
             words[p] = tuple(path[1:])
         upcoming.extend([(depth + 1, j) for j in range(k - 1, -1, -1)])
-    if upcoming:
-        raise TreeError("the arities end inside the tree")
     return words
 
 
@@ -119,12 +115,13 @@ class TreeNW:
     a word table or from preorder arrays: one label and one arity per node.
 
     Checked at construction: the nodes form one tree, the root is not a
-    star, and stars only occur at leaves.  ``_stars`` holds the star
-    leaves' positions in preorder, which is leaf order; walks read it and
-    form no word.  ``leaf_order`` and ``nw_leaves``, the word API's views
-    of it, scan the word index at each call, in time linear in nodes."""
+    star, and stars only occur at leaves.  ``_ends`` holds where each
+    position's subtree ends, so a node's children sit at ``p + 1`` and
+    each child's end; ``_stars`` holds the star leaves' positions in
+    preorder, which is leaf order.  Walks read them and form no word; the
+    word API's ``leaf_order`` and ``nw_leaves`` scan the word index."""
 
-    __slots__ = ("_labels", "_arities", "_stars", "_hash", "_index")
+    __slots__ = ("_labels", "_arities", "_ends", "_stars", "_hash", "_index")
 
     def __init__(self, labels: Labels, arities: Sequence[int] | None = None):
         self._index: dict[Word, int] | None = None  # word -> position, built on first use
@@ -137,9 +134,14 @@ class TreeNW:
             raise TreeError("a tree needs a root, and one label and one arity per node")
         if labels[0] is STAR:
             raise ViolatedRootLabel("root may not be a star", EPSILON)
-        if self._index is None:
-            preorder_words(arities, ())  # the arrays' shape, with no word formed
-        self._labels, self._arities = tuple(labels), tuple(arities)
+        ends, done = [0] * len(arities), []  # the subtrees finished, in reverse preorder
+        for p in range(len(arities) - 1, -1, -1):  # a node ends where its last child ends
+            k = arities[p]
+            if not 0 <= k <= len(done) or (not p and k != len(done)):  # the root takes all
+                raise TreeError(f"arity {k} at position {p} does not fit the nodes after it")
+            ends[p] = done[-k] if k else p + 1
+            done[len(done) - k :] = [ends[p]]
+        self._labels, self._arities, self._ends = tuple(labels), tuple(arities), tuple(ends)
         self._stars = tuple([p for p, lab in enumerate(labels) if lab is STAR])
         for p in self._stars:
             if arities[p]:

@@ -23,12 +23,12 @@ from grzlib import box_chain, complete_blocks
 from reference_checker import GRZ_CUT_RULES, GRZ_RULES, Unlabelled, fragment_findings, proof_findings
 
 from nwproofs.calculus import CalculusError, ProofGraph, check_proof_fragment, check_proof_graph
-from nwproofs.coalgebra import Coalgebra, UnfoldBudget
+from nwproofs.coalgebra import Coalgebra, UnfoldBudget, root_first_order
 from nwproofs.fftree import Unfolding
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, Atom, Box, Imp, Sequent, cut_elim
 from nwproofs.search import SearchBudget, _plant_cut, generate_corpus, search
-from nwproofs.store import PLink, PNode, flatten, replace_subtree, subtree_at, to_nested
+from nwproofs.store import Arena, PLink, PNode, check, flatten, replace_subtree, subtree_at, to_nested
 from nwproofs.translate import extend, identity_step
 from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation
 
@@ -164,6 +164,12 @@ def _inputs() -> list[ProofGraph]:
     return golden + generated
 
 
+def _nested(n: int) -> ProofGraph:
+    pg = search(GRZ, box_chain(n), SearchBudget(n + 3, n + 3))
+    assert pg is not None
+    return pg
+
+
 def test_reference_checker_agrees_with_the_kernel():
     rng = random.Random(18)
     base = _inputs()
@@ -228,8 +234,7 @@ def test_reference_checker_agrees_on_the_nested_family():
     rng, glue_rng = random.Random(21), random.Random(22)
     cases, glued = [], []
     for n in range(4, 17):
-        pg = search(GRZ, box_chain(n), SearchBudget(n + 3, n + 3))
-        assert pg is not None
+        pg = _nested(n)
         cut = _plant_cut(random.Random(n), pg)
         outputs = [extend(identity_step(GRZ), pg, UnfoldBudget(4), max_states=10_000), cut_elim(cut)]
         assert all(isinstance(out, ProofGraph) for out in outputs)
@@ -249,6 +254,86 @@ def test_reference_checker_agrees_on_the_nested_family():
         assert not check_proof_graph(GRZ_CUT, pg).ok and proof_findings(pg, GRZ_CUT_RULES)
     failing = sum(not check_proof_graph(GRZ_CUT, pg).ok for pg in cases)
     assert len(cases) > 150 and 30 < failing < len(cases) - 50
+
+
+def test_a_subtree_that_nearly_equals_a_passed_fragment_is_walked():
+    """Near misses for the skip of a subtree equal to a fragment that
+    passed.  In a nested proof the premise-0 subtree of a state has the
+    arrays and leaf sequents of the fragment its premise 1 links to,
+    which is checked first.  Relinking a star leaf of that subtree to a
+    state with another root sequent, or moving a premise from the
+    innermost box to the ``impr`` node above it so that only the arities
+    differ, leaves a subtree that must be walked; both checkers report
+    the same findings, at that state, with fresh and with shared tables."""
+    pg = _nested(6)
+    order = root_first_order(pg.graph, pg.root)
+    dest = pg.graph.destructors()
+    state = order[4]
+    tree, targets = dest[state]
+    inner, inner_targets = dest[targets[-1]]
+    end = tree._ends[1]
+    assert (tree._labels[1:end], tree._arities[1:end]) == inner.key
+    assert targets[:-1] == inner_targets and order.index(targets[-1]) < order.index(state)
+    assert pg.state_sequent(targets[1]) != pg.state_sequent(targets[0])
+    q = [label[1] for label in tree._labels if label is not STAR].index("impr")
+    assert tree._arities[q - 1 : q + 1] == (2, 1)
+    arities = list(tree._arities)
+    arities[q - 1 : q + 1] = [1, 2]
+    near = [
+        (tree, (targets[1],) + targets[1:]),  # other leaf sequents
+        (TreeNW(tree._labels, arities), targets),  # other arities
+    ]
+    tables: dict = {}
+    assert _disagreements(pg, tables) == []
+    for destructor in near:
+        mutant = ProofGraph(Coalgebra({**dest, state: destructor}), pg.root)
+        assert _disagreements(mutant, tables) == []
+        assert {f[0] for f in proof_findings(mutant, GRZ_RULES)} == {state}
+
+
+def _cut_at_every_axiom(pg: ProofGraph) -> ProofGraph:
+    """A copy with each axiom ``p0 |- p0`` proved by a cut on ``p0``."""
+    p = Atom(0)
+
+    def node(sequent, rule, kids):
+        if rule != "ax":
+            return PNode(sequent, rule, kids)
+        left, right = PNode(sequent.with_right(p), "ax"), PNode(sequent.with_left(p), "ax")
+        return PNode(sequent, "cut", (left, right))
+
+    dest = {s: flatten(to_nested(*pg.graph._dest[s], node)) for s in pg.states}
+    return ProofGraph(Coalgebra(dest), pg.root)
+
+
+def test_a_subtree_that_passed_with_a_cut_is_no_grz_subtree():
+    """Each state of the nested proof holds the fragment of the state
+    before it, cut included, as a subtree over the same leaf sequents.
+    It passes under Grz+cut, and checked under Grz through the same
+    store, every state must still report its cut, as the reference does."""
+    arena = Arena()
+    view = arena.view(arena.include(_cut_at_every_axiom(_nested(8))))
+    assert check(GRZ_CUT, view).ok
+    findings = _as_tuples(check(GRZ, view).findings)
+    assert findings == proof_findings(view, GRZ_RULES)
+    assert [f[0] for f in findings] == root_first_order(view.graph, view.root)
+    assert {f[3] for f in findings} == {"not an instance of cut"}
+
+
+def test_findings_on_the_nested_family_and_its_mutants_keep_the_reference_order():
+    """Each nested proof for n = 4..12 is checked before its random
+    mutants, with one table per calculus kept across all of them, so the
+    unchanged subtrees of a mutant are skipped against its proof's passes."""
+    rng = random.Random(30)
+    tables: dict = {}
+    disagreements, failing = [], 0
+    for n in range(4, 13):
+        pg = _nested(n)
+        mutants = [m for m in (_mutant(rng, pg) for _ in range(8)) if m is not None]
+        for case in [pg, *mutants]:
+            disagreements += _disagreements(case, tables)
+        failing += sum(bool(proof_findings(m, GRZ_CUT_RULES)) for m in mutants)
+    assert disagreements == []
+    assert failing > 20
 
 
 def test_a_box_whose_premise_1_keeps_an_unboxed_formula_is_no_instance():

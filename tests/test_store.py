@@ -440,13 +440,13 @@ def _count_calls(monkeypatch, counts: Counter, fn, name: str) -> None:
 def test_extend_works_once_per_state(n, monkeypatch):
     """Counts, not times: a fragment walk per input or stored state, none
     for an output state the step handed back unchanged, no canonical
-    form, and one minimization per translation."""
+    form, and one bisimulation refinement per translation."""
     pg = _nested(n)
     cut = _plant_cut(random.Random(n), pg)
     counts: Counter = Counter()
     _count_calls(monkeypatch, counts, calculus.check_proof_fragment, "check")
     _count_calls(monkeypatch, counts, store.canonical_form, "canonical")
-    _count_calls(monkeypatch, counts, store.bisim_minimize, "minimize")
+    _count_calls(monkeypatch, counts, store.bisim_partition, "refine")
     add = Arena.add
 
     def counted_add(self, fragment, links):
@@ -465,7 +465,48 @@ def test_extend_works_once_per_state(n, monkeypatch):
         # a target check of a state the step hands back unchanged is a lookup
         assert counts["check"] <= len(source.states) + counts["add"]
         assert counts["canonical"] == 0
-        assert counts["minimize"] <= 1
+        assert counts["refine"] <= 1
+
+
+class _CountedLookups(dict):
+    """A ``decided`` table that counts every lookup made in it."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def setdefault(self, key, default=None):
+        self.lookups += 1
+        return super().setdefault(key, default)
+
+
+def test_checking_the_nested_family_looks_up_about_linearly_often():
+    """Counts, not times: the fragment of each state of a nested proof
+    holds the fragment of the state before it as a subtree over the same
+    leaf sequents, and the checker skips that subtree, so its lookups in
+    ``decided`` grow about linearly in n while the proper nodes grow
+    about quadratically."""
+    lookups, nodes = [], []
+    for n in (16, 32, 64):
+        pg = _nested(n)
+        decided = _CountedLookups()
+        assert check_proof_graph(GRZ, pg, decided=decided).ok
+        lookups.append(decided.lookups)
+        nodes.append(sum(len(pg.fragment(s)) - len(pg.fragment(s)._stars) for s in pg.states))
+    for fewer, more in zip(nodes, nodes[1:]):
+        assert more >= 3.4 * fewer, nodes
+    for fewer, more in zip(lookups, lookups[1:]):
+        assert more <= 2.2 * fewer, lookups
 
 
 def test_identity_extend_runs_the_graph_checker_once(monkeypatch):
@@ -543,7 +584,7 @@ def _accepted_without_a_walk(monkeypatch) -> list[tuple]:
     check_fragment = translate._Engine.check_fragment
 
     def recorded(self, fragment, leaves, where):
-        own = calculus.recorded_pass(self.decided, fragment, leaves)
+        own = (fragment, leaves) in self.decided
         before = len(walks)
         check_fragment(self, fragment, leaves, where)
         if len(walks) == before:
@@ -572,7 +613,7 @@ def test_every_fragment_accepted_without_a_walk_passes_a_fresh_grz_check(kind, a
     assert isinstance(closed, ProofGraph) and isinstance(unfolded, Unfolding)
     for engine, tree, leaves, _ in accepted:
         assert engine.target is GRZ
-        assert calculus.recorded_pass(engine.source_decided, tree, leaves)
+        assert (tree, leaves) in engine.source_decided
         assert calculus.check_proof_fragment(GRZ, tree, leaves).ok
     if kind == "nested":
         # some pass came from the Grz+cut table, not from the Grz one
