@@ -20,11 +20,10 @@ _WHERE = {
     for module, names in [
         ("trees", ["STAR", "TreeNW", "Truncation"]),
         ("coalgebra", ["Coalgebra"]),
-        ("fftree", ["UnfoldBudget", "Unfolding", "unfold", "FFTree", "construct", "validate_fftree"]),
-        ("fftree", ["check_pre_proof", "compute_fragmentation", "progressing"]),
+        ("fftree", ["UnfoldBudget", "Unfolding", "unfold", "FFTree"]),
         ("calculus", ["CheckReport", "LocalProgressCalculus", "ProofGraph"]),
         ("calculus", ["check_proof_fragment", "check_proof_graph"]),
-        ("store", ["bisim_minimize", "canonical_form", "subproof"]),
+        ("store", ["bisim_minimize", "canonical_form"]),
         ("translate", ["StepContractViolation", "TranslationStep", "extend"]),
         ("translate", ["identity_step", "validate_step"]),
         ("search", ["SearchBudget", "generate_corpus", "search"]),

@@ -22,8 +22,8 @@ This module is the checker and nothing else: it never changes a proof
 and keeps nothing between calls.  Its ``decided`` table of instances
 and passed fragments (never a failing one) is valid for one calculus
 and belongs to one call or to its caller.  What rewrites proofs is in
-:mod:`nwproofs.store`; the paper's pre-proof definitions are in
-:mod:`nwproofs.fftree`.
+:mod:`nwproofs.store`; the paper's pre-proof definitions are a test
+reference, ``tests/paper_defs.py``.
 
 Sequents are opaque here: anything hashable with equality works.
 """

@@ -28,10 +28,10 @@ from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
-from .calculus import CheckReport, LocalProgressCalculus, ProofGraph, UnknownNode
+from .calculus import CheckReport, LocalProgressCalculus, ProofGraph
 from .calculus import _check_labels, check_proof_graph
 from .coalgebra import Coalgebra, Destructor, StateId, root_first_order, validated_destructor
-from .trees import EPSILON, STAR, TreeNW, Word, format_word
+from .trees import EPSILON, STAR, TreeNW, Word
 
 # -- nested fragment views ------------------------------------------------
 #
@@ -322,20 +322,3 @@ def check(calc: LocalProgressCalculus, pg: ProofGraph) -> CheckReport:
         certified.update(report.states)
     return report
 
-
-def subproof(pg: ProofGraph, node: Word) -> ProofGraph:
-    """The proof rooted at a node of the root fragment.
-
-    A star leaf yields the linked state's proof; an inner node becomes
-    a fresh state carrying the carved-out part of the fragment.
-    """
-    frag = pg.fragment(pg.root)
-    if node not in frag:
-        raise UnknownNode(f"node {format_word(node)} not in root fragment")
-    links = pg.links(pg.root)
-    if node in links:
-        return pg.at(links[node])
-    arena = Arena()
-    nested = subtree_at(arena.materialize(arena.include(pg)), node)
-    assert isinstance(nested, PNode)
-    return arena.proof(nested)

@@ -71,7 +71,7 @@ def random_root_path(rng: random.Random, coalg: Coalgebra, state: str, max_len: 
 
 def unfold_by_gluing(coalg: Coalgebra, state: str, depth: int) -> FFTree:
     """Independent unfolder: recursive destructor gluing, used as oracle."""
-    from nwproofs.fftree import construct
+    from paper_defs import construct
     from nwproofs.trees import EPSILON as EPS
     from nwproofs.trees import Truncation
 

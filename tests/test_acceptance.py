@@ -28,29 +28,11 @@ from nwproofs.store import (
     bisim_minimize,
     flatten,
     replace_subtree,
-    subproof,
     subtree_at,
     to_nested,
 )
 from nwproofs.coalgebra import Coalgebra, UnfoldBudget
-from nwproofs.fftree import (
-    FFTree,
-    NotAPreProof,
-    Unfolding,
-    compute_fragmentation,
-    construct,
-    disjoint,
-    ff_fragment,
-    ff_is_root_path,
-    ff_root_paths,
-    ff_subelement,
-    fragment_at,
-    is_root_path,
-    prefix_le,
-    subelement,
-    unfold,
-    word_of,
-)
+from nwproofs.fftree import FFTree, Unfolding, unfold
 from nwproofs.grz import (
     GRZ,
     GRZ_CUT,
@@ -76,6 +58,25 @@ from nwproofs.grz.formulas import subformulas
 from nwproofs.grz.rules import CUT
 from nwproofs.search import SearchBudget, generate_corpus, search
 from nwproofs.trees import EPSILON, Truncation, Word
+from paper_defs import (
+    NotAPreProof,
+    compute_fragmentation,
+    construct,
+    destruct,
+    disjoint,
+    ff_fragment,
+    ff_is_root_path,
+    ff_root_paths,
+    ff_subelement,
+    fragment_at,
+    is_root_path,
+    prefix_le,
+    root_path_of,
+    subelement,
+    subproof,
+    subtree,
+    word_of,
+)
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -96,15 +97,15 @@ def test_criterion_1_finality_laws():
         coalg = random_coalgebra(rng, max_states=8, max_frag_nodes=7)
         state = sorted(coalg.states)[rng.randrange(len(coalg.states))]
         sample = unfold(coalg, state, UnfoldBudget(max_depth=3)).tree
-        frag, parts = sample.destruct()
+        frag, parts = destruct(sample)
         ok = ok and construct(frag, parts) == sample
-        rebuilt_frag, rebuilt_parts = construct(frag, parts).destruct()
+        rebuilt_frag, rebuilt_parts = destruct(construct(frag, parts))
         ok = ok and rebuilt_frag == frag and rebuilt_parts == parts
         for depth in range(1, 6):
             direct = unfold(coalg, state, UnfoldBudget(max_depth=depth)).tree
             ok = ok and direct == unfold_by_gluing(coalg, state, depth)
         # destructing an unfolding matches the machine's own destructor
-        got_frag, got_parts = unfold(coalg, state, UnfoldBudget(max_depth=3)).tree.destruct()
+        got_frag, got_parts = destruct(unfold(coalg, state, UnfoldBudget(max_depth=3)).tree)
         ok = ok and got_frag == coalg.fragment(state)
         links = coalg.links(state)
         for w, sub in got_parts.items():
@@ -126,18 +127,18 @@ def test_criterion_2_correspondence_suite():
             w = word_of(r)
             if not (
                 w in tree.roots()
-                and tree.root_path_of(w) == r
+                and root_path_of(tree, w) == r
                 and ff_fragment(tree, r) == tree.tree_fragment(w)
-                and ff_subelement(tree, r) == tree.subtree(w)
+                and ff_subelement(tree, r) == subtree(tree, w)
             ):
                 failures += 1
         for w in tree.roots():
-            r = tree.root_path_of(w)
+            r = root_path_of(tree, w)
             if not (
                 ff_is_root_path(tree, r)
                 and word_of(r) == w
                 and tree.tree_fragment(w) == ff_fragment(tree, r)
-                and tree.subtree(w) == ff_subelement(tree, r)
+                and subtree(tree, w) == ff_subelement(tree, r)
             ):
                 failures += 1
     report(2, "correspondence suite", failures == 0)

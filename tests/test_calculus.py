@@ -24,18 +24,19 @@ from nwproofs.calculus import (
     check_proof_graph,
 )
 from nwproofs.coalgebra import Coalgebra, UnfoldBudget, root_first_order
-from nwproofs.fftree import (
-    FFTree,
+from nwproofs.fftree import FFTree, unfold
+from nwproofs.graphfile import parse_proof_file
+from nwproofs.grz import GRZ, GRZ_CUT, Box, Imp, local_height
+from nwproofs.store import flatten, to_nested
+from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation
+from paper_defs import (
     NotAPreProof,
     check_pre_proof,
     compute_fragmentation,
     progressing,
-    unfold,
+    root_map,
+    subproof,
 )
-from nwproofs.graphfile import parse_proof_file
-from nwproofs.grz import GRZ, GRZ_CUT, Box, Imp, local_height
-from nwproofs.store import flatten, subproof, to_nested
-from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -166,7 +167,7 @@ def test_fragmentation_of_unfolding_matches_computed():
     pg = self_loop_graph()
     res = unfold(pg.graph, pg.root, UnfoldBudget(max_depth=4))
     computed = compute_fragmentation(GRZ, res.tree.labels())
-    assert computed == res.tree.root_map()
+    assert computed == root_map(res.tree)
     # and the recomputed partition validates as a fragmented tree
     FFTree(res.tree.labels(), computed)
 

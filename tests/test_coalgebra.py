@@ -12,9 +12,21 @@ from nwproofs.coalgebra import (
     reachable,
     root_first_order,
 )
-from nwproofs.fftree import NotARootPath, disjoint, fragment_at, is_root_path, subelement, unfold, word_of
+from nwproofs.fftree import unfold
 from nwproofs.store import bisim_minimize, canonical_form
 from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation
+from paper_defs import (
+    NotARootPath,
+    complete_nodes,
+    destruct,
+    disjoint,
+    fragment_at,
+    is_root_path,
+    partition,
+    prefix_le,
+    subelement,
+    word_of,
+)
 
 LOOP_FRAG = TreeNW({EPSILON: "a", (0,): STAR})
 G1 = Coalgebra({"c": (LOOP_FRAG, ("c",))})
@@ -69,15 +81,15 @@ def test_fragment_at_examples():
 
 def test_unfold_depth_one_truncates_after_root_fragment():
     res = unfold(G1, "c", UnfoldBudget(max_depth=1))
-    assert res.complete_nodes == {EPSILON}
+    assert complete_nodes(res) == {EPSILON}
     assert res.truncations == {(0,): "c"}
 
 
 def test_unfold_layers_and_partition():
     res = unfold(G1, "c", UnfoldBudget(max_depth=3))
-    assert res.complete_nodes == {EPSILON, (0,), (0, 0)}
+    assert complete_nodes(res) == {EPSILON, (0,), (0, 0)}
     assert res.truncations == {(0, 0, 0): "c"}
-    assert res.tree.partition() == frozenset(
+    assert partition(res.tree) == frozenset(
         {frozenset({EPSILON}), frozenset({(0,)}), frozenset({(0, 0)}), frozenset({(0, 0, 0)})}
     )
 
@@ -85,7 +97,7 @@ def test_unfold_layers_and_partition():
 def test_unfold_without_stars_is_the_fragment():
     res = unfold(CHAIN, "d", UnfoldBudget(max_depth=5))
     assert res.truncations == {}
-    assert res.tree.partition() == frozenset({frozenset({EPSILON})})
+    assert partition(res.tree) == frozenset({frozenset({EPSILON})})
 
 
 def test_unfold_budget_nodes():
@@ -109,7 +121,7 @@ def test_unfold_destruct_matches_machine_destructor():
         coalg = random_coalgebra(rng, max_states=5, max_frag_nodes=6)
         state = sorted(coalg.states)[0]
         res = unfold(coalg, state, UnfoldBudget(max_depth=3))
-        frag, parts = res.tree.destruct()
+        frag, parts = destruct(res.tree)
         assert frag == coalg.fragment(state)
         links = coalg.links(state)
         for w, sub in parts.items():
@@ -158,7 +170,6 @@ def test_root_path_words_disjoint_or_ordered():
             for s in paths:
                 if len(r) == len(s) and r != s:
                     assert disjoint(word_of(r), word_of(s))
-                from nwproofs.fftree import prefix_le
 
                 if prefix_le(word_of(r), word_of(s)):
                     assert s[: len(r)] == r
@@ -223,7 +234,7 @@ def test_bisim_minimize_preserves_unfoldings():
                     for w, lab in t.labels().items()
                 }
                 assert strip(a.tree) == strip(b.tree)
-                assert a.tree.partition() == b.tree.partition()
+                assert partition(a.tree) == partition(b.tree)
 
 
 def test_canonical_form_detects_bisimilarity():

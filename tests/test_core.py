@@ -60,6 +60,21 @@ def test_check_loads_only_the_trusted_modules():
     assert lines <= 1_543
 
 
+FFTREE_ALONE = """
+import json, sys
+import nwproofs.fftree
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "nwproofs")))
+"""
+
+
+def test_the_unfolding_module_loads_neither_the_checker_nor_the_store():
+    # the paper's definitions that read proofs live in tests/paper_defs.py
+    loaded = _run(FFTREE_ALONE)
+    assert "nwproofs.fftree" in loaded
+    assert "nwproofs.calculus" not in loaded
+    assert "nwproofs.store" not in loaded
+
+
 NAMESPACES = """
 import json, sys
 from importlib import import_module

@@ -23,6 +23,7 @@ from grzlib import (
     seq,
     weakening_part_cut_graph,
 )
+from paper_defs import subproof
 from reference_translate import layout, reference_unfolding
 
 from nwproofs.calculus import ProofGraph, check_proof_graph
@@ -42,7 +43,7 @@ from nwproofs.grz import (
     reduce_cut,
 )
 from nwproofs.grz.rules import CUT
-from nwproofs.store import canonical_form, subproof, to_nested
+from nwproofs.store import canonical_form, to_nested
 from nwproofs.trees import Truncation
 
 

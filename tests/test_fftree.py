@@ -3,18 +3,20 @@ import random
 import pytest
 
 from conftest import random_fftree
-from nwproofs.fftree import (
-    FFTree,
-    NoRoot,
-    NotAPartition,
-    NotARoot,
-    NotConvex,
-    TruncationNotAllowed,
+from nwproofs.fftree import FFTree, NoRoot, NotAPartition, NotARoot, NotConvex, TruncationNotAllowed
+from paper_defs import (
+    arity,
     construct,
+    destruct,
     ff_fragment,
     ff_is_root_path,
     ff_root_paths,
     ff_subelement,
+    fheight,
+    imm_succ,
+    partition,
+    root_path_of,
+    subtree,
     validate_fftree,
     word_of,
 )
@@ -72,7 +74,7 @@ def test_tree_shape_is_checked_as_for_fragments():
 
 
 def test_arity_equality_and_hash():
-    assert [PI2.arity(w) for w in (EPSILON, (0,), (0, 0))] == [1, 1, 0]
+    assert [arity(PI2, w) for w in (EPSILON, (0,), (0, 0))] == [1, 1, 0]
     same = FFTree({(0, 0): "c", (0,): "b", EPSILON: "a"}, {EPSILON: 0, (0,): 1, (0, 0): 2})
     assert same == PI2 and hash(same) == hash(PI2)
     merged = FFTree({EPSILON: "a", (0,): "b", (0, 0): "c"}, [[EPSILON, (0,)], [(0, 0)]])
@@ -91,9 +93,9 @@ def test_truncation_accepted_at_a_leaf_refused_on_an_inner_node():
 def test_roots_and_measures():
     assert PI2.roots() == {EPSILON, (0,), (0, 0)}
     assert PI2.frag_root((0, 0)) == (0, 0)
-    assert PI2.fheight((0, 0)) == 2
-    assert not PI2.imm_succ(EPSILON, (0, 0))
-    assert PI2.imm_succ(EPSILON, (0,))
+    assert fheight(PI2, (0, 0)) == 2
+    assert not imm_succ(PI2, EPSILON, (0, 0))
+    assert imm_succ(PI2, EPSILON, (0,))
 
 
 def test_tree_fragment_examples():
@@ -105,46 +107,46 @@ def test_tree_fragment_examples():
 
 
 def test_subtree_examples():
-    sub = PI2.subtree((0,))
+    sub = subtree(PI2, (0,))
     assert sub.nodes == {EPSILON, (0,)}
-    assert sub.partition() == frozenset({frozenset({EPSILON}), frozenset({(0,)})})
-    assert PI2.subtree(EPSILON) == PI2
-    assert PI2.subtree((0, 0)).nodes == {EPSILON}
+    assert partition(sub) == frozenset({frozenset({EPSILON}), frozenset({(0,)})})
+    assert subtree(PI2, EPSILON) == PI2
+    assert subtree(PI2, (0, 0)).nodes == {EPSILON}
     with pytest.raises(NotARoot):
-        FFTree({EPSILON: "a", (0,): "b"}, [[EPSILON, (0,)]]).subtree((0,))
+        subtree(FFTree({EPSILON: "a", (0,): "b"}, [[EPSILON, (0,)]]), (0,))
 
 
 def test_destruct_examples():
     whole = FFTree({EPSILON: "a", (0,): "b"}, [[EPSILON, (0,)]])
-    frag, parts = whole.destruct()
+    frag, parts = destruct(whole)
     assert parts == {}
     assert frag == TreeNW({EPSILON: "a", (0,): "b"})
 
-    frag2, parts2 = PI2.destruct()
+    frag2, parts2 = destruct(PI2)
     assert frag2 == TreeNW({EPSILON: "a", (0,): STAR})
-    assert parts2 == {(0,): PI2.subtree((0,))}
+    assert parts2 == {(0,): subtree(PI2, (0,))}
 
 
 def test_construct_examples():
     assert construct(TreeNW({EPSILON: "a"}), {}) == FFTree({EPSILON: "a"}, [[EPSILON]])
     glued = construct(TreeNW({EPSILON: "a", (0,): STAR}), {(0,): FFTree({EPSILON: "b"}, [[EPSILON]])})
-    assert glued.partition() == frozenset({frozenset({EPSILON}), frozenset({(0,)})})
+    assert partition(glued) == frozenset({frozenset({EPSILON}), frozenset({(0,)})})
     with pytest.raises(ValueError):
         construct(TreeNW({EPSILON: "a", (0,): STAR}), {})
 
 
 def test_root_path_examples():
-    assert PI2.root_path_of(EPSILON) == ()
-    assert PI2.root_path_of((0, 0)) == ((0,), (0,))
+    assert root_path_of(PI2, EPSILON) == ()
+    assert root_path_of(PI2, (0, 0)) == ((0,), (0,))
     with pytest.raises(NotARoot):
-        FFTree({EPSILON: "a", (0,): "b"}, [[EPSILON, (0,)]]).root_path_of((0,))
+        root_path_of(FFTree({EPSILON: "a", (0,): "b"}, [[EPSILON, (0,)]]), (0,))
 
 
 def test_round_trip_destruct_construct_random():
     rng = random.Random(11)
     for _ in range(100):
         t = random_fftree(rng, max_nodes=25)
-        frag, parts = t.destruct()
+        frag, parts = destruct(t)
         assert construct(frag, parts) == t
 
 
@@ -179,13 +181,13 @@ def test_subtree_roots_correspondence():
     for _ in range(60):
         t = random_fftree(rng, max_nodes=30)
         for w in sorted(t.roots()):
-            sub = t.subtree(w)
+            sub = subtree(t, w)
             assert {w + v for v in sub.roots()} == {
                 u for u in t.roots() if (u[: len(w)] == w)
             }
             for v in sorted(sub.roots()):
                 assert sub.tree_fragment(v) == t.tree_fragment(w + v)
-                assert sub.subtree(v) == t.subtree(w + v)
+                assert subtree(sub, v) == subtree(t, w + v)
 
 
 def test_immediate_predecessor_root_is_unique():
@@ -195,7 +197,7 @@ def test_immediate_predecessor_root_is_unique():
         for v in t.roots():
             if v == EPSILON:
                 continue
-            below = [w for w in t.roots() if t.imm_succ(w, v)]
+            below = [w for w in t.roots() if imm_succ(t, w, v)]
             assert len(below) == 1
 
 
@@ -207,12 +209,12 @@ def test_correspondence_of_navigation_and_representation():
         for r in paths:
             w = word_of(r)
             assert w in t.roots()
-            assert t.root_path_of(w) == r
+            assert root_path_of(t, w) == r
             assert ff_fragment(t, r) == t.tree_fragment(w)
-            assert ff_subelement(t, r) == t.subtree(w)
+            assert ff_subelement(t, r) == subtree(t, w)
         for w in sorted(t.roots()):
-            r = t.root_path_of(w)
+            r = root_path_of(t, w)
             assert ff_is_root_path(t, r)
             assert word_of(r) == w
             assert t.tree_fragment(w) == ff_fragment(t, r)
-            assert t.subtree(w) == ff_subelement(t, r)
+            assert subtree(t, w) == ff_subelement(t, r)

@@ -26,7 +26,7 @@ from nwproofs.grz.cutelim import _require_proof, cut_elimination_step, cuts_up, 
 from nwproofs.grz.formulas import Box
 from nwproofs.grz.rules import BOX, CUT
 from nwproofs.search import SearchBudget, _plant_cut, search
-from nwproofs.store import Arena, PNode, canonical_form, check, subproof
+from nwproofs.store import Arena, PNode, canonical_form, check
 from nwproofs.translate import (
     NotASourceProof,
     StepContractViolation,
@@ -35,6 +35,7 @@ from nwproofs.translate import (
     identity_step,
 )
 from nwproofs.trees import EPSILON, STAR, TreeNW
+from paper_defs import subproof
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

@@ -20,7 +20,7 @@ from grzlib import (
 from nwproofs.calculus import ProofGraph, check_proof_graph
 from nwproofs.commands import _print_unfolding, print_proof_file
 from nwproofs.coalgebra import Coalgebra, UnfoldBudget, reachable
-from nwproofs.fftree import Unfolding, compute_fragmentation, unfold
+from nwproofs.fftree import Unfolding, unfold
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.grz import GRZ, GRZ_CUT, cut_elim, cut_elimination_step
 from nwproofs.grz.rules import CALCULI
@@ -35,6 +35,7 @@ from nwproofs.translate import (
     validate_step,
 )
 from nwproofs.trees import EPSILON, TreeNW, Truncation
+from paper_defs import compute_fragmentation, partition, root_map
 
 BUDGET = UnfoldBudget(max_depth=4)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -65,7 +66,7 @@ def test_identity_without_memo_unfolds():
         assert isinstance(out, Unfolding)
         direct = unfold(pg.graph, pg.root, UnfoldBudget(max_depth=3))
         assert strip(out.tree) == strip(direct.tree), path.name
-        assert out.tree.partition() == direct.tree.partition(), path.name
+        assert partition(out.tree) == partition(direct.tree), path.name
         assert set(out.truncations) == set(direct.truncations), path.name
     assert cyclic >= 4
 
@@ -90,7 +91,7 @@ def test_extension_unfolding_projects_to_proof_tree():
     out = extend(cut_elimination_step(), pg, UnfoldBudget(max_depth=3), memo=False)
     assert isinstance(out, Unfolding)
     computed = compute_fragmentation(GRZ, out.tree.labels())
-    assert computed == out.tree.root_map()
+    assert computed == root_map(out.tree)
 
 
 def test_step_contract_violation_condition_two():

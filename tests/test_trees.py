@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_tree_nw
-from nwproofs.fftree import disjoint, prefix_le, word_of
 from nwproofs.graphfile import parse_proof_file
 from nwproofs.trees import (
     EPSILON,
@@ -18,6 +17,7 @@ from nwproofs.trees import (
     TreeNW,
     ViolatedRootLabel,
 )
+from paper_defs import disjoint, prefix_le, word_of
 
 words = st.lists(st.integers(min_value=0, max_value=5), max_size=6).map(tuple)
 
