@@ -15,7 +15,7 @@ canonical keys, the checker, the store and the file format all read it.
 
 from __future__ import annotations
 
-from typing import Container, Mapping
+from collections.abc import Container, Hashable, Mapping
 
 from . import _forwarder
 from .trees import TreeNW, Word, format_word
@@ -102,7 +102,7 @@ def validated_destructor(
     if not isinstance(targets, tuple) or len(targets) != len(frag._stars):
         raise CoalgebraError(f"state {state!r} needs a tuple of one target per star leaf")
     for i, target in enumerate(targets):
-        if target not in known:
+        if not isinstance(target, (StateId, Hashable)) or target not in known:
             leaf = format_word(frag.leaf_order[i])
             raise UnknownState(f"state {state!r} links {leaf} to unknown state {target!r}")
     return frag, targets

@@ -4,7 +4,9 @@ and the layout of a machine's first layers as one such tree.
 Each block of the partition is one finite piece of a (conceptually
 infinite) tree; block roots mark where one piece ends and the next one
 starts, and :meth:`FFTree.tree_fragment` reads the piece at a root with
-star leaves where the next pieces are glued.  :func:`unfold` lays out
+star leaves where the next pieces are glued.  A tree is given by its
+labels and the block root of each node, the map that :func:`unfold_by`
+builds and :meth:`FFTree.frag_root` reads back.  :func:`unfold` lays out
 the first layers of a coalgebra through :func:`unfold_by`, which takes
 any destructor, so a translation that is never closed into a machine,
 :mod:`nwproofs.translate`, unfolds through the same code.
@@ -19,7 +21,7 @@ imports nothing from the checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, StateId
 from .trees import EPSILON, STAR, Label, TreeError, TreeNW, Truncation, Word, format_word, tree_arity
@@ -54,20 +56,19 @@ class TruncationNotAllowed(FFTreeError):
 
 
 class FFTree:
-    """An immutable labelled tree with a fragmentation partition.
+    """An immutable labelled tree with a fragmentation partition, given as
+    the root of each node's block.
 
-    The partition is stored as a node-to-block-root map, so membership
-    and block-root queries are O(1), and as the member list of each
-    block, so a block is read without scanning the tree.
+    The constructor checks one local rule per node: its root is an
+    ancestor-or-self that is its own root, and a node that is no root has
+    its parent's root.  Then every block is finite, has its root as its
+    least member, and is convex.  Each block's members are also listed,
+    so a block is read without scanning the tree.
     """
 
     __slots__ = ("_labels", "_root_of", "_blocks", "_succ")
 
-    def __init__(
-        self,
-        labels: Mapping[Word, Label],
-        partition: Iterable[Iterable[Word]] | Mapping[Word, Any],
-    ):
+    def __init__(self, labels: Mapping[Word, Label], root_of: Mapping[Word, Word]):
         labels = dict(labels)
         arity = tree_arity(labels)
         for w, lab in labels.items():
@@ -75,50 +76,28 @@ class FFTree:
                 raise FFTreeError("star labels are reserved for fragment leaves", w)
             if isinstance(lab, Truncation) and arity[w]:
                 raise TruncationNotAllowed("truncation marker on an inner node", w)
-
-        if isinstance(partition, Mapping):
-            grouped: dict[Any, list[Word]] = {}
-            for node, cls in partition.items():
-                grouped.setdefault(cls, []).append(node)
-            classes = list(grouped.values())
-        else:
-            classes = [list(cls) for cls in partition]
-
-        root_of: dict[Word, Word] = {}
-        for cls in classes:
-            if not cls:
-                continue
-            members = sorted(cls, key=len)
-            member_set = set(members)
-            root = members[0]
-            for v in members:
-                if v not in labels:
-                    raise NotAPartition("partition mentions a non-node", v)
-                if v in root_of:
-                    raise NotAPartition("node in two blocks", v)
-                if v[: len(root)] != root:  # no member is shorter than the root
-                    raise NoRoot(f"block {sorted(map(format_word, members))} has no minimum")
-            for v in members:
-                # convexity: by induction on length, each member's parent
-                # is in the block, up to the root
-                if v != root and v[:-1] not in member_set:
-                    raise NotConvex("node missing from its block", v[:-1])
-                root_of[v] = root
-        missing = set(labels) - set(root_of)
-        if missing:
-            raise NotAPartition("partition does not cover every node", min(missing, key=len))
-
-        # index each block's members, and the block roots right above each block
-        self._labels = labels
-        self._root_of = root_of
+        root_of = dict(root_of)
+        for w in root_of:
+            if w not in labels:
+                raise NotAPartition("partition names a non-node", w)
+        if len(root_of) != len(labels):
+            missing = next(w for w in labels if w not in root_of)
+            raise NotAPartition("partition misses a node", missing)
         blocks: dict[Word, list[Word]] = {}
-        for v, r in root_of.items():
-            blocks.setdefault(r, []).append(v)
-        self._blocks = blocks
+        for w, r in root_of.items():
+            if root_of.get(r) != r or w[: len(r)] != r:
+                raise NoRoot(f"block root {format_word(r)} is no ancestor-or-self block root", w)
+            if w != r and root_of[w[:-1]] != r:
+                raise NotConvex("node missing from its block", w[:-1])
+            blocks.setdefault(r, []).append(w)
+        # the block roots right above each block
         succ: dict[Word, list[Word]] = {r: [] for r in blocks}
         for r in blocks:
             if r != EPSILON:
                 succ[root_of[r[:-1]]].append(r)
+        self._labels = labels
+        self._root_of = root_of
+        self._blocks = blocks
         self._succ = {r: tuple(sorted(kids)) for r, kids in succ.items()}
 
     @property
@@ -180,10 +159,10 @@ class UnfoldBudget:
 
 @dataclass(frozen=True)
 class Unfolding:
-    """A depth-truncated unfolding plus where it was cut off."""
+    """A depth-truncated unfolding: its cut-off points are its
+    :class:`~nwproofs.trees.Truncation` leaves, each naming its state."""
 
     tree: FFTree
-    truncations: Mapping[Word, StateId]
 
 
 def unfold(coalg: Coalgebra, state: StateId, budget: UnfoldBudget) -> Unfolding:
@@ -210,7 +189,6 @@ def unfold_by(
     """
     labels: dict[Word, Any] = {}
     root_of: dict[Word, Word] = {}
-    truncations: dict[Word, str] = {}
     frontier: list[tuple[Word, Any]] = [(EPSILON, root)]
     for _ in range(budget.max_depth):
         next_frontier: list[tuple[Word, Any]] = []
@@ -226,9 +204,8 @@ def unfold_by(
                 next_frontier.append((base + w, y))
         frontier = next_frontier
     for base, x in frontier:
-        truncations[base] = name(x)
-        labels[base] = Truncation(truncations[base], destruct(x)[0].label(EPSILON))
+        labels[base] = Truncation(name(x), destruct(x)[0].label(EPSILON))
         root_of[base] = base
         if len(labels) > budget.max_nodes:
             raise BudgetExceeded(f"unfolding exceeds {budget.max_nodes} nodes")
-    return Unfolding(FFTree(labels, root_of), truncations)
+    return Unfolding(FFTree(labels, root_of))

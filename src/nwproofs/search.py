@@ -373,29 +373,20 @@ def _plant_cut(rng: random.Random, pg: ProofGraph) -> ProofGraph:
     return ProofGraph(Coalgebra(dest), pg.root)
 
 
-def generate_corpus(
-    seed: int,
-    count: int,
-    *,
-    atoms: int = 2,
-    formula_size: int = 4,
-    with_cuts: bool = True,
-    budget: SearchBudget | None = None,
-) -> list[ProofGraph]:
-    """A deterministic mix of searched proofs, half of them with a cut
-    planted at a random node when cuts are enabled; all outputs are
-    re-checked before being returned."""
+def generate_corpus(seed: int, count: int, *, with_cuts: bool = True) -> list[ProofGraph]:
+    """A deterministic mix of proofs searched for random goals over two
+    atoms, half of them with a cut planted at a random node when cuts are
+    enabled; all outputs are re-checked before being returned."""
     rng = random.Random(seed)
-    if budget is None:
-        budget = SearchBudget(max_fragment_height=6, max_states=12)
+    budget = SearchBudget(max_fragment_height=6, max_states=12)
     out: list[ProofGraph] = []
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 200 * max(count, 1):
             raise RuntimeError("corpus generation is not converging")
-        goal = _random_goal(rng, atoms, formula_size)
-        if goal.total > 2 * formula_size:
+        goal = _random_goal(rng, 2, 4)  # two atoms, formulas of size at most 4
+        if goal.total > 8:
             continue
         pg = search(GRZ, goal, budget)
         if pg is None:

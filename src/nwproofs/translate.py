@@ -2,12 +2,13 @@
 
 A step consumes a proof of the source calculus and emits one output
 fragment plus the residual source proofs hanging at its glue points.
-Extending it corecursively yields the full translation, in one
-breadth-first pass that steps each residual once: with memoization,
-repeated residuals become back links and regular inputs close into a
-finite graph; otherwise (or when the residuals outnumber the state
-budget) the pass stops at a depth budget, and its states are laid out
-as an unfolding with truncation marks.
+Extending it corecursively yields the full translation, in a
+breadth-first pass: with memoization, repeated residuals become back
+links and regular inputs close into a finite graph; otherwise (or when
+the residuals outnumber the state budget) a pass stops at a depth
+budget, and its states are laid out as an unfolding with truncation
+marks.  One table per extension keeps each state's step output, so
+every pass reads it and each residual is stepped once.
 
 One extension keeps every proof it handles in one hash-consed
 :class:`~nwproofs.store.Arena`, the carrier of the step's coalgebra: a
@@ -20,15 +21,17 @@ bisimilar states: the input is copied in minimized, and a state added
 later is looked up by its fragment and successor ids, which is exact
 because a new state links only to stored ones.  A residual's memo key
 is its state id, so residuals are keyed up to bisimilarity, and a view
-is made once per value checked or stepped.
+is made once per value checked in a pass.
 
 Both conditions a step must satisfy are checked while extending, and
 only there, in ``_Engine``: every glue point, and nothing else, must get
-a stored residual that passes the source checker (condition 2), and
-every emitted fragment, paired with the root sequents of its translated
-residuals, must pass the target fragment check (condition 1), which
-admits (sequent, rule) labels and stars only, so a truncation mark or
-any other foreign label in a step's fragment breaks it.  Closed outputs are views of the
+a stored residual, as a stored state's destructor must
+(:func:`~nwproofs.coalgebra.validated_destructor`), that passes the
+source checker (condition 2), and every emitted fragment, paired with
+the root sequents of its translated residuals, must pass the target
+fragment check (condition 1), which admits (sequent, rule) labels and
+stars only, so a truncation mark or any other foreign label in a step's
+fragment breaks it.  Closed outputs are views of the
 emitted fragments, so this is the only check they get.  Source checks
 go through the store's cached check, :func:`~nwproofs.store.check`, so
 each state's fragment is checked against the source once.  Target
@@ -57,7 +60,8 @@ from dataclasses import dataclass, field
 
 from .calculus import CalculusError, CheckReport, LocalProgressCalculus, ProofGraph
 from .calculus import _is_sequent_rule, check_proof_fragment
-from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, Destructor, StateId
+from .coalgebra import BudgetError, BudgetExceeded, Coalgebra, CoalgebraError, Destructor, StateId
+from .coalgebra import validated_destructor
 from .fftree import UnfoldBudget, Unfolding, unfold_by
 from .store import Arena, check
 from .trees import EPSILON, TreeNW, format_word
@@ -101,14 +105,16 @@ def identity_step(calc: LocalProgressCalculus) -> TranslationStep:
 
 class _Engine:
     """The worker of one extension; a residual is a state of ``store``,
-    viewed once, when it is checked.  A check's ``where`` gives the place
-    its error names, and is called only on failure."""
+    viewed once per pass, when it is checked, and stepped once, into
+    ``stepped``.  A check's ``where`` gives the place its error names,
+    and is called only on failure."""
 
     def __init__(self, step: TranslationStep):
         self.step = step
         self.source = source = step.source
         self.target = target = step.target
         self.store = Arena()
+        self.stepped: dict[StateId, StepOutput] = {}  # read by every pass of the extension
         self.decided = self.store.decided(target)  # shared with the store's checks
         self.source_decided = self.store.decided(source)
         # the rules whose matcher objects differ between the two calculi, or
@@ -122,27 +128,21 @@ class _Engine:
                 if source.rules.get(rule) is not target.rules.get(rule)
             )
 
-    def apply(self, pg: ProofGraph) -> StepOutput:
-        fragment, targets = self.step.apply(pg)
-        # the root's sequent is read, as a leaf sequent, before the target check
-        if not _is_sequent_rule(fragment.label(EPSILON)):
-            raise StepContractViolation(1, "fragment root is not labelled with (sequent, rule)")
-        if not isinstance(targets, tuple) or len(targets) > len(fragment._stars):
-            raise StepContractViolation(2, "residuals not a tuple, or more residuals than star leaves")
-        try:  # all residuals at once, and leaf by leaf only to name a bad one
-            stored = all(map(self.store._states.__contains__, targets))
-        except TypeError:  # a residual that is no state id
-            stored = False
-        if not stored or len(targets) < len(fragment._stars):
-            for i in range(len(fragment._stars)):
-                try:
-                    stored = targets[i] in self.store._states
-                except (LookupError, TypeError):  # no residual, or one that is no state id
-                    stored = False
-                if not stored:
-                    leaf = format_word(fragment.leaf_order[i])
-                    raise StepContractViolation(2, f"no stored residual at leaf {leaf}")
-        return fragment, targets
+    def apply(self, pg: ProofGraph, name: str) -> StepOutput:
+        """The step's output at the view's root, stepped and checked the
+        first time only; a state is named ``name`` in condition 2."""
+        out = self.stepped.get(pg.root)
+        if out is None:
+            fragment, targets = self.step.apply(pg)
+            # the root's sequent is read, as a leaf sequent, before the target check
+            if not _is_sequent_rule(fragment.label(EPSILON)):
+                raise StepContractViolation(1, "fragment root is not labelled with (sequent, rule)")
+            try:
+                out = validated_destructor(name, fragment, targets, self.store._states)
+            except CoalgebraError as err:
+                raise StepContractViolation(2, str(err)) from None
+            self.stepped[pg.root] = out
+        return out
 
     def check_value(self, state: StateId, where: Callable[[], str]) -> ProofGraph:
         """The view of a residual that passes the source check."""
@@ -201,18 +201,18 @@ def extend(
     if not report.ok:
         raise NotASourceProof(f"input is not a {step.source.name} proof:\n{report}")
     if memo:
-        closed = _corecurse(engine, root, max_states=max_states)
-        if closed is not None:
+        names = _corecurse(engine, root, max_states=max_states)
+        if names is not None:
             # every fragment passed its target check, so the output needs no validation
-            names, stepped = closed
             emitted = {
-                names[k]: (frag, tuple([names[t] for t in ts])) for k, (frag, ts) in stepped.items()
+                names[k]: (frag, tuple([names[t] for t in ts]))
+                for k, (frag, ts) in engine.stepped.items()
             }
             return ProofGraph._view(Coalgebra.view(emitted), "s0", None)
-    _, stepped = _corecurse(engine, root, budget=budget)
+    _corecurse(engine, root, budget=budget)
     marks = (f"t{i}" for i in itertools.count())
     try:
-        return unfold_by(stepped.__getitem__, root.root, budget, lambda _: next(marks))
+        return unfold_by(engine.stepped.__getitem__, root.root, budget, lambda _: next(marks))
     except BudgetExceeded as err:
         raise BudgetExceeded(f"translated {err}") from None
 
@@ -220,22 +220,21 @@ def extend(
 def _corecurse(engine, root, max_states=None, budget=None):
     """Breadth-first corecursion from ``root`` over the store's states,
     each its own memo key: a state is source-checked when first reached
-    and named ``s0, s1, ...`` in that order, stepped once, and, unless
-    cut off, target-checked once.  With ``max_states``, gives the names
-    and steps of a closed output, or None once more states are reached.
-    With ``budget``, a state first reached at depth ``max_depth`` is cut
-    off: stepped for its root label only.  The states stepped may then
-    fill ``max_nodes`` nodes: an expanded one its proper nodes, a cut-off
-    one a truncation mark; the layout holds at least as many.
+    and named ``s0, s1, ...`` in that order, stepped, and, unless cut
+    off, target-checked once.  With ``max_states``, gives the names of a
+    closed output's states, or None once more states are reached.  With
+    ``budget``, a state first reached at depth ``max_depth`` is cut off:
+    stepped for its root label only.  The states stepped may then fill
+    ``max_nodes`` nodes: an expanded one its proper nodes, a cut-off one
+    a truncation mark; the layout holds at least as many.
     """
     names: dict[StateId, str] = {root.root: "s0"}
     queue: list[tuple[ProofGraph, int]] = [(root, 0)]  # grows while it is walked
-    stepped: dict[StateId, StepOutput] = {}
     expanded: list[StateId] = []
     size = 0
     for value, depth in queue:
         key = value.root
-        stepped[key] = fragment, targets = engine.apply(value)
+        fragment, targets = engine.apply(value, names[key])
         if budget is not None:
             cut_off = depth == budget.max_depth
             size += 1 if cut_off else len(fragment._labels) - len(fragment._stars)
@@ -253,12 +252,12 @@ def _corecurse(engine, root, max_states=None, budget=None):
                     t, lambda: f"state {names[key]} leaf {format_word(fragment.leaf_order[i])}"
                 )
                 queue.append((residual, depth + 1))
-    roots = {key: fragment._labels[0][0] for key, (fragment, _) in stepped.items()}
+    roots = {key: engine.stepped[key][0]._labels[0][0] for key in names}
     for key in expanded:
-        fragment, targets = stepped[key]
+        fragment, targets = engine.stepped[key]
         leaves = tuple([roots[t] for t in targets])
         engine.check_fragment(fragment, leaves, lambda: f"state {names[key]}")
-    return names, stepped
+    return names
 
 
 @dataclass(frozen=True)

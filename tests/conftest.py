@@ -77,7 +77,7 @@ def unfold_by_gluing(coalg: Coalgebra, state: str, depth: int) -> FFTree:
 
     if depth == 0:
         label = coalg.fragment(state).label(EPS)
-        return FFTree({EPS: Truncation(state, label)}, [[EPS]])
+        return FFTree({EPS: Truncation(state, label)}, {EPS: EPS})
     frag = coalg.fragment(state)
     links = coalg.links(state)
     return construct(

@@ -23,7 +23,7 @@ indexes the kernel keeps.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from nwproofs.calculus import (
     CalculusError,
@@ -37,7 +37,7 @@ from nwproofs.calculus import (
 from nwproofs.coalgebra import Coalgebra, CoalgebraError, StateId
 from nwproofs.fftree import FFTree, NotARoot, Unfolding
 from nwproofs.store import Arena, PNode, subtree_at
-from nwproofs.trees import EPSILON, STAR, Label, TreeNW, Truncation, Word, format_word
+from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation, Word, format_word
 
 RootPath = tuple[Word, ...]
 
@@ -101,14 +101,6 @@ def fragment_at(coalg: Coalgebra, state: StateId, path: RootPath) -> TreeNW:
 
 
 # -- a fragmented tree, read through its block roots ----------------------------
-
-
-def validate_fftree(
-    labels: Mapping[Word, Label],
-    partition: Iterable[Iterable[Word]] | Mapping[Word, Any],
-) -> FFTree:
-    """Check the fragmentation properties and wrap the result."""
-    return FFTree(labels, partition)
 
 
 def arity(tree: FFTree, w: Word) -> int:
@@ -186,9 +178,15 @@ def construct(fragment: TreeNW, parts: Mapping[Word, FFTree]) -> FFTree:
     return FFTree(labels, root_of)
 
 
+def truncations(unfolding: Unfolding) -> dict[Word, str]:
+    """The cut-off points of an unfolding, each with the state its mark names."""
+    labels = unfolding.tree.labels()
+    return {w: lab.target for w, lab in labels.items() if isinstance(lab, Truncation)}
+
+
 def complete_nodes(unfolding: Unfolding) -> frozenset[Word]:
     """The nodes of an unfolding that are no truncation mark."""
-    return unfolding.tree.nodes - frozenset(unfolding.truncations)
+    return unfolding.tree.nodes - frozenset(truncations(unfolding))
 
 
 # -- root paths through the destructor, written exactly as the recursive

@@ -13,7 +13,7 @@ from nwproofs.coalgebra import (
     root_first_order,
 )
 from nwproofs.fftree import unfold
-from nwproofs.store import bisim_minimize, canonical_form
+from nwproofs.store import Arena, bisim_minimize, canonical_form
 from nwproofs.trees import EPSILON, STAR, TreeNW, Truncation
 from paper_defs import (
     NotARootPath,
@@ -25,6 +25,7 @@ from paper_defs import (
     partition,
     prefix_le,
     subelement,
+    truncations,
     word_of,
 )
 
@@ -44,6 +45,16 @@ def test_a_destructor_is_a_tuple_of_one_known_target_per_star_leaf():
             Coalgebra({"c": (LOOP_FRAG, targets)})
     with pytest.raises(UnknownState, match="links 0 to unknown state 'x'"):
         Coalgebra({"c": (LOOP_FRAG, ("x",))})
+
+
+def test_an_unhashable_target_is_an_unknown_state():
+    # a target that is no state id is refused as unknown, naming its leaf
+    frag = TreeNW([("a", "r"), STAR], [1, 0])
+    with pytest.raises(UnknownState, match=r"state 's' links 0 to unknown state \[\]"):
+        Coalgebra({"s": (frag, ([],))})
+    arena = Arena()
+    with pytest.raises(UnknownState, match=r"links 0 to unknown state \{\}"):
+        arena.add(frag, ({},))
 
 
 def test_is_root_path_examples():
@@ -82,13 +93,13 @@ def test_fragment_at_examples():
 def test_unfold_depth_one_truncates_after_root_fragment():
     res = unfold(G1, "c", UnfoldBudget(max_depth=1))
     assert complete_nodes(res) == {EPSILON}
-    assert res.truncations == {(0,): "c"}
+    assert truncations(res) == {(0,): "c"}
 
 
 def test_unfold_layers_and_partition():
     res = unfold(G1, "c", UnfoldBudget(max_depth=3))
     assert complete_nodes(res) == {EPSILON, (0,), (0, 0)}
-    assert res.truncations == {(0, 0, 0): "c"}
+    assert truncations(res) == {(0, 0, 0): "c"}
     assert partition(res.tree) == frozenset(
         {frozenset({EPSILON}), frozenset({(0,)}), frozenset({(0, 0)}), frozenset({(0, 0, 0)})}
     )
@@ -96,7 +107,7 @@ def test_unfold_layers_and_partition():
 
 def test_unfold_without_stars_is_the_fragment():
     res = unfold(CHAIN, "d", UnfoldBudget(max_depth=5))
-    assert res.truncations == {}
+    assert truncations(res) == {}
     assert partition(res.tree) == frozenset({frozenset({EPSILON})})
 
 

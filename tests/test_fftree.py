@@ -3,7 +3,15 @@ import random
 import pytest
 
 from conftest import random_fftree
-from nwproofs.fftree import FFTree, NoRoot, NotAPartition, NotARoot, NotConvex, TruncationNotAllowed
+from nwproofs.fftree import (
+    FFTree,
+    FFTreeError,
+    NoRoot,
+    NotAPartition,
+    NotARoot,
+    NotConvex,
+    TruncationNotAllowed,
+)
 from paper_defs import (
     arity,
     construct,
@@ -17,7 +25,6 @@ from paper_defs import (
     partition,
     root_path_of,
     subtree,
-    validate_fftree,
     word_of,
 )
 from nwproofs.trees import EPSILON, STAR, GappedChildren, TreeError, TreeNW, Truncation
@@ -25,69 +32,86 @@ from nwproofs.trees import EPSILON, STAR, GappedChildren, TreeError, TreeNW, Tru
 # three stacked single-node blocks: . -> 0 -> 0.0
 PI2 = FFTree(
     {EPSILON: "a", (0,): "b", (0, 0): "c"},
-    [[EPSILON], [(0,)], [(0, 0)]],
+    {EPSILON: EPSILON, (0,): (0,), (0, 0): (0, 0)},
 )
+ONE_BLOCK = {EPSILON: EPSILON, (0,): EPSILON}
 
 
 def test_validate_ok():
-    t = validate_fftree({EPSILON: "a", (0,): "b"}, [[EPSILON], [(0,)]])
+    t = FFTree({EPSILON: "a", (0,): "b"}, {EPSILON: EPSILON, (0,): (0,)})
     assert t.roots() == {EPSILON, (0,)}
 
 
 def test_validate_not_convex():
+    # 0.0 claims the root's block, but its parent starts a block of its own
     with pytest.raises(NotConvex) as err:
-        validate_fftree(
+        FFTree(
             {EPSILON: "a", (0,): "b", (0, 0): "c"},
-            [[EPSILON, (0, 0)], [(0,)]],
+            {EPSILON: EPSILON, (0,): (0,), (0, 0): EPSILON},
         )
     assert err.value.node == (0,)
 
 
-def test_validate_overlap_is_not_a_partition():
-    with pytest.raises(NotAPartition):
-        validate_fftree(
-            {EPSILON: "a", (0,): "b"},
-            [[EPSILON, (0,)], [(0,)]],
-        )
-
-
 def test_validate_no_root():
-    with pytest.raises(NoRoot):
-        validate_fftree(
-            {EPSILON: "a", (0,): "b", (1,): "c"},
-            [[EPSILON], [(0,), (1,)]],
-        )
+    labels = {EPSILON: "a", (0,): "b", (1,): "c"}
+    # the block root of 1 is no ancestor of it
+    with pytest.raises(NoRoot) as err:
+        FFTree(labels, {EPSILON: EPSILON, (0,): (0,), (1,): (0,)})
+    assert err.value.node == (1,)
+    # the block root of 1 is an ancestor whose own block root is another node
+    with pytest.raises(NoRoot) as err:
+        FFTree(labels, {(1,): EPSILON, (0,): (0,), EPSILON: (0,)})
+    assert err.value.node == (1,)
 
 
 def test_validate_must_cover():
-    with pytest.raises(NotAPartition):
-        validate_fftree({EPSILON: "a", (0,): "b"}, [[EPSILON]])
+    with pytest.raises(NotAPartition, match="misses a node") as err:
+        FFTree({EPSILON: "a", (0,): "b"}, {EPSILON: EPSILON})
+    assert err.value.node == (0,)
+    with pytest.raises(NotAPartition, match="names a non-node") as err:
+        FFTree({EPSILON: "a"}, {EPSILON: EPSILON, (1,): EPSILON})
+    assert err.value.node == (1,)
+
+
+def test_star_labels_are_refused():
+    with pytest.raises(FFTreeError, match="star labels are reserved") as err:
+        FFTree({EPSILON: "a", (0,): STAR}, ONE_BLOCK)
+    assert err.value.node == (0,)
+
+
+def test_root_map_round_trip():
+    # a tree is rebuilt from its labels and the block root of each node
+    rng = random.Random(16)
+    for _ in range(100):
+        t = random_fftree(rng, max_nodes=25)
+        assert FFTree(t.labels(), {w: t.frag_root(w) for w in t.nodes}) == t
 
 
 def test_tree_shape_is_checked_as_for_fragments():
     with pytest.raises(TreeError, match="negative letter"):
-        validate_fftree({EPSILON: "a", (-1,): "b"}, [[EPSILON], [(-1,)]])
+        FFTree({EPSILON: "a", (-1,): "b"}, {EPSILON: EPSILON, (-1,): (-1,)})
     with pytest.raises(GappedChildren):
-        validate_fftree({EPSILON: "a", (1,): "b"}, [[EPSILON, (1,)]])
+        FFTree({EPSILON: "a", (1,): "b"}, {EPSILON: EPSILON, (1,): EPSILON})
     with pytest.raises(TreeError):
-        validate_fftree({(0,): "b"}, [[(0,)]])
+        FFTree({(0,): "b"}, {(0,): (0,)})
 
 
 def test_arity_equality_and_hash():
     assert [arity(PI2, w) for w in (EPSILON, (0,), (0, 0))] == [1, 1, 0]
-    same = FFTree({(0, 0): "c", (0,): "b", EPSILON: "a"}, {EPSILON: 0, (0,): 1, (0, 0): 2})
+    same = FFTree({(0, 0): "c", (0,): "b", EPSILON: "a"}, {(0, 0): (0, 0), (0,): (0,), EPSILON: EPSILON})
     assert same == PI2 and hash(same) == hash(PI2)
-    merged = FFTree({EPSILON: "a", (0,): "b", (0, 0): "c"}, [[EPSILON, (0,)], [(0, 0)]])
+    merged = FFTree({EPSILON: "a", (0,): "b", (0, 0): "c"}, {**ONE_BLOCK, (0, 0): (0, 0)})
     assert merged != PI2
 
 
 def test_truncation_accepted_at_a_leaf_refused_on_an_inner_node():
     labels = {EPSILON: "a", (0,): Truncation("s0", "a")}
-    t = validate_fftree(labels, [[EPSILON], [(0,)]])
+    t = FFTree(labels, {EPSILON: EPSILON, (0,): (0,)})
     assert t.roots() == {EPSILON, (0,)}
     inner = {EPSILON: Truncation("s0", "a"), (0,): "b"}
-    with pytest.raises(TruncationNotAllowed, match="truncation marker on an inner node"):
-        validate_fftree(inner, [[EPSILON], [(0,)]])
+    with pytest.raises(TruncationNotAllowed, match="truncation marker on an inner node") as err:
+        FFTree(inner, {EPSILON: EPSILON, (0,): (0,)})
+    assert err.value.node == EPSILON
 
 
 def test_roots_and_measures():
@@ -101,7 +125,7 @@ def test_roots_and_measures():
 def test_tree_fragment_examples():
     frag = PI2.tree_fragment((0,))
     assert frag == TreeNW({EPSILON: "b", (0,): STAR})
-    whole = FFTree({EPSILON: "a", (0,): "b"}, [[EPSILON, (0,)]])
+    whole = FFTree({EPSILON: "a", (0,): "b"}, ONE_BLOCK)
     assert whole.tree_fragment(EPSILON) == TreeNW({EPSILON: "a", (0,): "b"})
     assert PI2.tree_fragment((0, 0)) == TreeNW({EPSILON: "c"})
 
@@ -113,11 +137,11 @@ def test_subtree_examples():
     assert subtree(PI2, EPSILON) == PI2
     assert subtree(PI2, (0, 0)).nodes == {EPSILON}
     with pytest.raises(NotARoot):
-        subtree(FFTree({EPSILON: "a", (0,): "b"}, [[EPSILON, (0,)]]), (0,))
+        subtree(FFTree({EPSILON: "a", (0,): "b"}, ONE_BLOCK), (0,))
 
 
 def test_destruct_examples():
-    whole = FFTree({EPSILON: "a", (0,): "b"}, [[EPSILON, (0,)]])
+    whole = FFTree({EPSILON: "a", (0,): "b"}, ONE_BLOCK)
     frag, parts = destruct(whole)
     assert parts == {}
     assert frag == TreeNW({EPSILON: "a", (0,): "b"})
@@ -128,8 +152,8 @@ def test_destruct_examples():
 
 
 def test_construct_examples():
-    assert construct(TreeNW({EPSILON: "a"}), {}) == FFTree({EPSILON: "a"}, [[EPSILON]])
-    glued = construct(TreeNW({EPSILON: "a", (0,): STAR}), {(0,): FFTree({EPSILON: "b"}, [[EPSILON]])})
+    assert construct(TreeNW({EPSILON: "a"}), {}) == FFTree({EPSILON: "a"}, {EPSILON: EPSILON})
+    glued = construct(TreeNW({EPSILON: "a", (0,): STAR}), {(0,): FFTree({EPSILON: "b"}, {EPSILON: EPSILON})})
     assert partition(glued) == frozenset({frozenset({EPSILON}), frozenset({(0,)})})
     with pytest.raises(ValueError):
         construct(TreeNW({EPSILON: "a", (0,): STAR}), {})
@@ -139,7 +163,7 @@ def test_root_path_examples():
     assert root_path_of(PI2, EPSILON) == ()
     assert root_path_of(PI2, (0, 0)) == ((0,), (0,))
     with pytest.raises(NotARoot):
-        root_path_of(FFTree({EPSILON: "a", (0,): "b"}, [[EPSILON, (0,)]]), (0,))
+        root_path_of(FFTree({EPSILON: "a", (0,): "b"}, ONE_BLOCK), (0,))
 
 
 def test_round_trip_destruct_construct_random():

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from grzlib import box_chain
+from paper_defs import truncations
 from reference_translate import layout, reference_unfolding
 
 from nwproofs.calculus import ProofGraph, check_proof_graph
@@ -109,7 +110,8 @@ def test_extend_lays_out_the_reference_unfolding(pg):
             out = extend(step, pg, UnfoldBudget(depth), memo=False)
             assert isinstance(out, Unfolding)
             assert layout(out) == expected, (step.name, depth)
-            marks = [out.truncations[w] for w in sorted(out.truncations)]
+            marked = truncations(out)
+            marks = [marked[w] for w in sorted(marked)]
             assert marks == [f"t{i}" for i in range(len(marks))]
             if isinstance(closed, ProofGraph):
                 direct = unfold(closed.graph, closed.root, UnfoldBudget(depth))
